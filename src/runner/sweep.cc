@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <mutex>
 #include <optional>
+#include <utility>
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -13,6 +14,11 @@
 
 #include "common/logging.h"
 #include "obs/trace_recorder.h"
+#include "storage/bucket.h"
+#include "workload/flight.h"
+#include "workload/instacart.h"
+#include "workload/tpcc/tpcc_schema.h"
+#include "workload/ycsb.h"
 
 namespace chiller::runner {
 
@@ -24,6 +30,27 @@ std::string Fmt(const char* format, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, v);
   return buf;
+}
+
+/// Heap bytes one store's bucket arrays take before any row is loaded.
+uint64_t BucketArrayBytes(const std::vector<storage::TableSpec>& schema) {
+  uint64_t buckets = 0;
+  for (const storage::TableSpec& t : schema) buckets += t.buckets_per_partition;
+  return buckets * sizeof(storage::Bucket);
+}
+
+/// Heap bytes `rows` rows of `table` add to one store. Each (key, record)
+/// entry sits in its bucket's entry block; at the schemas' load factor of
+/// about 1/2 most blocks hold one entry, so the block header and malloc
+/// rounding add about kMallocSlack per row. A record wider than the inline
+/// words keeps its fields in one more heap array.
+uint64_t RowBytes(const storage::TableSpec& table, uint64_t rows) {
+  constexpr uint64_t kMallocSlack = 16;
+  uint64_t per_row = sizeof(Key) + sizeof(storage::Record) + kMallocSlack;
+  if (table.num_fields > storage::Record::kInlineFields) {
+    per_row += table.num_fields * sizeof(int64_t) + kMallocSlack;
+  }
+  return rows * per_row;
 }
 
 }  // namespace
@@ -230,36 +257,57 @@ std::vector<StatusOr<ScenarioResult>> SweepExecutor::Run(
 }
 
 uint64_t EstimateFootprint(const ScenarioSpec& spec) {
-  // Every store keeps records as vectors of int64 fields plus bucket and
-  // index overhead; replicas multiply the whole database.
+  // Every partition is stored replication_degree times (primary + replicas).
+  // Each store pays its schema's bucket arrays up front, and every loaded
+  // row is added to each copy. Tables that only grow at run time (TPC-C's
+  // order family, flight seats, instacart orders) start empty.
   const uint64_t copies = spec.replication_degree;
-  constexpr uint64_t kPerRecordOverhead = 96;  // bucket entry + vector slack
-
-  uint64_t records = 0;
-  uint64_t bytes_per_record = 0;
+  const uint64_t stores = copies * spec.partitions();
+  const OptionMap& o = spec.options;
   if (spec.workload == "tpcc" || spec.workload == "adaptive-tpcc") {
-    // Dominated by STOCK (100k rows/warehouse) and CUSTOMER (30k).
-    const uint64_t warehouses =
-        spec.options.GetInt("num_warehouses", spec.partitions());
-    records = warehouses * 150000;
-    bytes_per_record = 330;
-  } else if (spec.workload == "ycsb" || spec.workload == "adaptive") {
-    records = static_cast<uint64_t>(spec.partitions()) *
-              spec.options.GetInt("keys_per_partition", 10000);
-    bytes_per_record = 8 * 8;
-  } else if (spec.workload == "instacart") {
-    records = spec.options.GetInt("num_products", 49688) +
-              spec.options.GetInt("num_customers", 200000);
-    bytes_per_record = 64;
-  } else if (spec.workload == "flight") {
-    records = spec.options.GetInt("num_flights", 1000) +
-              spec.options.GetInt("num_customers", 100000) +
-              spec.options.GetInt("num_states", 50);
-    bytes_per_record = 64;
-  } else {
-    return 0;  // unknown workload: never gate on a guess
+    namespace tpcc = workload::tpcc;
+    const auto schema = tpcc::Schema();
+    const uint64_t warehouses = o.GetInt("num_warehouses", spec.partitions());
+    // ITEM is replicated into every store.
+    uint64_t bytes = stores * (BucketArrayBytes(schema) +
+                               RowBytes(schema[tpcc::kItem], tpcc::kItemCount));
+    const std::pair<tpcc::Table, uint64_t> rows_per_warehouse[] = {
+        {tpcc::kWarehouse, 1},
+        {tpcc::kDistrict, tpcc::kDistrictsPerWarehouse},
+        {tpcc::kCustomer,
+         tpcc::kDistrictsPerWarehouse * tpcc::kCustomersPerDistrict},
+        {tpcc::kStock, tpcc::kItemCount},
+    };
+    for (const auto& [table, rows] : rows_per_warehouse) {
+      bytes += copies * RowBytes(schema[table], warehouses * rows);
+    }
+    return bytes;
   }
-  return copies * records * (bytes_per_record + kPerRecordOverhead);
+  if (spec.workload == "ycsb" || spec.workload == "adaptive") {
+    const auto schema = workload::ycsb::Schema();
+    const uint64_t rows = spec.partitions() *
+                          o.GetInt("keys_per_partition", 10000);
+    return stores * BucketArrayBytes(schema) +
+           copies * RowBytes(schema[workload::ycsb::kMain], rows);
+  }
+  if (spec.workload == "instacart") {
+    const auto schema = workload::instacart::Schema();
+    return stores * BucketArrayBytes(schema) +
+           copies * RowBytes(schema[workload::instacart::kStock],
+                             o.GetInt("num_products", 49688));
+  }
+  if (spec.workload == "flight") {
+    using workload::FlightSchema;
+    const auto schema = FlightSchema::Specs();
+    return stores * BucketArrayBytes(schema) +
+           copies * (RowBytes(schema[FlightSchema::kFlight],
+                              o.GetInt("num_flights", 1000)) +
+                     RowBytes(schema[FlightSchema::kCustomer],
+                              o.GetInt("num_customers", 100000)) +
+                     RowBytes(schema[FlightSchema::kTax],
+                              o.GetInt("num_states", 50)));
+  }
+  return 0;  // unknown workload: never gate on a guess
 }
 
 uint64_t CurrentRssBytes() {

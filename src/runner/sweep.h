@@ -154,10 +154,12 @@ class SweepExecutor {
   mutable uint32_t trace_pid_base_ = 0;
 };
 
-/// Rough peak resident bytes for one wired scenario (primary + replica
-/// stores, all tables), for ScenarioSpec::footprint_hint. Deliberately
-/// coarse — the budget gate needs relative magnitudes, not an allocator
-/// audit. Returns 0 (unknown) for unrecognized workload keys.
+/// Rough resident bytes one wired and loaded scenario adds (primary +
+/// replica stores, all tables), for ScenarioSpec::footprint_hint. Derived
+/// from the workload schema's bucket counts and initial row counts and the
+/// storage layer's per-bucket and per-record sizes; deliberately coarse —
+/// the budget gate needs relative magnitudes, not an allocator audit.
+/// Returns 0 (unknown) for unrecognized workload keys.
 uint64_t EstimateFootprint(const ScenarioSpec& spec);
 
 /// This process's current resident set in bytes, read from

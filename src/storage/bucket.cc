@@ -1,36 +1,71 @@
 #include "storage/bucket.h"
 
+#include <new>
 #include <utility>
 
 namespace chiller::storage {
 
+Bucket::Block* Bucket::Allocate(uint32_t cap) {
+  void* mem = ::operator new(sizeof(Block) + cap * sizeof(Entry));
+  return new (mem) Block{.size = 0, .cap = cap};
+}
+
+void Bucket::Free(Block* block) {
+  Entry* e = block->entries();
+  for (uint32_t i = 0; i < block->size; ++i) e[i].~Entry();
+  ::operator delete(block);
+}
+
+Bucket::~Bucket() {
+  if (block_ != nullptr) Free(block_);
+}
+
 Record* Bucket::Find(Key key) {
-  for (auto& e : entries_) {
-    if (e.key == key) return &e.record;
-  }
-  return nullptr;
+  return const_cast<Record*>(std::as_const(*this).Find(key));
 }
 
 const Record* Bucket::Find(Key key) const {
-  for (const auto& e : entries_) {
-    if (e.key == key) return &e.record;
+  if (block_ == nullptr) return nullptr;
+  const Entry* e = block_->entries();
+  for (uint32_t i = 0; i < block_->size; ++i) {
+    if (e[i].key == key) return &e[i].record;
   }
   return nullptr;
 }
 
 bool Bucket::Insert(Key key, Record record) {
   if (Find(key) != nullptr) return false;
-  entries_.push_back(Entry{key, std::move(record)});
+  if (block_ == nullptr) {
+    block_ = Allocate(1);
+  } else if (block_->size == block_->cap) {
+    Block* grown = Allocate(2 * block_->cap);
+    Entry* from = block_->entries();
+    Entry* to = grown->entries();
+    for (uint32_t i = 0; i < block_->size; ++i) {
+      new (&to[i]) Entry(std::move(from[i]));
+    }
+    grown->size = block_->size;
+    Free(block_);
+    block_ = grown;
+  }
+  new (&block_->entries()[block_->size]) Entry{key, std::move(record)};
+  ++block_->size;
   return true;
 }
 
 bool Bucket::Erase(Key key) {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].key == key) {
-      entries_[i] = std::move(entries_.back());
-      entries_.pop_back();
-      return true;
+  if (block_ == nullptr) return false;
+  Entry* e = block_->entries();
+  const uint32_t last = block_->size - 1;
+  for (uint32_t i = 0; i <= last; ++i) {
+    if (e[i].key != key) continue;
+    if (i != last) e[i] = std::move(e[last]);
+    e[last].~Entry();
+    if (--block_->size == 0) {
+      Free(block_);
+      block_ = nullptr;
     }
+    return true;
   }
   return false;
 }

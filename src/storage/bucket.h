@@ -3,8 +3,6 @@
 #define CHILLER_STORAGE_BUCKET_H_
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "common/types.h"
 #include "storage/lock_word.h"
@@ -15,11 +13,27 @@ namespace chiller::storage {
 /// One hash bucket: a small set of records sharing a single lock word.
 /// "Buckets are locked when any of their records are being accessed, and the
 /// lock remains until the transaction commits or aborts" (Section 6).
-/// Overflow is modeled by letting the entry vector grow (an overflow bucket
-/// chained off the primary, sharing its lock).
+///
+/// Layout (16 bytes): the lock word plus a pointer to a heap block holding
+/// the entry count, its capacity and the (key, record) entries. The pointer
+/// is null while the bucket is empty; the block doubles when full. Overflow
+/// past the first entry models an overflow bucket chained off the primary,
+/// sharing its lock.
+///
+/// Order invariant: Insert appends, and Erase moves the last entry into the
+/// hole. ForEach visits entries in that order, which migration planning
+/// depends on (PartitionStore::ForEach feeds MigrationPlan::Diff).
 class Bucket {
  public:
   Bucket() : lock_(LockWord::MakeFree(0)) {}
+  Bucket(Bucket&& other) noexcept
+      : lock_(other.lock_), block_(other.block_) {
+    other.block_ = nullptr;
+  }
+  Bucket(const Bucket&) = delete;
+  Bucket& operator=(const Bucket&) = delete;
+  Bucket& operator=(Bucket&&) = delete;
+  ~Bucket();
 
   /// The raw lock word; remote engines CAS this via one-sided RDMA.
   uint64_t lock_word() const { return lock_; }
@@ -33,22 +47,26 @@ class Bucket {
   }
   uint64_t version() const { return LockWord::Version(lock_); }
 
-  /// Returns the record stored under `key`, or nullptr.
+  /// Returns the record stored under `key`, or nullptr. The pointer is
+  /// invalidated by the next Insert or Erase on this bucket.
   Record* Find(Key key);
   const Record* Find(Key key) const;
 
-  /// Inserts a new record; returns false if the key already exists.
+  /// Appends a new record; returns false if the key already exists.
   bool Insert(Key key, Record record);
 
-  /// Removes `key`; returns true if it was present.
+  /// Removes `key`, moving the last entry into its slot; returns true if it
+  /// was present.
   bool Erase(Key key);
 
-  size_t num_records() const { return entries_.size(); }
+  size_t num_records() const { return block_ == nullptr ? 0 : block_->size; }
 
-  /// Visits every (key, record) in the bucket.
+  /// Visits every (key, record) in the bucket, in the order above.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& e : entries_) fn(e.key, e.record);
+    if (block_ == nullptr) return;
+    const Entry* e = block_->entries();
+    for (uint32_t i = 0; i < block_->size; ++i) fn(e[i].key, e[i].record);
   }
 
  private:
@@ -56,9 +74,24 @@ class Bucket {
     Key key;
     Record record;
   };
+  /// Heap header; `cap` entries follow it in the same allocation.
+  struct Block {
+    uint32_t size;
+    uint32_t cap;
+    Entry* entries() { return reinterpret_cast<Entry*>(this + 1); }
+    const Entry* entries() const {
+      return reinterpret_cast<const Entry*>(this + 1);
+    }
+  };
+  static_assert(sizeof(Block) % alignof(Entry) == 0,
+                "entries must start aligned right after the header");
+
+  static Block* Allocate(uint32_t cap);
+  /// Destroys the block's entries and frees it.
+  static void Free(Block* block);
 
   uint64_t lock_;
-  std::vector<Entry> entries_;
+  Block* block_ = nullptr;
 };
 
 }  // namespace chiller::storage

@@ -12,9 +12,10 @@
 namespace chiller::storage {
 
 /// Per-partition slice of one logical table. Keys hash onto a fixed array of
-/// buckets; the bucket's embedded lock word is the locking granule, so two
-/// keys colliding into one bucket contend (as in the real system — size
-/// buckets_per_partition accordingly).
+/// 16-byte buckets; the bucket's embedded lock word is the locking granule,
+/// so two keys colliding into one bucket contend (as in the real system —
+/// size buckets_per_partition accordingly). An empty bucket costs its 16
+/// bytes and nothing more; records live in per-bucket heap blocks.
 class Table {
  public:
   explicit Table(TableSpec spec);
@@ -41,7 +42,9 @@ class Table {
   size_t num_buckets() const { return buckets_.size(); }
   size_t num_records() const { return num_records_; }
 
-  /// Visits every (key, record) in the table (order unspecified).
+  /// Visits every (key, record) in the table: buckets in index order, each
+  /// bucket in its Bucket::ForEach order. Deterministic for a given history
+  /// of inserts and erases; migration planning relies on it.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const auto& b : buckets_) b.ForEach(fn);

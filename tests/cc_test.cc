@@ -134,7 +134,7 @@ void CheckInvariants(Env& env, uint32_t nodes, uint32_t replication) {
       primary->ForEach([&](const RecordId& rid, const storage::Record& rec) {
         storage::Record* rrec = replica->Find(rid);
         ASSERT_NE(rrec, nullptr) << rid.ToString() << " missing at replica";
-        EXPECT_EQ(rec.fields(), rrec->fields()) << rid.ToString();
+        EXPECT_EQ(rec, *rrec) << rid.ToString();
       });
     }
   }

@@ -526,6 +526,35 @@ TEST(FootprintTest, EstimatesScaleWithTopologyAndKnobs) {
   EXPECT_EQ(EstimateFootprint(unknown), 0u);
 }
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CHILLER_SANITIZED_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CHILLER_SANITIZED_HEAP 1
+#endif
+#endif
+
+TEST(FootprintTest, TpccEstimateTracksLoadedRss) {
+#ifdef CHILLER_SANITIZED_HEAP
+  GTEST_SKIP() << "sanitizer allocators pad every allocation";
+#endif
+  // The benchmark's TPC-C spec: 16 warehouses on 8x2 engines, 2 copies.
+  ScenarioSpec spec;
+  spec.workload = "tpcc";
+  spec.protocol = "chiller";
+  spec.nodes = 8;
+  spec.engines_per_node = 2;
+  spec.options.Set("num_warehouses", 16);
+  const uint64_t before = CurrentRssBytes();
+  if (before == 0) GTEST_SKIP() << "no RSS probe on this platform";
+  auto env = ScenarioRunner::Wire(spec);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  const double growth = static_cast<double>(CurrentRssBytes() - before);
+  const double estimate = static_cast<double>(EstimateFootprint(spec));
+  EXPECT_GT(estimate, growth / 2);
+  EXPECT_LT(estimate, growth * 2);
+}
+
 TEST(SweepExecutorTest, MemBudgetStillRunsEverySpecIdentically) {
   std::vector<ScenarioSpec> specs;
   for (uint64_t seed : {31, 7, 19, 3}) {

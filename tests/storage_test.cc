@@ -1,6 +1,9 @@
 // Unit tests for the storage substrate: lock words, buckets, tables, stores.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "storage/bucket.h"
 #include "storage/lock_word.h"
 #include "storage/partition_store.h"
@@ -83,6 +86,135 @@ TEST(RecordTest, FieldsRoundTrip) {
 TEST(RecordTest, ExplicitWireSize) {
   Record r(2, 300);
   EXPECT_EQ(r.wire_bytes(), 300u);
+}
+
+// The compact layouts are the point of the storage types: 16-byte buckets
+// and 40-byte records keep the per-store arrays small.
+static_assert(sizeof(Bucket) == 16);
+static_assert(sizeof(Record) == 40);
+
+Record Numbered(size_t num_fields, int64_t base) {
+  Record r(num_fields);
+  for (size_t i = 0; i < num_fields; ++i) {
+    r.Set(i, base + static_cast<int64_t>(i));
+  }
+  return r;
+}
+
+TEST(RecordTest, DefaultIsEmpty) {
+  Record r;
+  EXPECT_EQ(r.num_fields(), 0u);
+  EXPECT_EQ(r.wire_bytes(), 0u);
+  EXPECT_TRUE(r.fields().empty());
+  EXPECT_EQ(r, Record());
+}
+
+TEST(RecordTest, EqualityComparesFieldsAndWireSize) {
+  EXPECT_EQ(Numbered(3, 10), Numbered(3, 10));
+  EXPECT_NE(Numbered(3, 10), Numbered(3, 11));
+  EXPECT_NE(Numbered(3, 10), Numbered(4, 10));
+  EXPECT_NE(Record(2, 100), Record(2, 200));
+  EXPECT_EQ(Numbered(8, 1), Numbered(8, 1));
+  EXPECT_NE(Numbered(8, 1), Numbered(8, 2));
+}
+
+// Inline (<= kInlineFields) and spilled (8 fields, as YCSB) records must
+// behave identically under every copy and move.
+class RecordCopyMoveTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RecordCopyMoveTest, CopyIsDeepAndEqual) {
+  const size_t n = GetParam();
+  Record a = Numbered(n, 100);
+  Record b(a);
+  EXPECT_EQ(a, b);
+  b.Set(0, -1);
+  EXPECT_EQ(a.Get(0), 100);  // no shared storage
+  EXPECT_NE(a, b);
+}
+
+TEST_P(RecordCopyMoveTest, MoveTransfersAndEmptiesSource) {
+  const size_t n = GetParam();
+  Record a = Numbered(n, 100);
+  Record b(std::move(a));
+  EXPECT_EQ(b, Numbered(n, 100));
+  EXPECT_EQ(a.num_fields(), 0u);  // NOLINT(bugprone-use-after-move)
+  Record c;
+  c = std::move(b);
+  EXPECT_EQ(c, Numbered(n, 100));
+  EXPECT_EQ(b.num_fields(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST_P(RecordCopyMoveTest, AssignAcrossShapes) {
+  const size_t n = GetParam();
+  for (size_t other : {size_t{1}, size_t{4}, size_t{8}, n}) {
+    Record dst = Numbered(other, 7);
+    const Record src = Numbered(n, 100);
+    dst = src;
+    EXPECT_EQ(dst, src) << other << " <- " << n;
+    Record moved_into = Numbered(other, 7);
+    moved_into = Record(src);
+    EXPECT_EQ(moved_into, src) << other << " <- " << n;
+  }
+  Record self = Numbered(n, 5);
+  const Record& alias = self;
+  self = alias;
+  EXPECT_EQ(self, Numbered(n, 5));
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndSpilled, RecordCopyMoveTest,
+                         ::testing::Values(size_t{1}, size_t{4}, size_t{8}));
+
+std::vector<Key> KeysInOrder(const Bucket& b) {
+  std::vector<Key> keys;
+  b.ForEach([&](Key k, const Record&) { keys.push_back(k); });
+  return keys;
+}
+
+TEST(BucketTest, OrderMatchesAppendAndSwapWithLastErase) {
+  // The order a std::vector gives with push_back and erase-by-moving-the-
+  // last-entry-into-the-hole; migration batches depend on it.
+  Bucket b;
+  for (Key k = 1; k <= 6; ++k) {  // grows past 4 entries
+    ASSERT_TRUE(b.Insert(k, Numbered(2, static_cast<int64_t>(k) * 10)));
+  }
+  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{1, 2, 3, 4, 5, 6}));
+  ASSERT_TRUE(b.Erase(3));  // middle: the last entry fills the hole
+  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{1, 2, 6, 4, 5}));
+  ASSERT_TRUE(b.Erase(5));  // last: nothing moves
+  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{1, 2, 6, 4}));
+  ASSERT_TRUE(b.Insert(7, Numbered(2, 70)));
+  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{1, 2, 6, 4, 7}));
+  // Records travel with their keys through growth and erases.
+  b.ForEach([](Key k, const Record& r) {
+    EXPECT_EQ(r, Numbered(2, static_cast<int64_t>(k) * 10)) << k;
+  });
+}
+
+TEST(BucketTest, EmptiesAndRefills) {
+  Bucket b;
+  EXPECT_EQ(b.num_records(), 0u);
+  EXPECT_EQ(b.Find(1), nullptr);
+  EXPECT_FALSE(b.Erase(1));
+  ASSERT_TRUE(b.Insert(1, Numbered(8, 1)));
+  ASSERT_TRUE(b.Insert(2, Numbered(8, 2)));
+  ASSERT_TRUE(b.Erase(1));
+  ASSERT_TRUE(b.Erase(2));
+  EXPECT_EQ(b.num_records(), 0u);
+  EXPECT_TRUE(KeysInOrder(b).empty());
+  ASSERT_TRUE(b.Insert(3, Numbered(8, 3)));
+  ASSERT_NE(b.Find(3), nullptr);
+  EXPECT_EQ(*b.Find(3), Numbered(8, 3));
+}
+
+TEST(BucketTest, MoveKeepsLockAndEntries) {
+  Bucket a;
+  ASSERT_TRUE(a.TryLockExclusive());
+  a.UnlockExclusive(/*modified=*/true);
+  ASSERT_TRUE(a.Insert(9, Numbered(8, 9)));
+  Bucket b(std::move(a));
+  EXPECT_EQ(b.version(), 1u);
+  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{9}));
+  EXPECT_EQ(a.num_records(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(BucketTest, InsertFindErase) {
