@@ -8,7 +8,7 @@
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 
 namespace chiller::bench {
 namespace {
@@ -63,20 +63,12 @@ void Main(const BenchFlags& flags) {
     specs.push_back(std::move(spec));
   }
 
-  for (auto& spec : specs) {
-    spec.footprint_hint = runner::EstimateFootprint(spec);
-  }
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "ablation_reorder_vs_partition");
-  auto results = executor.Run(specs);
+  Sweep sweep(flags, "ablation_reorder_vs_partition");
+  const auto results = sweep.Run(specs);
 
   std::vector<double> tput;
   for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::fprintf(stderr, "ablation_reorder: scenario %zu failed: %s\n", i,
-                   results[i].status().ToString().c_str());
-      std::exit(1);
-    }
-    const runner::ScenarioResult& r = results[i].value();
+    const runner::ScenarioResult& r = results[i];
     Json params = Json::MakeObject();
     params["layout"] = r.spec.label;
     params["two_region"] = cells[i].two_region;
@@ -95,6 +87,8 @@ void Main(const BenchFlags& flags) {
   std::printf("%-44s %10.1f (%.2fx)\n",
               "chiller layout + two-region (full system)", tput[3],
               tput[3] / base);
+  std::printf("\n");
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json,
                     flags.JsonPathFor("ablation_reorder_vs_partition"));

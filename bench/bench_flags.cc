@@ -1,8 +1,10 @@
 #include "bench/bench_flags.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "cc/load_model.h"
 #include "runner/registry.h"
@@ -35,7 +37,9 @@ Status ParseNumber(const std::string& flag, const std::string& value, T* out) {
   const char* first = value.data();
   const char* last = value.data() + value.size();
   auto [ptr, ec] = std::from_chars(first, last, parsed);
-  if (ec != std::errc() || ptr != last) {
+  bool finite = true;
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(parsed);
+  if (ec != std::errc() || ptr != last || !finite) {
     return Status::InvalidArgument("bad value for --" + flag + ": '" + value +
                                    "'");
   }
@@ -214,12 +218,23 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
     return Status::InvalidArgument(
         "--nodes, --engines, and --concurrency must be positive");
   }
+  // Replicas land on distinct nodes, and no bench lowers the spec's
+  // default replication degree.
+  const uint32_t replicas = runner::ScenarioSpec{}.replication_degree;
+  if (out->nodes < replicas) {
+    return Status::InvalidArgument("--nodes must be >= " +
+                                   std::to_string(replicas) +
+                                   " (one node per replica)");
+  }
   if (out->warmup_ms < 0 || out->duration_ms <= 0) {
     return Status::InvalidArgument(
         "--warmup-ms must be >= 0 and --duration-ms > 0");
   }
   if (out->shards == 0) {
     return Status::InvalidArgument("--shards must be >= 1");
+  }
+  if (out->mem_budget_mb > (UINT64_MAX >> 20)) {
+    return Status::InvalidArgument("--mem-budget-mb overflows 64-bit bytes");
   }
   if (!out->trace_out.empty() && out->trace_sample_every == 0) {
     // --trace-out alone means "trace everything": an empty trace from a

@@ -52,7 +52,6 @@
 
 #include "common/status.h"
 #include "runner/scenario.h"
-#include "runner/sweep.h"
 
 namespace chiller::bench {
 
@@ -90,7 +89,8 @@ struct BenchFlags {
   uint32_t shards = 1;
   /// Memory budget for concurrently-loaded scenarios, MB; 0 = unlimited.
   /// High --jobs multiplies peak RSS (one loaded cluster per worker); the
-  /// sweep keeps the summed footprint hints under this cap.
+  /// sweep keeps the summed footprint estimates of the scenarios in flight
+  /// under this cap.
   uint64_t mem_budget_mb = 0;
   /// Chrome trace-event output: path of the merged trace across every
   /// scenario the bench sweeps (empty = no trace). Tracing replays the
@@ -137,22 +137,6 @@ inline void ApplyLoadModelFlags(const BenchFlags& flags,
   spec->shed_policy = flags.shed_policy;
   spec->shards = flags.shards;
   spec->trace_sample_every = flags.trace_sample_every;
-}
-
-/// Standard SweepExecutor wiring from the shared flags: worker count, the
-/// memory-budget gate, and the footprint-calibration cache persisted next
-/// to the bench's JSON report (so a repeat invocation starts from the
-/// EWMA factor the last run learned). Scheduling-only: results never
-/// depend on any of it.
-inline runner::SweepExecutor MakeSweepExecutor(
-    const BenchFlags& flags, const std::string& bench_name) {
-  runner::SweepExecutor executor(flags.jobs);
-  executor.set_mem_budget_bytes(flags.MemBudgetBytes());
-  executor.set_calibration_cache(
-      runner::FootprintCalibrationCache::PathNextTo(
-          flags.JsonPathFor(bench_name)));
-  executor.set_trace_out(flags.trace_out);
-  return executor;
 }
 
 /// Guard for benches that never drive transactions through a load model

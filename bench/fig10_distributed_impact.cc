@@ -9,7 +9,7 @@
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 
 namespace chiller::bench {
 namespace {
@@ -65,30 +65,13 @@ void Main(const BenchFlags& flags) {
     }
   }
 
-  for (auto& spec : specs) {
-    spec.footprint_hint = runner::EstimateFootprint(spec);
-  }
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "fig10");
-  size_t completed = 0;  // progress callbacks are serialized by the executor
-  auto results = executor.Run(
-      specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
-        std::fprintf(stderr,
-                     "  [fig10] %s conc=%u %.0f%% distributed %s (%zu/%zu)\n",
-                     specs[i].protocol.c_str(), specs[i].concurrency,
-                     pcts[i / series.size()],
-                     r.ok() ? "done" : r.status().ToString().c_str(),
-                     ++completed, specs.size());
-      });
+  Sweep sweep(flags, "fig10");
+  const auto results = sweep.Run(specs);
 
   // One throughput series per (protocol, concurrency) pair, in pct order.
   std::vector<std::vector<double>> tputs(series.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::fprintf(stderr, "fig10: scenario %zu failed: %s\n", i,
-                   results[i].status().ToString().c_str());
-      std::exit(1);
-    }
-    const runner::ScenarioResult& r = results[i].value();
+    const runner::ScenarioResult& r = results[i];
     const double pct = pcts[i / series.size()];
 
     Json params = Json::MakeObject();
@@ -108,6 +91,8 @@ void Main(const BenchFlags& flags) {
   const std::vector<double>& chiller5 = tputs[4];
   std::printf("\nChiller degradation 0%% -> 100%%: %.1f%% (paper: <20%%)\n",
               100.0 * (1.0 - chiller5.back() / chiller5.front()));
+  std::printf("\n");
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json, flags.JsonPathFor("fig10"));
 }

@@ -8,7 +8,7 @@
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 
 namespace chiller::bench {
 namespace {
@@ -62,27 +62,12 @@ void Main(const BenchFlags& flags) {
     }
   }
 
-  for (auto& spec : specs) {
-    spec.footprint_hint = runner::EstimateFootprint(spec);
-  }
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "fig7");
-  size_t completed = 0;  // progress callbacks are serialized by the executor
-  auto results = executor.Run(
-      specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
-        std::fprintf(stderr, "  [fig7] k=%u layout=%s %s (%zu/%zu)\n",
-                     specs[i].nodes, specs[i].label.c_str(),
-                     r.ok() ? "done" : r.status().ToString().c_str(),
-                     ++completed, specs.size());
-      });
+  Sweep sweep(flags, "fig7");
+  const auto results = sweep.Run(specs);
 
   std::vector<std::vector<double>> tput(layouts.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::fprintf(stderr, "fig7: scenario %zu failed: %s\n", i,
-                   results[i].status().ToString().c_str());
-      std::exit(1);
-    }
-    const runner::ScenarioResult& r = results[i].value();
+    const runner::ScenarioResult& r = results[i];
 
     Json params = Json::MakeObject();
     params["partitions"] = r.spec.partitions();
@@ -104,6 +89,8 @@ void Main(const BenchFlags& flags) {
               speedup);
   std::printf("Chiller vs best baseline at 8 partitions: %.2fx\n",
               chiller_s.back() / std::max(hash_s.back(), schism_s.back()));
+  std::printf("\n");
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json, flags.JsonPathFor("fig7"));
 }

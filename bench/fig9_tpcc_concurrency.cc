@@ -9,12 +9,11 @@
 //  (c) 2PL per-class abort rates — Payment approaches 100% (starved by
 //      NewOrder's shared warehouse locks), NewOrder moderate, StockLevel
 //      lowest.
-#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 #include "workload/tpcc/tpcc_workload.h"
 
 namespace chiller::bench {
@@ -67,31 +66,11 @@ void Main(const BenchFlags& flags) {
     }
   }
 
-  for (auto& spec : specs) {
-    spec.footprint_hint = runner::EstimateFootprint(spec);
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "fig9");
-  size_t completed = 0;  // progress callbacks are serialized by the executor
-  auto results = executor.Run(
-      specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
-        std::fprintf(stderr, "  [fig9] %s concurrency=%u %s (%zu/%zu)\n",
-                     specs[i].protocol.c_str(), specs[i].concurrency,
-                     r.ok() ? "done" : r.status().ToString().c_str(),
-                     ++completed, specs.size());
-      });
-  const double sweep_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
+  Sweep sweep(flags, "fig9");
+  const auto results = sweep.Run(specs);
 
   std::vector<Point> twopl, occ, chiller;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::fprintf(stderr, "fig9: scenario %zu failed: %s\n", i,
-                   results[i].status().ToString().c_str());
-      std::exit(1);
-    }
-    const runner::ScenarioResult& r = results[i].value();
+  for (const runner::ScenarioResult& r : results) {
     const cc::RunStats& stats = r.stats;
 
     Json params = Json::MakeObject();
@@ -142,9 +121,8 @@ void Main(const BenchFlags& flags) {
            series(twopl, [](auto& p) { return p.abort_stock_level; }),
            "%8.3f");
 
-  std::printf("\nsweep: %zu scenarios in %.1f s wall-clock (--jobs %u, --shards %u)\n",
-              specs.size(), sweep_ms / 1000.0, executor.jobs(),
-              flags.shards);
+  std::printf("\n");
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json, flags.JsonPathFor("fig9"));
 }

@@ -15,12 +15,11 @@
 // the key distribution. (Absolute sampled-txn counts drive layout quality;
 // the paper's 0.001 suffices because real runs observe minutes of traffic,
 // where these simulated windows observe milliseconds.)
-#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 
 namespace chiller::bench {
 namespace {
@@ -89,36 +88,10 @@ void Main(const BenchFlags& flags) {
       runner::Phase::Measure(measure),
   };
   specs.push_back(hash);
-  for (auto& spec : specs) {
-    spec.footprint_hint = runner::EstimateFootprint(spec);
-  }
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "adaptive");
-  size_t completed = 0;  // progress callbacks are serialized by the executor
-  auto results = executor.Run(
-      specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
-        char point[32] = "hash";
-        if (i < sample_rates.size()) {
-          std::snprintf(point, sizeof(point), "adaptive rate=%g",
-                        sample_rates[i]);
-        }
-        std::fprintf(stderr, "  [adaptive] %s %s (%zu/%zu)\n", point,
-                     r.ok() ? "done" : r.status().ToString().c_str(),
-                     ++completed, specs.size());
-      });
-  const double sweep_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
-
-  for (const auto& r : results) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "adaptive: scenario failed: %s\n",
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
-  }
-  const runner::ScenarioResult& hash_result = results.back().value();
+  Sweep sweep(flags, "adaptive");
+  const auto results = sweep.Run(specs);
+  const runner::ScenarioResult& hash_result = results.back();
 
   auto add_row = [&](const runner::ScenarioResult& r, double rate) {
     Json params = Json::MakeObject();
@@ -137,7 +110,7 @@ void Main(const BenchFlags& flags) {
 
   std::vector<double> hash_tput, adaptive_tput, moved, sampled;
   for (size_t i = 0; i < sample_rates.size(); ++i) {
-    const runner::ScenarioResult& r = results[i].value();
+    const runner::ScenarioResult& r = results[i];
     add_row(r, sample_rates[i]);
     add_row(hash_result, sample_rates[i]);  // the floor, per table column
     adaptive_tput.push_back(r.stats.Throughput() / 1e6);
@@ -155,9 +128,8 @@ void Main(const BenchFlags& flags) {
   PrintRow("sampled txns", sampled, "%8.0f");
   PrintRow("records moved", moved, "%8.0f");
 
-  std::printf("\nsweep: %zu scenarios in %.1f s wall-clock (--jobs %u, --shards %u)\n",
-              specs.size(), sweep_ms / 1000.0, executor.jobs(),
-              flags.shards);
+  std::printf("\n");
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json, flags.JsonPathFor("adaptive"));
 }

@@ -17,13 +17,12 @@
 // engines — dominates end-to-end latency. Chiller's two-region execution
 // holds locks on contended records for a fraction of the transaction, so
 // its knee sits at a higher offered load than 2PL's and OCC's.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 
 namespace chiller::bench {
 namespace {
@@ -51,7 +50,6 @@ runner::ScenarioSpec BaseSpec(const BenchFlags& flags,
   spec.seed = flags.seed;
   spec.warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
   spec.measure = static_cast<SimTime>(flags.duration_ms * kMillisecond);
-  spec.footprint_hint = runner::EstimateFootprint(spec);
   return spec;
 }
 
@@ -108,26 +106,19 @@ void Main(const BenchFlags& flags) {
   report.SetConfig("duration_ms", flags.duration_ms);
   report.SetConfig("seed", flags.seed);
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "latency");
+  Sweep sweep(flags, "latency");
 
   // Stage 1: closed-loop capacity per protocol. The probe reuses the exact
   // Figure 9 configuration, so "1.0 x capacity" means "the throughput the
   // closed loop reports at this concurrency".
   std::vector<runner::ScenarioSpec> probes;
   for (const std::string& proto : protocols) probes.push_back(BaseSpec(flags, proto));
-  auto probe_results = executor.Run(probes);
+  const auto probe_results = sweep.Run(probes);
 
   std::vector<double> capacity(protocols.size(), 0.0);
   Json capacity_json = Json::MakeObject();
   for (size_t p = 0; p < protocols.size(); ++p) {
-    if (!probe_results[p].ok()) {
-      std::fprintf(stderr, "latency: capacity probe %s failed: %s\n",
-                   protocols[p].c_str(),
-                   probe_results[p].status().ToString().c_str());
-      std::exit(1);
-    }
-    capacity[p] = probe_results[p]->stats.Throughput();
+    capacity[p] = probe_results[p].stats.Throughput();
     if (capacity[p] <= 0.0) {
       std::fprintf(stderr,
                    "latency: %s closed-loop capacity probe committed "
@@ -155,26 +146,11 @@ void Main(const BenchFlags& flags) {
       specs.push_back(std::move(spec));
     }
   }
-  size_t completed = 0;  // progress callbacks are serialized by the executor
-  auto results = executor.Run(
-      specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
-        std::fprintf(stderr, "  [latency] %s offered=%.0f %s (%zu/%zu)\n",
-                     specs[i].protocol.c_str(), specs[i].offered_tps,
-                     r.ok() ? "done" : r.status().ToString().c_str(),
-                     ++completed, specs.size());
-      });
-  const double sweep_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
+  const auto results = sweep.Run(specs);
 
   std::vector<std::vector<Point>> series(protocols.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::fprintf(stderr, "latency: scenario %zu failed: %s\n", i,
-                   results[i].status().ToString().c_str());
-      std::exit(1);
-    }
-    const runner::ScenarioResult& r = results[i].value();
+    const runner::ScenarioResult& r = results[i];
     const cc::RunStats& stats = r.stats;
     const size_t p = i / std::size(kFractions);
     const double fraction = kFractions[i % std::size(kFractions)];
@@ -255,9 +231,8 @@ void Main(const BenchFlags& flags) {
     std::printf("  %-10s %8.3f\n", protocols[p].c_str(), knee[p] / 1e6);
   }
 
-  std::printf("\nsweep: %zu scenarios in %.1f s wall-clock (--jobs %u, --shards %u)\n",
-              probes.size() + specs.size(), sweep_ms / 1000.0,
-              executor.jobs(), flags.shards);
+  std::printf("\n");
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json, flags.JsonPathFor("latency"));
 }

@@ -32,12 +32,11 @@
 // timeline (timeline_slice-sized buckets of lifetime commits + latency)
 // so the relayout window is visible, not just summarized.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 
 namespace chiller::bench {
 namespace {
@@ -188,34 +187,10 @@ void Main(const BenchFlags& flags) {
   shift_rearm.controller_period = kMillisecond;
   shift_rearm.rearm_threshold = 0.2;
 
-  std::vector<runner::ScenarioSpec> specs = {
-      quiesced,    live,         live_s2,     live_s4,    governed,
-      continuous,  shift_static, shift_settle, shift_rearm};
-  for (auto& spec : specs) {
-    spec.footprint_hint = runner::EstimateFootprint(spec);
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "migration");
-  size_t completed = 0;
-  auto results = executor.Run(
-      specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
-        std::fprintf(stderr, "  [migration] %s %s (%zu/%zu)\n",
-                     specs[i].label.c_str(),
-                     r.ok() ? "done" : r.status().ToString().c_str(),
-                     ++completed, specs.size());
-      });
-  const double sweep_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
-
-  for (const auto& r : results) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "migration: scenario failed: %s\n",
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
-  }
+  Sweep sweep(flags, "migration");
+  const auto results = sweep.Run({quiesced, live, live_s2, live_s4, governed,
+                                  continuous, shift_static, shift_settle,
+                                  shift_rearm});
 
   auto window_tps = [](const runner::AdaptiveReport& a) {
     const SimTime span = a.migration_end - a.migration_start;
@@ -224,8 +199,7 @@ void Main(const BenchFlags& flags) {
            (static_cast<double>(span) / kSecond);
   };
 
-  for (const auto& res : results) {
-    const runner::ScenarioResult& r = res.value();
+  for (const runner::ScenarioResult& r : results) {
     const runner::AdaptiveReport& a = r.adaptive;
     Json params = Json::MakeObject();
     params["mode"] = r.spec.label;
@@ -283,8 +257,7 @@ void Main(const BenchFlags& flags) {
   std::printf("%-14s %11s %13s %11s %10s %11s %7s\n", "mode", "final Mtps",
               "window Mtps", "moved recs", "migr us", "migr aborts",
               "peak k");
-  for (const auto& res : results) {
-    const runner::ScenarioResult& r = res.value();
+  for (const runner::ScenarioResult& r : results) {
     std::printf("%-14s %11.3f %13.3f %11llu %10.1f %11llu %7u\n",
                 r.spec.label.c_str(), r.stats.Throughput() / 1e6,
                 window_tps(r.adaptive) / 1e6,
@@ -296,8 +269,7 @@ void Main(const BenchFlags& flags) {
                 r.adaptive.peak_streams);
   }
   std::printf("\n");
-  for (const auto& res : results) {
-    const runner::ScenarioResult& r = res.value();
+  for (const runner::ScenarioResult& r : results) {
     if (!r.spec.continuous) continue;
     std::printf(
         "%-14s %u epochs, %u relayouts, %u re-arms, %s\n",
@@ -306,9 +278,8 @@ void Main(const BenchFlags& flags) {
         r.adaptive.controller_settled ? "settled" : "still adapting");
   }
 
-  std::printf("\nsweep: %zu scenarios in %.1f s wall-clock (--jobs %u, --shards %u)\n",
-              specs.size(), sweep_ms / 1000.0, executor.jobs(),
-              flags.shards);
+  std::printf("\n");
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json, flags.JsonPathFor("migration"));
 }

@@ -22,14 +22,13 @@
 // routes each conflict class to its owner engine and never runs two
 // transactions of one hot class concurrently, so the same engines sustain a
 // higher offered load before the admission queue takes over.
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 
 namespace chiller::bench {
 namespace {
@@ -71,7 +70,6 @@ runner::ScenarioSpec BaseSpec(const BenchFlags& flags,
   spec.options.Set("read_ratio", 0.0);
   spec.options.Set("hot_keys_per_partition", 2);
   spec.options.Set("distributed_ratio", 0.1);
-  spec.footprint_hint = runner::EstimateFootprint(spec);
   return spec;
 }
 
@@ -129,8 +127,7 @@ void Main(const BenchFlags& flags) {
   report.SetConfig("duration_ms", flags.duration_ms);
   report.SetConfig("seed", flags.seed);
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "scheduling");
+  Sweep sweep(flags, "scheduling");
 
   // Stage 1: closed-loop capacity per (protocol, theta). Probes never
   // install a scheduler (fifo passthrough), so both stage-2 series share
@@ -139,7 +136,7 @@ void Main(const BenchFlags& flags) {
   for (const std::string& proto : protocols) {
     for (double theta : kThetas) probes.push_back(BaseSpec(flags, proto, theta));
   }
-  auto probe_results = executor.Run(probes);
+  const auto probe_results = sweep.Run(probes);
 
   const size_t grid = std::size(kThetas);
   std::vector<double> capacity(probes.size(), 0.0);
@@ -147,13 +144,7 @@ void Main(const BenchFlags& flags) {
   for (size_t i = 0; i < probes.size(); ++i) {
     const std::string& proto = protocols[i / grid];
     const double theta = kThetas[i % grid];
-    if (!probe_results[i].ok()) {
-      std::fprintf(stderr, "scheduling: capacity probe %s theta=%.2f failed: %s\n",
-                   proto.c_str(), theta,
-                   probe_results[i].status().ToString().c_str());
-      std::exit(1);
-    }
-    capacity[i] = probe_results[i]->stats.Throughput();
+    capacity[i] = probe_results[i].stats.Throughput();
     if (capacity[i] <= 0.0) {
       std::fprintf(stderr,
                    "scheduling: %s theta=%.2f closed-loop capacity probe "
@@ -190,32 +181,14 @@ void Main(const BenchFlags& flags) {
       }
     }
   }
-  size_t completed = 0;  // progress callbacks are serialized by the executor
-  auto results = executor.Run(
-      specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
-        std::fprintf(stderr,
-                     "  [scheduling] %s %s %s offered=%.0f %s (%zu/%zu)\n",
-                     specs[i].protocol.c_str(),
-                     specs[i].options.ToString().c_str(),
-                     specs[i].scheduler.c_str(), specs[i].offered_tps,
-                     r.ok() ? "done" : r.status().ToString().c_str(),
-                     ++completed, specs.size());
-      });
-  const double sweep_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
+  const auto results = sweep.Run(specs);
 
   // series[probe][scheduler] -> points in ascending fraction order.
   std::vector<std::vector<std::vector<Point>>> series(
       probes.size(), std::vector<std::vector<Point>>(kSchedulers.size()));
   const size_t per_probe = kSchedulers.size() * std::size(kFractions);
   for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::fprintf(stderr, "scheduling: scenario %zu failed: %s\n", i,
-                   results[i].status().ToString().c_str());
-      std::exit(1);
-    }
-    const runner::ScenarioResult& r = results[i].value();
+    const runner::ScenarioResult& r = results[i];
     const cc::RunStats& stats = r.stats;
     const size_t pt = i / per_probe;
     const size_t sched = (i % per_probe) / std::size(kFractions);
@@ -290,10 +263,7 @@ void Main(const BenchFlags& flags) {
                 knee[pt][0] / 1e6, knee[pt][1] / 1e6);
   }
 
-  std::printf(
-      "sweep: %zu scenarios in %.1f s wall-clock (--jobs %u, --shards %u)\n",
-      probes.size() + specs.size(), sweep_ms / 1000.0, executor.jobs(),
-      flags.shards);
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json, flags.JsonPathFor("scheduling"));
 }

@@ -6,12 +6,11 @@
 // shape: every protocol degrades with skew, but Chiller's two-region
 // execution holds its throughput where 2PL and OCC collapse, and stays
 // nearly flat as transactions span partitions.
-#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
-#include "runner/sweep.h"
+#include "bench/bench_sweep.h"
 
 namespace chiller::bench {
 namespace {
@@ -52,36 +51,15 @@ void Main(const BenchFlags& flags) {
         ApplyLoadModelFlags(flags, &spec);
         spec.options.Set("theta", theta);
         spec.options.Set("distributed_ratio", dr);
-        spec.footprint_hint = runner::EstimateFootprint(spec);
         specs.push_back(std::move(spec));
       }
     }
   }
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  runner::SweepExecutor executor = MakeSweepExecutor(flags, "ycsb");
-  size_t completed = 0;  // progress callbacks are serialized by the executor
-  auto results = executor.Run(
-      specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
-        std::fprintf(stderr, "  [ycsb] %s %s %s (%zu/%zu)\n",
-                     specs[i].protocol.c_str(),
-                     specs[i].options.ToString().c_str(),
-                     r.ok() ? "done" : r.status().ToString().c_str(),
-                     ++completed, specs.size());
-      });
-  const double sweep_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
+  Sweep sweep(flags, "ycsb");
+  const auto results = sweep.Run(specs);
 
-  // results[] is in grid order: theta-major, then distributed_ratio, then
-  // protocol — recover the indices instead of re-deriving the grid.
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::fprintf(stderr, "ycsb: scenario %zu failed: %s\n", i,
-                   results[i].status().ToString().c_str());
-      std::exit(1);
-    }
-    const runner::ScenarioResult& r = results[i].value();
+  for (const runner::ScenarioResult& r : results) {
     Json params = Json::MakeObject();
     params["theta"] = r.spec.options.GetDouble("theta", 0.0);
     params["distributed_ratio"] =
@@ -89,6 +67,8 @@ void Main(const BenchFlags& flags) {
     report.AddRun(r.spec.protocol, std::move(params), r.stats);
   }
 
+  // results[] is in grid order: theta-major, then distributed_ratio, then
+  // protocol — recover the indices instead of re-deriving the grid.
   const size_t per_theta = dist_ratios.size() * protocols.size();
   for (size_t ti = 0; ti < thetas.size(); ++ti) {
     std::printf("theta = %.2f — throughput (M txns/sec) / abort rate\n",
@@ -97,8 +77,7 @@ void Main(const BenchFlags& flags) {
     for (size_t pi = 0; pi < protocols.size(); ++pi) {
       std::vector<double> tput, aborts;
       for (size_t di = 0; di < dist_ratios.size(); ++di) {
-        const auto& r =
-            results[ti * per_theta + di * protocols.size() + pi].value();
+        const auto& r = results[ti * per_theta + di * protocols.size() + pi];
         tput.push_back(r.stats.Throughput() / 1e6);
         aborts.push_back(r.stats.AbortRate());
       }
@@ -108,9 +87,7 @@ void Main(const BenchFlags& flags) {
     std::printf("\n");
   }
 
-  std::printf("sweep: %zu scenarios in %.1f s wall-clock (--jobs %u, --shards %u)\n",
-              specs.size(), sweep_ms / 1000.0, executor.jobs(),
-              flags.shards);
+  sweep.PrintWallClock();
 
   report.MaybeWrite(flags.emit_json, flags.JsonPathFor("ycsb"));
 }

@@ -112,11 +112,6 @@ class Driver {
   /// Records the total measured window length into stats().
   void set_measured_window(SimTime window) { window_ = window; }
 
-  /// Exact synonym of Quiesce(), kept for the classic Run() call sites
-  /// (integration tests call this before checking storage invariants).
-  /// There is deliberately no second drain path: this delegates.
-  void DrainAndStop() { Quiesce(); }
-
   /// Statistics of the current window, merged across the per-engine shards
   /// (engine-ascending, so the result is identical for any simulator shard
   /// count). Only call from outside the simulation or at control — it reads

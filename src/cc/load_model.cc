@@ -410,10 +410,10 @@ Status ValidateLoadModelParams(const std::string& name,
   }
   if (name == "closed") return Status::OK();
   if (name == "open") {
-    if (params.offered_tps <= 0.0) {
+    if (!std::isfinite(params.offered_tps) || params.offered_tps <= 0.0) {
       return Status::InvalidArgument(
-          "open load model needs offered_tps > 0 (cluster-wide offered "
-          "load, txns/sec)");
+          "open load model needs a finite offered_tps > 0 (cluster-wide "
+          "offered load, txns/sec)");
     }
     if (params.queue_cap == 0) {
       return Status::InvalidArgument(

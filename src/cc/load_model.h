@@ -247,8 +247,8 @@ struct LoadModelParams {
 /// The single source of truth for load-model parameter validity, shared by
 /// MakeLoadModel, ScenarioRunner::Validate, and bench flag parsing:
 /// InvalidArgument on an unknown name or parameters degenerate for the
-/// chosen model (open needs offered_tps > 0, queue_cap >= 1, and a known
-/// arrival process; batched needs batch_size >= 1).
+/// chosen model (open needs a finite offered_tps > 0, queue_cap >= 1, and
+/// a known arrival process; batched needs batch_size >= 1).
 Status ValidateLoadModelParams(const std::string& name,
                                const LoadModelParams& params);
 

@@ -16,7 +16,6 @@
 #include "net/topology.h"
 #include "partition/chiller_partitioner.h"
 #include "partition/stats_collector.h"
-#include "runner/sweep.h"
 
 namespace chiller::runner {
 
@@ -90,6 +89,11 @@ Status ScenarioRunner::Validate(const ScenarioSpec& spec) {
   if (spec.replication_degree == 0) {
     return Status::InvalidArgument(
         "replication_degree counts the primary and must be >= 1");
+  }
+  if (spec.replication_degree > spec.nodes) {
+    return Status::InvalidArgument(
+        "replication_degree must be <= nodes (replicas land on distinct "
+        "nodes)");
   }
   if (spec.concurrency == 0) {
     return Status::InvalidArgument("concurrency must be >= 1");
@@ -235,15 +239,11 @@ StatusOr<ScenarioEnv> ScenarioRunner::Wire(const ScenarioSpec& spec) {
 
 StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const uint64_t rss_before = CurrentRssBytes();
   auto env = Wire(spec);
   if (!env.ok()) return env.status();
-  const uint64_t rss_after = CurrentRssBytes();
 
   ScenarioResult result;
   result.spec = spec;
-  result.loaded_rss_delta =
-      rss_after > rss_before ? rss_after - rss_before : 0;
 
   cc::Driver* driver = env->driver.get();
   sim::Scheduler* sim = env->cluster->sim();
@@ -284,7 +284,7 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
   auto finish = [&]() -> ScenarioResult {
     result.stats = driver->stats();
     result.trace = env->cluster->shared_trace();
-    driver->DrainAndStop();
+    driver->Quiesce();
     result.wall_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - wall_start)
                          .count();

@@ -35,9 +35,10 @@ struct ScenarioEnv {
 
 class ScenarioRunner {
  public:
-  /// Structural checks that need no registry lookup (positive topology,
-  /// positive concurrency, a known load model with sane knobs — open needs
-  /// offered_tps > 0 and queue_cap >= 1 — and a well-formed phase plan:
+  /// Structural checks that need no registry lookup (positive topology
+  /// with at least replication_degree nodes, positive concurrency, a known
+  /// load model with sane knobs — open needs a finite offered_tps > 0 and
+  /// queue_cap >= 1 — and a well-formed phase plan:
   /// timed phases have positive durations, sampling precedes replanning,
   /// and every replan is immediately migrated).
   static Status Validate(const ScenarioSpec& spec);

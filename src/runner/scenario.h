@@ -195,12 +195,6 @@ struct ScenarioSpec {
   /// bytes are identical with tracing on or off.
   uint32_t trace_sample_every = 0;
 
-  /// Approximate peak resident bytes this scenario needs while loaded
-  /// (cluster + replicas). 0 = unknown. SweepExecutor uses it to cap the
-  /// scenarios loaded concurrently against a memory budget; see
-  /// EstimateFootprint() for a rough per-workload estimate.
-  uint64_t footprint_hint = 0;
-
   uint32_t partitions() const { return nodes * engines_per_node; }
 
   /// The spec's load-model knobs in cc terms — the single conversion
@@ -295,11 +289,6 @@ struct ScenarioResult {
   /// recorders into one --trace-out file after the sweep.
   std::shared_ptr<const obs::TraceRecorder> trace;
   double wall_ms = 0.0;
-  /// Process-RSS growth observed across wiring + loading this scenario's
-  /// cluster (bytes; 0 when the probe is unavailable). Sampled while the
-  /// data is resident — concurrent scenarios inflate each other's numbers,
-  /// so this calibrates footprint_hint estimates, it does not audit them.
-  uint64_t loaded_rss_delta = 0;
 };
 
 }  // namespace chiller::runner

@@ -1,7 +1,6 @@
 #include "runner/sweep.h"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -23,14 +22,6 @@
 namespace chiller::runner {
 
 namespace {
-
-/// printf-style float rendering for CHILLER_LOG lines (the stream carries
-/// strings; precision lives in the format).
-std::string Fmt(const char* format, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), format, v);
-  return buf;
-}
 
 /// Heap bytes one store's bucket arrays take before any row is loaded.
 uint64_t BucketArrayBytes(const std::vector<storage::TableSpec>& schema) {
@@ -61,40 +52,6 @@ uint32_t ResolveJobs(uint32_t jobs) {
   return hw == 0 ? 1 : static_cast<uint32_t>(hw);
 }
 
-double FootprintCalibrationCache::Clamp(double factor) {
-  if (!std::isfinite(factor)) return 1.0;
-  return std::clamp(factor, kMinFactor, kMaxFactor);
-}
-
-bool FootprintCalibrationCache::Load(const std::string& path,
-                                     double* factor) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  double stored = 0.0;
-  const int parsed = std::fscanf(f, "chiller-footprint-cache v1 %lf",
-                                 &stored);
-  std::fclose(f);
-  if (parsed != 1 || !std::isfinite(stored)) return false;
-  *factor = Clamp(stored);
-  return true;
-}
-
-bool FootprintCalibrationCache::Save(const std::string& path, double factor) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const int written = std::fprintf(f, "chiller-footprint-cache v1 %.17g\n",
-                                   Clamp(factor));
-  return std::fclose(f) == 0 && written > 0;
-}
-
-std::string FootprintCalibrationCache::PathNextTo(
-    const std::string& report_path) {
-  constexpr const char* kName = ".chiller_footprint_cache";
-  const size_t slash = report_path.find_last_of('/');
-  if (slash == std::string::npos) return kName;
-  return report_path.substr(0, slash + 1) + kName;
-}
-
 uint32_t SweepExecutor::EffectiveJobs(
     const std::vector<ScenarioSpec>& specs) const {
   uint32_t max_shards = 1;
@@ -108,97 +65,33 @@ std::vector<StatusOr<ScenarioResult>> SweepExecutor::Run(
     const std::vector<ScenarioSpec>& specs, const ProgressFn& progress) const {
   std::mutex progress_mu;
 
-  // Memory-budget gate: a worker reserves its spec's footprint hint before
-  // wiring the scenario and releases it after. The "alone" clause (a
-  // worker with nothing else in flight always proceeds) guarantees
+  // Memory-budget gate: a worker reserves its spec's estimated footprint
+  // before wiring the scenario and releases it after. The "alone" clause
+  // (a worker with nothing else in flight always proceeds) guarantees
   // progress for specs larger than the whole budget.
-  //
-  // The gate self-calibrates: each completed scenario's observed RSS
-  // growth (runner::CurrentRssBytes sampled across wiring + loading)
-  // updates an EWMA of actual/hint, and later reservations are scaled by
-  // it (clamped to [1/4, 4] — whole-process RSS over-counts under
-  // concurrency, so the correction is a trend, not an audit). Only the
-  // gate's admission changes; every scenario's results stay a pure
-  // function of its spec.
   std::mutex budget_mu;
   std::condition_variable budget_cv;
   uint64_t budget_in_use = 0;
-  double calibration = 1.0;
-  bool calibrated = false;
-  const uint64_t budget = mem_budget_bytes_;
-  if (!calibration_cache_.empty() &&
-      FootprintCalibrationCache::Load(calibration_cache_, &calibration)) {
-    calibrated = true;
-    CHILLER_LOG(INFO) << "[sweep] footprint gate calibration x"
-                      << Fmt("%.2f", calibration) << " loaded from "
-                      << calibration_cache_;
-  }
-  auto corrected = [&](uint64_t hint) -> uint64_t {
-    // Caller holds budget_mu.
-    return static_cast<uint64_t>(static_cast<double>(hint) * calibration);
-  };
-  auto reserve = [&](uint64_t hint) -> uint64_t {
-    if (budget == 0 || hint == 0) return 0;
-    std::unique_lock<std::mutex> lock(budget_mu);
-    uint64_t charge = 0;
-    budget_cv.wait(lock, [&] {
-      charge = corrected(hint);
-      return budget_in_use == 0 || budget_in_use + charge <= budget;
-    });
-    budget_in_use += charge;
-    return charge;
-  };
-  auto release = [&](uint64_t charge, uint64_t hint, uint64_t observed) {
-    if (budget == 0 || hint == 0) return;
-    {
-      std::lock_guard<std::mutex> lock(budget_mu);
-      budget_in_use -= charge;
-      if (observed > 0) {
-        const double ratio = static_cast<double>(observed) /
-                             static_cast<double>(hint);
-        constexpr double kAlpha = 0.3;
-        calibration = calibrated
-                          ? (1.0 - kAlpha) * calibration + kAlpha * ratio
-                          : ratio;
-        calibration = FootprintCalibrationCache::Clamp(calibration);
-        calibrated = true;
-      }
-    }
-    budget_cv.notify_all();
-  };
 
   auto run_one = [&](size_t i) -> StatusOr<ScenarioResult> {
-    const uint64_t hint = specs[i].footprint_hint;
-    const uint64_t charge = reserve(hint);
-    StatusOr<ScenarioResult> result = ScenarioRunner::Run(specs[i]);
-    const uint64_t observed = result.ok() ? result->loaded_rss_delta : 0;
-    if (budget != 0 && result.ok()) {
-      // Estimate-vs-actual log for the self-calibrating gate: the static
-      // hint, the correction this reservation was charged at, and the RSS
-      // growth observed while this scenario's cluster was loading.
-      constexpr double kMb = 1024.0 * 1024.0;
-      if (observed == 0) {
-        CHILLER_LOG(INFO)
-            << "[sweep] scenario " << i << ": footprint hint "
-            << Fmt("%.1f", static_cast<double>(hint) / kMb)
-            << " MB, charged "
-            << Fmt("%.1f", static_cast<double>(charge) / kMb)
-            << " MB (RSS probe unavailable or no growth observed)";
-      } else {
-        CHILLER_LOG(INFO)
-            << "[sweep] scenario " << i << ": footprint hint "
-            << Fmt("%.1f", static_cast<double>(hint) / kMb)
-            << " MB, charged "
-            << Fmt("%.1f", static_cast<double>(charge) / kMb)
-            << " MB, loaded RSS delta "
-            << Fmt("%.1f", static_cast<double>(observed) / kMb)
-            << " MB (gate calibration x"
-            << Fmt("%.2f", static_cast<double>(observed) /
-                               static_cast<double>(hint))
-            << ")";
-      }
+    const uint64_t charge =
+        mem_budget_bytes_ == 0 ? 0 : EstimateFootprint(specs[i]);
+    if (charge != 0) {
+      std::unique_lock<std::mutex> lock(budget_mu);
+      budget_cv.wait(lock, [&] {
+        return budget_in_use == 0 ||
+               budget_in_use + charge <= mem_budget_bytes_;
+      });
+      budget_in_use += charge;
     }
-    release(charge, hint, observed);
+    StatusOr<ScenarioResult> result = ScenarioRunner::Run(specs[i]);
+    if (charge != 0) {
+      {
+        std::lock_guard<std::mutex> lock(budget_mu);
+        budget_in_use -= charge;
+      }
+      budget_cv.notify_all();
+    }
     if (progress) {
       std::lock_guard<std::mutex> lock(progress_mu);
       progress(i, result);
@@ -220,13 +113,6 @@ std::vector<StatusOr<ScenarioResult>> SweepExecutor::Run(
       [&](size_t i) -> std::optional<StatusOr<ScenarioResult>> {
         return run_one(i);
       });
-  if (!calibration_cache_.empty() && calibrated) {
-    if (!FootprintCalibrationCache::Save(calibration_cache_, calibration)) {
-      CHILLER_LOG(WARN) << "[sweep] could not persist footprint calibration "
-                           "to "
-                        << calibration_cache_;
-    }
-  }
   std::vector<StatusOr<ScenarioResult>> results;
   results.reserve(slots.size());
   for (auto& slot : slots) results.push_back(std::move(*slot));

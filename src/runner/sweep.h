@@ -60,48 +60,12 @@ auto ParallelMap(uint32_t jobs, size_t n, Fn&& fn)
   return results;
 }
 
-/// Persists the footprint gate's learned EWMA actual/hint factor across
-/// bench invocations, so a second run of the same binary starts from the
-/// calibration the first one converged to instead of re-learning from the
-/// static estimates. The file lives next to the bench report
-/// (`.chiller_footprint_cache`) and holds a single clamped factor.
-/// Scheduling-only state: results never depend on it.
-struct FootprintCalibrationCache {
-  /// The gate's clamp bounds — whole-process RSS over-counts under
-  /// concurrency, so the correction is held to a trend, not an audit.
-  static constexpr double kMinFactor = 0.25;
-  static constexpr double kMaxFactor = 4.0;
-
-  static double Clamp(double factor);
-
-  /// Reads the stored factor into `*factor` (clamped). Returns false — and
-  /// leaves `*factor` untouched — when the file is missing, unreadable, or
-  /// not a finite number.
-  static bool Load(const std::string& path, double* factor);
-
-  /// Writes the (clamped) factor. Returns false on I/O failure; callers
-  /// treat that as best-effort (a lost cache only costs re-learning).
-  static bool Save(const std::string& path, double factor);
-
-  /// The conventional cache location for a bench report:
-  /// `<report dir>/.chiller_footprint_cache`.
-  static std::string PathNextTo(const std::string& report_path);
-};
-
 class SweepExecutor {
  public:
   /// `jobs`: worker threads; 0 = one per hardware thread.
   explicit SweepExecutor(uint32_t jobs = 1) : jobs_(ResolveJobs(jobs)) {}
 
   uint32_t jobs() const { return jobs_; }
-
-  /// When set, the memory-budget gate seeds its EWMA calibration from this
-  /// file before the sweep and persists the converged factor after it
-  /// (see FootprintCalibrationCache). Empty = in-process learning only.
-  void set_calibration_cache(std::string path) {
-    calibration_cache_ = std::move(path);
-  }
-  const std::string& calibration_cache() const { return calibration_cache_; }
 
   /// When set, every completed traced scenario's spans are appended to
   /// this Chrome trace-event file (one "process" per node per scenario,
@@ -112,16 +76,12 @@ class SweepExecutor {
   void set_trace_out(std::string path) { trace_out_ = std::move(path); }
   const std::string& trace_out() const { return trace_out_; }
 
-  /// Caps the summed ScenarioSpec::footprint_hint of concurrently-running
-  /// scenarios (N concurrent TPC-C clusters multiply peak RSS). 0 =
-  /// unlimited. A worker whose next spec would exceed the budget waits for
-  /// in-flight scenarios to finish; a single spec over budget still runs,
-  /// alone. Specs with hint 0 (unknown) are never gated. The gate
-  /// self-calibrates across the sweep: observed RSS growth per completed
-  /// scenario (CurrentRssBytes) feeds an EWMA of actual/hint that scales
-  /// later reservations (clamped; the applied correction is logged).
-  /// Results are unaffected — each scenario stays a pure function of its
-  /// spec.
+  /// Caps the summed EstimateFootprint() of concurrently-running scenarios
+  /// (N concurrent TPC-C clusters multiply peak RSS). 0 = unlimited. A
+  /// worker whose next spec would exceed the budget waits for in-flight
+  /// scenarios to finish; a single spec over budget still runs, alone.
+  /// Specs estimated at 0 (unknown workload) are never gated. Results are
+  /// unaffected — each scenario stays a pure function of its spec.
   void set_mem_budget_bytes(uint64_t bytes) { mem_budget_bytes_ = bytes; }
   uint64_t mem_budget_bytes() const { return mem_budget_bytes_; }
 
@@ -146,7 +106,6 @@ class SweepExecutor {
  private:
   uint32_t jobs_;
   uint64_t mem_budget_bytes_ = 0;
-  std::string calibration_cache_;
   std::string trace_out_;
   // Cumulative trace state across Run calls (traces merge in spec order
   // on the bench thread after the parallel barrier, so no lock is needed).
@@ -155,20 +114,18 @@ class SweepExecutor {
 };
 
 /// Rough resident bytes one wired and loaded scenario adds (primary +
-/// replica stores, all tables), for ScenarioSpec::footprint_hint. Derived
-/// from the workload schema's bucket counts and initial row counts and the
-/// storage layer's per-bucket and per-record sizes; deliberately coarse —
-/// the budget gate needs relative magnitudes, not an allocator audit.
+/// replica stores, all tables): what the memory-budget gate charges per
+/// spec. Derived from the workload schema's bucket counts and initial row
+/// counts and the storage layer's per-bucket and per-record sizes;
+/// deliberately coarse — the budget gate needs relative magnitudes, not an
+/// allocator audit.
 /// Returns 0 (unknown) for unrecognized workload keys.
 uint64_t EstimateFootprint(const ScenarioSpec& spec);
 
 /// This process's current resident set in bytes, read from
 /// /proc/self/statm. Returns 0 where the probe is unavailable (non-Linux
-/// builds, restricted /proc). When the memory-budget gate is active,
-/// SweepExecutor logs each scenario's observed RSS growth next to its
-/// footprint hint AND feeds the ratio back into the gate's calibration
-/// factor, so the static EstimateFootprint numbers self-correct across a
-/// sweep (scheduling only; results never depend on it).
+/// builds, restricted /proc). The footprint tests measure
+/// EstimateFootprint against it.
 uint64_t CurrentRssBytes();
 
 }  // namespace chiller::runner

@@ -1,13 +1,17 @@
 // Tests for the shared bench harness: CLI flag parsing, the JSON
-// utility + report emitter, and the registry-backed protocol factory.
+// utility + report emitter, the sweep skeleton, and the registry-backed
+// protocol factory.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
+#include "bench/bench_sweep.h"
 #include "runner/registry.h"
 #include "runner/runner.h"
 #include "workload/tpcc/tpcc_workload.h"
@@ -98,9 +102,29 @@ TEST(BenchFlagsTest, RejectsUnknownFlagAndBadValues) {
   EXPECT_TRUE(Parse({"positional"}, &f).IsInvalidArgument());
   EXPECT_TRUE(Parse({"--nodes=banana"}, &f).IsInvalidArgument());
   EXPECT_TRUE(Parse({"--nodes=0"}, &f).IsInvalidArgument());
+  EXPECT_TRUE(Parse({"--nodes=1"}, &f).IsInvalidArgument());  // 2 replicas
   EXPECT_TRUE(Parse({"--duration-ms=0"}, &f).IsInvalidArgument());
   EXPECT_TRUE(Parse({"--seed="}, &f).IsInvalidArgument());
   EXPECT_TRUE(Parse({"--jobs=banana"}, &f).IsInvalidArgument());
+  // std::from_chars accepts nan and inf; a NaN warmup cast to SimTime
+  // would hang the sweep, so every float flag refuses them.
+  for (const char* arg :
+       {"--warmup-ms=nan", "--duration-ms=inf", "--theta=-inf",
+        "--offered-tps=nan", "--warmup-ms=NAN", "--duration-ms=infinity"}) {
+    f = BenchFlags{};
+    const Status st = Parse({arg}, &f);
+    EXPECT_TRUE(st.IsInvalidArgument()) << arg;
+    EXPECT_NE(st.message().find("bad value"), std::string::npos) << arg;
+  }
+  // --mem-budget-mb is converted to bytes: reject what would wrap.
+  const std::string max_mb =
+      "--mem-budget-mb=" + std::to_string(UINT64_MAX >> 20);
+  const std::string over_mb =
+      "--mem-budget-mb=" + std::to_string((UINT64_MAX >> 20) + 1);
+  f = BenchFlags{};
+  ASSERT_TRUE(Parse({max_mb.c_str()}, &f).ok());
+  EXPECT_EQ(f.MemBudgetBytes() >> 20, UINT64_MAX >> 20);
+  EXPECT_TRUE(Parse({over_mb.c_str()}, &f).IsInvalidArgument());
 }
 
 TEST(BenchFlagsTest, UsageMentionsEveryFlag) {
@@ -307,6 +331,49 @@ TEST(BenchReportTest, QueueFieldsAppearOnlyForOpenLoopRuns) {
   }
   EXPECT_DOUBLE_EQ(open_row.Get("shed_rate")->AsDouble(), 0.1);
   EXPECT_GT(open_row.Get("queue_delay_p99_ns")->AsDouble(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Sweep skeleton
+// ---------------------------------------------------------------------------
+
+runner::ScenarioSpec TinyYcsb(uint64_t seed) {
+  runner::ScenarioSpec spec;
+  spec.workload = "ycsb";
+  spec.protocol = "2pl";
+  spec.nodes = 2;
+  spec.engines_per_node = 1;
+  spec.seed = seed;
+  spec.warmup = kMillisecond;
+  spec.measure = kMillisecond;
+  spec.options.Set("keys_per_partition", 1000);
+  return spec;
+}
+
+TEST(BenchSweepTest, ReturnsUnwrappedResultsInSpecOrder) {
+  BenchFlags flags;
+  flags.jobs = 2;
+  flags.mem_budget_mb = 1;  // below one spec: scenarios run alone
+  Sweep sweep(flags, "test");
+  const std::vector<runner::ScenarioSpec> specs = {TinyYcsb(5), TinyYcsb(2),
+                                                   TinyYcsb(9)};
+  const auto results = sweep.Run(specs);
+  ASSERT_EQ(results.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(results[i].spec, specs[i]);
+    EXPECT_GT(results[i].stats.TotalCommits(), 0u);
+  }
+}
+
+TEST(BenchSweepDeathTest, FailedScenarioExitsOneAndNamesIt) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  BenchFlags flags;
+  Sweep sweep(flags, "test");
+  std::vector<runner::ScenarioSpec> specs = {TinyYcsb(1), TinyYcsb(2)};
+  specs[1].replication_degree = 3;  // more copies than nodes
+  EXPECT_EXIT(
+      sweep.Run(specs), testing::ExitedWithCode(1),
+      "test: scenario 1 \\(2pl 2x1 .*\\) failed: .*replication_degree");
 }
 
 // ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ Fingerprint RunFlight(const std::string& proto, uint64_t seed) {
   }
   cc::Driver driver(&cluster, protocol.get(), &workload, 3, seed);
   auto stats = driver.Run(1 * kMillisecond, 8 * kMillisecond);
-  driver.DrainAndStop();
+  driver.Quiesce();
   uint64_t users = 0;
   for (const auto& c : stats.classes) users += c.user_aborts;
   return Fingerprint{stats.TotalCommits(), stats.TotalConflictAborts(), users,
@@ -106,7 +106,7 @@ TEST(DeterminismTest, TpccRunReproduces) {
     core::ChillerProtocol protocol(&cluster, &partitioner, &repl);
     cc::Driver driver(&cluster, &protocol, &workload, 3, 7);
     auto stats = driver.Run(1 * kMillisecond, 6 * kMillisecond);
-    driver.DrainAndStop();
+    driver.Quiesce();
     return std::make_pair(stats.TotalCommits(),
                           cluster.sim()->events_processed());
   };

@@ -442,7 +442,7 @@ TEST(LiveMigratorTest, ConservationAndSingleResidencyHoldMidMigration) {
   EXPECT_GT(driver->lifetime_commits(), commits_before)
       << "no commits during the live relayout: migration stopped the world";
 
-  driver->DrainAndStop();
+  driver->Quiesce();
   EXPECT_EQ(cluster->TotalPrimaryRecords(), initial_records);
 }
 
@@ -473,7 +473,7 @@ TEST(LiveMigratorTest, BlockedTransactionsUseTheMigrationAbortClass) {
     ASSERT_LT(++steps, 100000);
   }
   EXPECT_GT(driver->lifetime_migration_aborts(), 0u);
-  driver->DrainAndStop();
+  driver->Quiesce();
 }
 
 TEST(LiveMigratorTest, EmptyPlanSwapsLayoutImmediately) {
@@ -548,7 +548,7 @@ TEST(LiveMigratorTest, ConcurrentStreamsPreserveConservationAndResidency) {
     }
   }
   EXPECT_FALSE(cluster->bucket_locks()->epoch_active());
-  driver->DrainAndStop();
+  driver->Quiesce();
   EXPECT_EQ(cluster->TotalPrimaryRecords(), initial_records);
 }
 

@@ -3,7 +3,6 @@
 // SweepExecutor ordering.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -140,6 +139,13 @@ TEST(ScenarioRunnerTest, ValidateRejectsDegenerateSpecs) {
   spec = SmallYcsb();
   spec.measure = 0;
   EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
+  // Replicas land on distinct nodes: a degree above the node count is a
+  // Status, not the cluster's CHECK.
+  spec = SmallYcsb();
+  spec.nodes = 1;
+  EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
+  spec.replication_degree = 1;
+  EXPECT_TRUE(ScenarioRunner::Validate(spec).ok());
 }
 
 TEST(ScenarioRunnerTest, ValidateChecksLoadModelKnobs) {
@@ -149,6 +155,10 @@ TEST(ScenarioRunnerTest, ValidateChecksLoadModelKnobs) {
 
   spec = SmallYcsb();
   spec.load_model = "open";  // offered_tps still 0
+  EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
+  spec.offered_tps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
+  spec.offered_tps = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
   spec.offered_tps = 50000;
   EXPECT_TRUE(ScenarioRunner::Validate(spec).ok());
@@ -173,7 +183,7 @@ TEST(ScenarioRunnerTest, WireExposesUsableEnv) {
   EXPECT_GT(env->cluster->TotalPrimaryRecords(), 0u);
   ASSERT_NE(env->protocol, nullptr);
   auto stats = env->driver->Run(kMillisecond, 2 * kMillisecond);
-  env->driver->DrainAndStop();
+  env->driver->Quiesce();
   EXPECT_GT(stats.TotalCommits(), 0u);
 }
 
@@ -561,12 +571,11 @@ TEST(SweepExecutorTest, MemBudgetStillRunsEverySpecIdentically) {
     ScenarioSpec spec = SmallYcsb();
     spec.seed = seed;
     spec.measure = 2 * kMillisecond;
-    spec.footprint_hint = EstimateFootprint(spec);
-    EXPECT_GT(spec.footprint_hint, 0u);
+    EXPECT_GT(EstimateFootprint(spec), 0u);
     specs.push_back(std::move(spec));
   }
   SweepExecutor unbounded(4);
-  // A budget below a single spec's hint forces scenarios to run alone
+  // A budget below a single spec's estimate forces scenarios to run alone
   // (the progress guarantee) without changing any result.
   SweepExecutor starved(4);
   starved.set_mem_budget_bytes(1);
@@ -583,71 +592,8 @@ TEST(SweepExecutorTest, MemBudgetStillRunsEverySpecIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Footprint calibration cache (persists the learned EWMA factor across
-// bench invocations) and the shards x jobs coordination.
+// Shards x jobs coordination.
 // ---------------------------------------------------------------------------
-
-TEST(FootprintCalibrationCacheTest, SaveLoadRoundtrips) {
-  const std::string path =
-      testing::TempDir() + "/chiller_footprint_cache_roundtrip";
-  std::remove(path.c_str());
-
-  double factor = 99.0;
-  EXPECT_FALSE(FootprintCalibrationCache::Load(path, &factor));
-  EXPECT_EQ(factor, 99.0) << "a miss must not touch the output";
-
-  const double v = 1.2345678901234567;  // needs the full %.17g precision
-  ASSERT_TRUE(FootprintCalibrationCache::Save(path, v));
-  ASSERT_TRUE(FootprintCalibrationCache::Load(path, &factor));
-  EXPECT_EQ(factor, v);
-  std::remove(path.c_str());
-}
-
-TEST(FootprintCalibrationCacheTest, ClampBoundsTheFactor) {
-  EXPECT_EQ(FootprintCalibrationCache::Clamp(0.0),
-            FootprintCalibrationCache::kMinFactor);
-  EXPECT_EQ(FootprintCalibrationCache::Clamp(1e9),
-            FootprintCalibrationCache::kMaxFactor);
-  EXPECT_EQ(FootprintCalibrationCache::Clamp(1.5), 1.5);
-  // Corrupt inputs (NaN/inf from a truncated file) reset to neutral.
-  EXPECT_EQ(FootprintCalibrationCache::Clamp(
-                std::numeric_limits<double>::quiet_NaN()),
-            1.0);
-  EXPECT_EQ(FootprintCalibrationCache::Clamp(
-                std::numeric_limits<double>::infinity()),
-            1.0);
-
-  // Save clamps, so a wild factor never round-trips out of range.
-  const std::string path =
-      testing::TempDir() + "/chiller_footprint_cache_clamp";
-  ASSERT_TRUE(FootprintCalibrationCache::Save(path, 1e9));
-  double factor = 0.0;
-  ASSERT_TRUE(FootprintCalibrationCache::Load(path, &factor));
-  EXPECT_EQ(factor, FootprintCalibrationCache::kMaxFactor);
-  std::remove(path.c_str());
-}
-
-TEST(FootprintCalibrationCacheTest, RejectsGarbageFiles) {
-  const std::string path =
-      testing::TempDir() + "/chiller_footprint_cache_garbage";
-  {
-    FILE* f = fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("not a cache file\n", f);
-    fclose(f);
-  }
-  double factor = 42.0;
-  EXPECT_FALSE(FootprintCalibrationCache::Load(path, &factor));
-  EXPECT_EQ(factor, 42.0);
-  std::remove(path.c_str());
-}
-
-TEST(FootprintCalibrationCacheTest, PathSitsNextToTheReport) {
-  EXPECT_EQ(FootprintCalibrationCache::PathNextTo("out/BENCH_fig9.json"),
-            "out/.chiller_footprint_cache");
-  EXPECT_EQ(FootprintCalibrationCache::PathNextTo("BENCH_fig9.json"),
-            ".chiller_footprint_cache");
-}
 
 TEST(SweepExecutorTest, EffectiveJobsDividesByTheWidestShardCount) {
   SweepExecutor executor(8);
