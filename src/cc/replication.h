@@ -3,11 +3,11 @@
 #define CHILLER_CC_REPLICATION_H_
 
 #include <functional>
-#include <numeric>
 #include <vector>
 
 #include "cc/cluster.h"
 #include "common/types.h"
+#include "sim/per_domain.h"
 #include "storage/record.h"
 
 namespace chiller::cc {
@@ -33,7 +33,7 @@ class ReplicationManager {
  public:
   explicit ReplicationManager(Cluster* cluster)
       : cluster_(cluster),
-        batches_sent_(cluster->topology().num_nodes + 1u, 0) {}
+        batches_sent_(cluster->topology().num_nodes + 1u) {}
 
   /// Sends `updates` of partition `p` from `src_engine` to each replica of
   /// `p`. Each replica applies the batch and acks `ack_engine`; `on_done`
@@ -43,17 +43,14 @@ class ReplicationManager {
                  std::vector<ReplUpdate> updates, EngineId ack_engine,
                  std::function<void()> on_done);
 
-  uint64_t batches_sent() const {
-    return std::accumulate(batches_sent_.begin(), batches_sent_.end(),
-                           uint64_t{0});
-  }
+  uint64_t batches_sent() const { return batches_sent_.Sum(); }
 
  private:
   void ApplyAtReplica(storage::PartitionStore* store,
                       const std::vector<ReplUpdate>& updates);
 
   Cluster* cluster_;
-  std::vector<uint64_t> batches_sent_;  // per event domain, summed on read
+  sim::PerDomain<uint64_t> batches_sent_;  // summed on read
 };
 
 }  // namespace chiller::cc

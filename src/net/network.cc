@@ -12,8 +12,8 @@ Network::Network(sim::Scheduler* sim, NetworkConfig config, uint32_t num_nodes)
       config_(config),
       num_nodes_(num_nodes),
       last_delivery_(static_cast<size_t>(num_nodes) * num_nodes, 0),
-      messages_sent_(num_nodes + 1u, 0),
-      bytes_sent_(num_nodes + 1u, 0) {}
+      messages_sent_(num_nodes + 1u),
+      bytes_sent_(num_nodes + 1u) {}
 
 void Network::Deliver(NodeId src, NodeId dst, size_t bytes,
                       std::function<void()> fn) {

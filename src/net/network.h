@@ -4,10 +4,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <numeric>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/per_domain.h"
 #include "sim/scheduler.h"
 
 namespace chiller::net {
@@ -57,14 +57,8 @@ class Network {
 
   const NetworkConfig& config() const { return config_; }
   uint32_t num_nodes() const { return num_nodes_; }
-  uint64_t messages_sent() const {
-    return std::accumulate(messages_sent_.begin(), messages_sent_.end(),
-                           uint64_t{0});
-  }
-  uint64_t bytes_sent() const {
-    return std::accumulate(bytes_sent_.begin(), bytes_sent_.end(),
-                           uint64_t{0});
-  }
+  uint64_t messages_sent() const { return messages_sent_.Sum(); }
+  uint64_t bytes_sent() const { return bytes_sent_.Sum(); }
 
  private:
   sim::Scheduler* sim_;
@@ -73,8 +67,8 @@ class Network {
   std::vector<SimTime> last_delivery_;  // per (src, dst) FIFO horizon
   // Counters are kept per event domain (writes stay thread-local under the
   // sharded simulator) and summed on read, which only happens at control.
-  std::vector<uint64_t> messages_sent_;
-  std::vector<uint64_t> bytes_sent_;
+  sim::PerDomain<uint64_t> messages_sent_;
+  sim::PerDomain<uint64_t> bytes_sent_;
 };
 
 }  // namespace chiller::net

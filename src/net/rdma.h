@@ -3,12 +3,11 @@
 #define CHILLER_NET_RDMA_H_
 
 #include <functional>
-#include <numeric>
-#include <vector>
 
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/cpu_resource.h"
+#include "sim/per_domain.h"
 
 namespace chiller::net {
 
@@ -28,7 +27,7 @@ class RdmaFabric {
       : sim_(sim),
         network_(network),
         topology_(topology),
-        ops_issued_(topology.num_nodes + 1u, 0) {}
+        ops_issued_(topology.num_nodes + 1u) {}
 
   /// Issues a one-sided operation from `src` to `dst` node.
   ///  - `req_bytes` / `resp_bytes`: payload sizes for the latency model.
@@ -41,10 +40,7 @@ class RdmaFabric {
                 std::function<void()> completion,
                 sim::CpuResource* initiator_cpu = nullptr);
 
-  uint64_t ops_issued() const {
-    return std::accumulate(ops_issued_.begin(), ops_issued_.end(),
-                           uint64_t{0});
-  }
+  uint64_t ops_issued() const { return ops_issued_.Sum(); }
 
   const Topology& topology() const { return topology_; }
 
@@ -52,7 +48,7 @@ class RdmaFabric {
   sim::Scheduler* sim_;
   Network* network_;
   Topology topology_;
-  std::vector<uint64_t> ops_issued_;  // per event domain, summed on read
+  sim::PerDomain<uint64_t> ops_issued_;  // summed on read
 };
 
 }  // namespace chiller::net

@@ -3,12 +3,12 @@
 #define CHILLER_NET_RPC_H_
 
 #include <functional>
-#include <numeric>
 #include <vector>
 
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/cpu_resource.h"
+#include "sim/per_domain.h"
 
 namespace chiller::net {
 
@@ -22,7 +22,7 @@ class RpcLayer {
       : sim_(sim),
         network_(network),
         topology_(std::move(topology)),
-        rpcs_sent_(topology_.num_nodes + 1u, 0) {}
+        rpcs_sent_(topology_.num_nodes + 1u) {}
 
   /// Registers the CPU of each engine; index = EngineId. Must be called once
   /// before Send.
@@ -35,9 +35,7 @@ class RpcLayer {
   void Send(EngineId src_engine, EngineId dst_engine, size_t bytes,
             SimTime service_cost, std::function<void()> handler);
 
-  uint64_t rpcs_sent() const {
-    return std::accumulate(rpcs_sent_.begin(), rpcs_sent_.end(), uint64_t{0});
-  }
+  uint64_t rpcs_sent() const { return rpcs_sent_.Sum(); }
   const Topology& topology() const { return topology_; }
 
  private:
@@ -45,7 +43,7 @@ class RpcLayer {
   Network* network_;
   Topology topology_;
   std::vector<sim::CpuResource*> engine_cpus_;
-  std::vector<uint64_t> rpcs_sent_;  // per event domain, summed on read
+  sim::PerDomain<uint64_t> rpcs_sent_;  // summed on read
 };
 
 }  // namespace chiller::net

@@ -13,6 +13,7 @@
 
 #include "common/logging.h"
 #include "obs/trace_recorder.h"
+#include "sim/sharded_simulator.h"
 #include "storage/bucket.h"
 #include "workload/flight.h"
 #include "workload/instacart.h"
@@ -56,7 +57,8 @@ uint32_t SweepExecutor::EffectiveJobs(
     const std::vector<ScenarioSpec>& specs) const {
   uint32_t max_shards = 1;
   for (const ScenarioSpec& s : specs) {
-    max_shards = std::max(max_shards, std::max<uint32_t>(s.shards, 1));
+    max_shards = std::max(max_shards, sim::ShardedSimulator::EffectiveShards(
+                                          s.shards, s.nodes + 1));
   }
   return std::max<uint32_t>(1, jobs_ / max_shards);
 }

@@ -99,7 +99,8 @@ class SweepExecutor {
 
   /// Worker threads actually used for `specs`: `jobs`, scaled down when the
   /// specs themselves run sharded simulators (each scenario at shards = S
-  /// occupies S cores, so jobs x S would oversubscribe the machine). At
+  /// occupies S cores, so jobs x S would oversubscribe the machine; S is
+  /// the shard count the simulator really runs, at most one per node). At
   /// least 1; scheduling-only — per-spec results are identical either way.
   uint32_t EffectiveJobs(const std::vector<ScenarioSpec>& specs) const;
 

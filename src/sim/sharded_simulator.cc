@@ -1,6 +1,7 @@
 #include "sim/sharded_simulator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,9 +10,9 @@ namespace chiller::sim {
 
 namespace {
 
-/// Per-thread execution context. A worker thread owns one shard of one
-/// simulator; the coordinating thread (owner == nullptr here) uses the
-/// simulator's global state instead.
+/// Per-thread execution context. While a thread runs a shard's window it
+/// owns that shard of one simulator; otherwise (owner == nullptr here) the
+/// coordinating thread uses the simulator's global state instead.
 struct Tls {
   const ShardedSimulator* owner = nullptr;
   uint32_t shard = 0;
@@ -21,30 +22,69 @@ struct Tls {
 
 thread_local Tls tls;
 
+/// How long a handoff wait spins before parking: about one window's host
+/// time, so a window-to-window handoff never pays a futex round trip, and a
+/// thread left waiting longer (the run is over, or between Run calls) stops
+/// burning its core.
+constexpr std::chrono::microseconds kSpinFor{100};
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Returns the first value of `word` that satisfies `done`, spinning for up
+/// to kSpinFor (when `spin`) and then parking on the word. Whoever changes
+/// the word so that `done` may start to hold must notify it.
+template <typename Done>
+uint32_t Await(const std::atomic<uint32_t>& word, bool spin, Done done) {
+  uint32_t v = word.load(std::memory_order_acquire);
+  if (done(v)) return v;
+  if (spin) {
+    const auto deadline = std::chrono::steady_clock::now() + kSpinFor;
+    for (uint32_t i = 1;; ++i) {
+      CpuRelax();
+      v = word.load(std::memory_order_acquire);
+      if (done(v)) return v;
+      if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline) break;
+    }
+  }
+  for (;;) {
+    word.wait(v, std::memory_order_acquire);
+    v = word.load(std::memory_order_acquire);
+    if (done(v)) return v;
+  }
+}
+
 }  // namespace
 
+uint32_t ShardedSimulator::EffectiveShards(uint32_t num_shards,
+                                           uint32_t num_domains) {
+  return std::max(1u, std::min(num_shards, num_domains - 1));
+}
+
 ShardedSimulator::ShardedSimulator(uint32_t num_shards, uint32_t num_domains)
-    : num_shards_(num_shards),
-      shards_(num_shards),
-      seq_(num_domains, 0) {
+    : num_shards_(EffectiveShards(num_shards, num_domains)),
+      shards_(num_shards_),
+      seq_(num_domains),
+      spin_(num_shards_ <= std::thread::hardware_concurrency()) {
   CHILLER_CHECK(num_shards >= 1);
   CHILLER_CHECK(num_domains >= 1);
   for (Shard& s : shards_) s.outbox.resize(num_shards_);
-  if (num_shards_ > 1) {
-    sync_ = std::make_unique<std::barrier<>>(num_shards_ + 1);
-    threads_.reserve(num_shards_);
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      threads_.emplace_back([this, s] { WorkerLoop(s); });
-    }
+  workers_.reserve(num_shards_ - 1);
+  for (uint32_t s = 1; s < num_shards_; ++s) {
+    workers_.emplace_back([this, s] { WorkerLoop(s); });
   }
 }
 
 ShardedSimulator::~ShardedSimulator() {
-  if (!threads_.empty()) {
-    exit_ = true;
-    sync_->arrive_and_wait();  // release workers; they observe exit_
-    for (std::thread& t : threads_) t.join();
-  }
+  exit_ = true;
+  release_.fetch_add(1, std::memory_order_release);
+  release_.notify_all();
+  for (std::thread& t : workers_) t.join();
 }
 
 SimTime ShardedSimulator::now() const {
@@ -73,8 +113,8 @@ void ShardedSimulator::ScheduleIn(DomainId domain, SimTime when,
       << domain << " at " << when;
   const uint64_t seq = NextSeq(origin);
   if (tls.owner == this) {
-    // Worker thread: same-shard events go straight into our queue; anything
-    // else parks in a mailbox until the window boundary.
+    // Inside a shard's window: same-shard events go straight into its
+    // queue; anything else waits in a mailbox until the window boundary.
     Shard& self = shards_[tls.shard];
     if (domain == kControlDomain) {
       self.control_outbox.push_back(
@@ -87,8 +127,8 @@ void ShardedSimulator::ScheduleIn(DomainId domain, SimTime when,
     }
     return;
   }
-  // Coordinator: every worker is parked, so destination queues are ours to
-  // touch directly.
+  // Coordinator between windows: no shard is running, so destination queues
+  // are ours to touch directly.
   if (domain == kControlDomain) {
     control_queue_.Push(when, domain, origin, seq, std::move(fn));
   } else {
@@ -119,12 +159,30 @@ void ShardedSimulator::RunWindow(uint32_t s) {
 void ShardedSimulator::WorkerLoop(uint32_t s) {
   tls.owner = this;
   tls.shard = s;
+  const uint32_t workers = num_shards_ - 1;
+  uint32_t seen = 0;
   for (;;) {
-    sync_->arrive_and_wait();  // coordinator published window bounds
+    seen = Await(release_, spin_, [seen](uint32_t v) { return v != seen; });
     if (exit_) break;
     RunWindow(s);
-    sync_->arrive_and_wait();  // window done; coordinator resumes
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == workers) {
+      arrived_.notify_one();
+    }
   }
+}
+
+void ShardedSimulator::RunWindowOnAllShards() {
+  arrived_.store(0, std::memory_order_relaxed);
+  release_.fetch_add(1, std::memory_order_release);
+  release_.notify_all();
+  // Shard 0 runs here, under the same per-thread context a worker has, so
+  // now()/current_domain()/routing behave identically.
+  tls.owner = this;
+  tls.shard = 0;
+  RunWindow(0);
+  tls.owner = nullptr;
+  const uint32_t workers = num_shards_ - 1;
+  Await(arrived_, spin_, [workers](uint32_t v) { return v == workers; });
 }
 
 void ShardedSimulator::DrainMailboxes() {
@@ -155,7 +213,7 @@ void ShardedSimulator::Drive(SimTime until, bool run_all) {
     if (!run_all && next > until) break;
     if (tc <= td) {
       // Control batch: the control domain sorts before data at equal time,
-      // and runs only while every shard is parked — which they all are.
+      // and runs only between windows — which this is.
       Event e = control_queue_.Pop();
       global_now_ = e.time;
       ++control_processed_;
@@ -167,18 +225,7 @@ void ShardedSimulator::Drive(SimTime until, bool run_all) {
     const SimTime la = lookahead();
     window_end_ = la == 0 ? kSimTimeNever : (td / la + 1) * la;
     window_until_ = run_all ? kSimTimeNever : until;
-    if (threads_.empty()) {
-      // Single shard: run the window inline, but under the same per-thread
-      // context a worker would have, so now()/current_domain()/routing
-      // behave identically.
-      tls.owner = this;
-      tls.shard = 0;
-      RunWindow(0);
-      tls.owner = nullptr;
-    } else {
-      sync_->arrive_and_wait();  // release workers into the window
-      sync_->arrive_and_wait();  // wait for every shard to finish it
-    }
+    RunWindowOnAllShards();
     for (const Shard& s : shards_) {
       global_now_ = std::max(global_now_, s.last_time);
     }

@@ -3,30 +3,40 @@
 #ifndef CHILLER_SIM_SHARDED_SIMULATOR_H_
 #define CHILLER_SIM_SHARDED_SIMULATOR_H_
 
-#include <barrier>
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/types.h"
 #include "sim/event_queue.h"
+#include "sim/per_domain.h"
 #include "sim/scheduler.h"
 
 namespace chiller::sim {
 
 /// Runs the event space partitioned into shards, one event queue and one
-/// clock per shard, on a pool of std::threads. Domains map statically to
-/// shards (domain d > 0 lives on shard (d - 1) % num_shards; the control
-/// domain lives on the coordinating thread). Shards advance in lock-step
-/// *windows* bounded by the lookahead grid: within a window [kL, (k+1)L)
-/// every shard drains its own events concurrently; at the boundary all
-/// shards park on a barrier while the coordinator drains the cross-shard
-/// mailboxes and runs any due control events. Cross-shard messages carry
-/// at least one lookahead of simulated latency, so nothing a shard does in
-/// window k can affect another shard before window k+1 — each shard can
-/// run its window without looking at the others.
+/// clock per shard. Domains map statically to shards (domain d > 0 lives on
+/// shard (d - 1) % num_shards; the control domain lives on the coordinating
+/// thread). Shards advance in lock-step *windows* bounded by the lookahead
+/// grid: within a window [kL, (k+1)L) every shard drains its own events
+/// concurrently; between windows the coordinator drains the cross-shard
+/// mailboxes and runs any due control events. Cross-shard messages carry at
+/// least one lookahead of simulated latency, so nothing a shard does in
+/// window k can affect another shard before window k+1 — each shard can run
+/// its window without looking at the others.
+///
+/// Threads: the coordinating thread (the one calling Run/RunUntil) runs
+/// shard 0's windows itself, and shards 1..N-1 each own a worker thread, so
+/// one shard means no extra thread and the same code path. A window costs
+/// one handoff: the coordinator publishes the window bounds and bumps a
+/// release epoch, every worker bumps an arrival counter when its window is
+/// done. Windows hold only microseconds of work, so both sides first spin
+/// for about a window's host time and then park on the atomic
+/// (std::atomic::wait/notify); when the shards outnumber the hardware
+/// threads they park at once, since a spinning thread would only delay the
+/// one it waits for.
 ///
 /// Determinism: every event carries the canonical (time, domain, origin,
 /// seq) key (see sim/scheduler.h). Keys are unique and assigned by
@@ -38,8 +48,8 @@ namespace chiller::sim {
 class ShardedSimulator : public Scheduler {
  public:
   /// `num_domains` must cover every DomainId that will ever be scheduled
-  /// (control + one per node). Worker threads are spawned only when
-  /// `num_shards` > 1; with one shard the window body runs inline.
+  /// (control + one per node). A shard owning no data domain would only
+  /// add a thread, so the shard count is clamped to EffectiveShards().
   ShardedSimulator(uint32_t num_shards, uint32_t num_domains);
   ~ShardedSimulator() override;
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -59,6 +69,10 @@ class ShardedSimulator : public Scheduler {
   uint64_t events_processed() const override;
   bool idle() const override;
 
+  /// Shards actually run for `num_shards` requested over `num_domains`
+  /// domains: at most one per data domain, at least one.
+  static uint32_t EffectiveShards(uint32_t num_shards, uint32_t num_domains);
+
   uint32_t num_shards() const { return num_shards_; }
 
  private:
@@ -72,12 +86,12 @@ class ShardedSimulator : public Scheduler {
     std::function<void()> fn;
   };
 
-  /// Everything one shard's worker thread touches during a window. Padded
-  /// so two workers never share a cache line through this struct.
+  /// Everything one shard's thread touches during a window. Padded so two
+  /// shards never share a cache line through this struct.
   struct alignas(64) Shard {
     EventQueue queue;
     /// outbox[d]: events bound for shard d; single-producer (this shard's
-    /// worker), drained by the coordinator at the barrier.
+    /// thread), drained by the coordinator between windows.
     std::vector<std::vector<Pending>> outbox;
     std::vector<Pending> control_outbox;
     uint64_t processed = 0;
@@ -87,15 +101,21 @@ class ShardedSimulator : public Scheduler {
   uint32_t ShardOfDomain(DomainId d) const { return (d - 1) % num_shards_; }
   uint64_t NextSeq(DomainId origin) { return seq_[origin]++; }
 
-  /// Drains shard `s`'s events with time < window_end and time <= until.
-  /// Runs on the shard's worker thread (or inline when single-sharded).
+  /// Drains shard `s`'s events with time < window_end and time <= until,
+  /// on the shard's thread (the coordinator's for shard 0).
   void RunWindow(uint32_t s);
 
   /// Coordinator: moves every outbox entry into its destination queue.
-  /// Runs only while all workers are parked.
+  /// Runs only between windows.
   void DrainMailboxes();
 
+  /// Worker thread body for shard `s` >= 1: wait for a release, run the
+  /// window, arrive; until the destructor releases with exit_ set.
   void WorkerLoop(uint32_t s);
+
+  /// Coordinator: runs one window on every shard — releases the workers,
+  /// runs shard 0 itself, and returns once every worker has arrived.
+  void RunWindowOnAllShards();
 
   /// Advances until queues drain (run_all) or the next event exceeds
   /// `until`; shared body of Run and RunUntil.
@@ -104,18 +124,26 @@ class ShardedSimulator : public Scheduler {
   const uint32_t num_shards_;
   std::vector<Shard> shards_;
   EventQueue control_queue_;
-  std::vector<uint64_t> seq_;  ///< per-origin-domain schedule counters
+  PerDomain<uint64_t> seq_;  ///< per-origin-domain schedule counters
 
   SimTime global_now_ = 0;
   uint64_t control_processed_ = 0;
-  /// Window bounds for the current barrier cycle, written by the
-  /// coordinator before releasing the workers.
+  /// Window bounds for the current window, written by the coordinator
+  /// before it bumps release_; workers read them after seeing the bump.
   SimTime window_end_ = 0;
   SimTime window_until_ = 0;
   bool exit_ = false;
 
-  std::unique_ptr<std::barrier<>> sync_;  ///< num_shards_ + 1 participants
-  std::vector<std::thread> threads_;
+  /// Whether waits spin before parking: only while every shard can have
+  /// a hardware thread of its own.
+  const bool spin_;
+  /// The handoff. The coordinator bumps release_ once per window (and once
+  /// more to exit); each worker bumps arrived_ when its window is done, and
+  /// the coordinator resets it before the next release. Separate lines: the
+  /// workers write one while the coordinator polls the other.
+  alignas(64) std::atomic<uint32_t> release_{0};
+  alignas(64) std::atomic<uint32_t> arrived_{0};
+  std::vector<std::thread> workers_;  ///< shards 1..num_shards_-1
 };
 
 }  // namespace chiller::sim

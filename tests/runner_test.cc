@@ -600,9 +600,18 @@ TEST(SweepExecutorTest, EffectiveJobsDividesByTheWidestShardCount) {
   std::vector<ScenarioSpec> specs(3, SmallYcsb());
   EXPECT_EQ(executor.EffectiveJobs(specs), 8u);
   specs[1].shards = 4;
+  specs[1].nodes = 4;
   EXPECT_EQ(executor.EffectiveJobs(specs), 2u);
   specs[2].shards = 16;  // wider than jobs: never drops below one worker
+  specs[2].nodes = 16;
   EXPECT_EQ(executor.EffectiveJobs(specs), 1u);
+}
+
+TEST(SweepExecutorTest, EffectiveJobsCountsOnlyShardsThatOwnANode) {
+  SweepExecutor executor(8);
+  std::vector<ScenarioSpec> specs(2, SmallYcsb());  // 3 nodes
+  specs[1].shards = 16;  // the simulator runs 3 shards, one per node
+  EXPECT_EQ(executor.EffectiveJobs(specs), 2u);
 }
 
 }  // namespace

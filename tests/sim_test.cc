@@ -1,8 +1,13 @@
 // Unit tests for the discrete-event simulator substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <functional>
+#include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/cpu_resource.h"
@@ -212,6 +217,8 @@ TEST(SimulatorTest, ControlWithoutLookaheadIsPlainScheduling) {
 // A deterministic message-passing program over `nodes` domains: every node
 // launches a token that hops around the ring with one lookahead of latency
 // per hop, and each arrival does a zero-latency self-send before forwarding.
+// Every arrival at node 0 (shard 0, which the coordinating thread runs) also
+// hops data -> control -> data: a control event logs it and sends it back.
 // Returns the per-domain observation logs (each domain's sequence is the
 // determinism contract; a global interleaving across domains is not).
 std::vector<std::vector<int>> RunRingProgram(Scheduler* sim,
@@ -228,6 +235,16 @@ std::vector<std::vector<int>> RunRingProgram(Scheduler* sim,
               log[DomainOfNode(next)].push_back(token * 100 + hops);
               sim->Schedule(0, [&, next, token, hops] {
                 log[DomainOfNode(next)].push_back(-(token * 100 + hops));
+                if (next == 0) {
+                  sim->ScheduleControl(kLat, [&, token, hops] {
+                    log[kControlDomain].push_back(token * 100 + hops);
+                    sim->ScheduleIn(DomainOfNode(0), sim->now() + kLat,
+                                    [&, token, hops] {
+                                      log[DomainOfNode(0)].push_back(
+                                          10000 + token * 100 + hops);
+                                    });
+                  });
+                }
                 forward(next, token, hops - 1);
               });
             });
@@ -240,23 +257,50 @@ std::vector<std::vector<int>> RunRingProgram(Scheduler* sim,
 }
 
 TEST(ShardedSimulatorTest, MatchesSingleThreadedAtAnyShardCount) {
-  constexpr uint32_t kNodes = 4;
+  // More nodes than hardware threads, so the widest runs park rather than
+  // spin; shard counts past the node count run one shard per node.
+  const uint32_t hw = std::thread::hardware_concurrency();
+  const uint32_t nodes = std::max(4u, hw + 1);
   Simulator reference;
   reference.set_lookahead(1000);
-  const auto want = RunRingProgram(&reference, kNodes);
-  for (uint32_t shards : {1u, 2u, 3u, 4u}) {
-    ShardedSimulator sim(shards, kNodes + 1);
+  const auto want = RunRingProgram(&reference, nodes);
+  ASSERT_FALSE(want[kControlDomain].empty());
+  for (uint32_t shards : {1u, 2u, 3u, 4u, nodes, nodes + 3}) {
+    ShardedSimulator sim(shards, nodes + 1);
+    EXPECT_EQ(sim.num_shards(), std::min(shards, nodes));
     sim.set_lookahead(1000);
-    const auto got = RunRingProgram(&sim, kNodes);
+    const auto got = RunRingProgram(&sim, nodes);
     EXPECT_EQ(got, want) << "shards=" << shards;
   }
+}
+
+TEST(ShardedSimulatorTest, ParkedWorkersJoinPromptlyWithoutEverRunning) {
+  // Idle workers spin briefly and then park; the destructor must wake them
+  // even though no window was ever released.
+  auto sim = std::make_unique<ShardedSimulator>(4, 5);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::promise<void> joined;
+  std::future<void> done = joined.get_future();
+  std::thread destroyer(
+      [sim = std::move(sim), joined = std::move(joined)]() mutable {
+        sim.reset();
+        joined.set_value();
+      });
+  const bool prompt =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (prompt) {
+    destroyer.join();
+  } else {
+    destroyer.detach();  // still blocked in the destructor; joining hangs
+  }
+  EXPECT_TRUE(prompt) << "destroying a simulator left its workers parked";
 }
 
 TEST(ShardedSimulatorTest, BarrierEdgeEventBelongsToTheNextWindow) {
   // An event exactly on a window boundary runs in the window that starts
   // there — after any control event due at the same instant, which runs
-  // while every shard is parked. (Control and data callbacks here are
-  // sequenced by the window barrier, so one shared log is race-free.)
+  // between windows. (Control and data callbacks here are sequenced by the
+  // window handoff, so one shared log is race-free.)
   ShardedSimulator sim(2, 3);
   sim.set_lookahead(1000);
   std::vector<std::string> order;
