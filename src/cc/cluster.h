@@ -100,7 +100,7 @@ class Cluster {
 
   /// Migration path: removes the record from primary `from` and returns it.
   /// Replica copies are untouched — the caller resyncs them through the
-  /// ReplicationManager (see cc::MigrateToLayout).
+  /// ReplicationManager (see migrate::LiveMigrator).
   StatusOr<storage::Record> ExtractRecord(const RecordId& rid,
                                           PartitionId from);
 

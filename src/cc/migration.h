@@ -1,29 +1,25 @@
-// Quiesced record migration: moves a quiesced cluster's primary records to
-// match a new partitioning layout, paying simulated network cost. The
-// schedule (which records move where) comes from migrate::MigrationPlan —
-// the same planner the live, bucket-incremental path (migrate::
-// LiveMigrator) executes under traffic.
+// Record-migration accounting shared by every relayout: the wire framing a
+// moved batch pays and the cost summary a relayout reports. The mover is
+// migrate::LiveMigrator; the runner's quiesced migrate phase runs it over a
+// stopped driver.
 #ifndef CHILLER_CC_MIGRATION_H_
 #define CHILLER_CC_MIGRATION_H_
 
-#include "cc/cluster.h"
-#include "cc/replication.h"
-#include "common/status.h"
-#include "partition/lookup_table.h"
+#include <cstddef>
+
+#include "common/types.h"
 
 namespace chiller::cc {
 
 /// Wire accounting per moved batch/record, mirroring ReplicationManager's
-/// update-stream framing: header + rid + image. Shared by the quiesced
-/// path below and migrate::LiveMigrator so both schedules cost moves
-/// identically.
+/// update-stream framing: header + rid + image.
 inline constexpr size_t kMigrationBatchHeaderBytes = 64;
 inline constexpr size_t kMigrationPerRecordOverheadBytes = 24;
 
 /// What a relayout cost: the records that physically moved, the bytes that
 /// crossed the fabric for them, and the simulated time the cluster spent
-/// migrating (for the quiesced path, the "pause" the measure phase pays;
-/// for the live path, the span records were in flight under traffic).
+/// migrating (for a quiesced relayout, the "pause" the measure phase pays;
+/// for a live one, the span records were in flight under traffic).
 struct MigrationStats {
   uint64_t moved_records = 0;
   uint64_t moved_bytes = 0;
@@ -32,23 +28,6 @@ struct MigrationStats {
   friend bool operator==(const MigrationStats&, const MigrationStats&) =
       default;
 };
-
-/// Moves every primary record whose placement under `layout` differs from
-/// the partition currently holding it, then resyncs replicas through
-/// `repl`: the old partition's replicas erase the record, the new
-/// partition's replicas receive its image. Each per-partition-pair batch is
-/// shipped primary-to-primary over the RPC layer, so moves pay transfer
-/// and apply costs in simulated time; the function runs the simulator
-/// until every move and replica ack settles.
-///
-/// Records resident in more than one primary (fully replicated read-only
-/// tables loaded via LoadEverywhere) are left in place everywhere.
-///
-/// Requires a quiesced cluster: fails with FailedPrecondition if any
-/// primary still holds locks.
-StatusOr<MigrationStats> MigrateToLayout(
-    Cluster* cluster, ReplicationManager* repl,
-    const partition::RecordPartitioner& layout);
 
 }  // namespace chiller::cc
 

@@ -1,6 +1,7 @@
 #include "migrate/adaptive_controller.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -25,9 +26,11 @@ AdaptiveController::AdaptiveController(cc::Driver* driver,
                                        AdaptiveControllerOptions options)
     : driver_(driver),
       cluster_(cluster),
-      repl_(repl),
       live_(live),
-      opts_(options) {
+      opts_(options),
+      relayout_(driver, cluster, repl, live, opts_.migrator,
+                opts_.governor ? std::optional(opts_.governor_opts)
+                               : std::nullopt) {
   CHILLER_CHECK(opts_.period > 0);
   CHILLER_CHECK(opts_.sample_rate > 0.0 && opts_.sample_rate <= 1.0);
   CHILLER_CHECK(opts_.drift_threshold >= 0.0);
@@ -38,18 +41,12 @@ AdaptiveController::AdaptiveController(cc::Driver* driver,
   c_epochs_ = reg->GetCounter("controller.epochs");
   c_migrations_ = reg->GetCounter("controller.migrations");
   c_rearms_ = reg->GetCounter("controller.rearms");
-  if (opts_.governor) {
-    // The governor's option checks fire here, at construction.
-    governor_ = std::make_unique<MigrationGovernor>(
-        opts_.governor_opts, std::max<uint32_t>(1, opts_.migrator.streams),
-        reg);
-  }
 }
 
 AdaptiveController::~AdaptiveController() = default;
 
 void AdaptiveController::BeginEpoch() {
-  const bool migrating = migrator_ != nullptr && !migrator_->done();
+  const bool migrating = relayout_.in_flight();
   if (!report_.settled && !migrating) {
     // One collector for the whole hunt — the statistics service's view of
     // the workload only grows (paper Section 4.1), which is what lets a
@@ -82,13 +79,7 @@ void AdaptiveController::BeginEpoch() {
     driver_->SetCommitObserver(
         [stats](const txn::Transaction& t) { stats->Observe(t); });
   }
-  if (migrating && governor_ != nullptr) {
-    // Epoch-start snapshots for the governor's signals; draining the
-    // latency window here scopes its p99 to this epoch alone.
-    epoch_commits_ = driver_->lifetime_commits();
-    epoch_aborts_ = driver_->lifetime_migration_aborts();
-    driver_->TakeCommitLatencyWindow();
-  }
+  relayout_.BeginEpoch();
 }
 
 StatusOr<SimTime> AdaptiveController::RunFor(
@@ -114,7 +105,7 @@ StatusOr<SimTime> AdaptiveController::RunFor(
 
   // Never hand control back mid-transition: routing must be collapsed
   // before the caller reads final state.
-  while (migrator_ != nullptr && !migrator_->done()) {
+  while (relayout_.in_flight()) {
     BeginEpoch();
     step(opts_.period);
     advanced += opts_.period;
@@ -126,47 +117,31 @@ StatusOr<SimTime> AdaptiveController::RunFor(
 }
 
 void AdaptiveController::CloseEpoch() {
-  if (migrator_ != nullptr && migrator_->done()) {
+  if (relayout_.finished()) {
     // Harvest the finished relayout's accounting exactly once. No replan
     // this epoch — it sampled nothing while the relayout ran.
-    const LiveMigrationStats& ms = migrator_->stats();
-    report_.moved_records += ms.base.moved_records;
-    report_.moved_bytes += ms.base.moved_bytes;
-    report_.migration_sim_time += ms.base.sim_time;
-    report_.buckets_moved += ms.buckets_moved;
-    if (report_.first_migration_start == 0) {
-      report_.first_migration_start = migration_start_;
-    }
+    relayout_.Harvest();
+    const RelayoutTotals& t = relayout_.totals();
+    report_.moved_records = t.migration.moved_records;
+    report_.moved_bytes = t.migration.moved_bytes;
+    report_.migration_sim_time = t.migration.sim_time;
+    report_.buckets_moved = t.buckets_moved;
+    report_.first_migration_start = t.first_start;
     // Harvest boundary, not the exact in-flight end: the window counters
-    // below are read here, so span and counters describe the same
-    // interval (the exact span lives in migration_sim_time).
+    // are read here, so span and counters describe the same interval (the
+    // exact span lives in migration_sim_time).
     report_.last_migration_end = cluster_->sim()->now();
-    report_.window_commits +=
-        driver_->lifetime_commits() - commits_at_start_;
-    report_.window_aborts +=
-        driver_->lifetime_migration_aborts() - aborts_at_start_;
-    report_.peak_streams =
-        std::max(report_.peak_streams, ms.peak_streams);
-    migrator_.reset();
+    report_.window_commits = t.window_commits;
+    report_.window_aborts = t.window_aborts;
+    report_.peak_streams = t.peak_streams;
     return;
   }
-  if (migrator_ != nullptr) {
-    // Mid-relayout epoch: no replanning (nothing sampled), but the
-    // governor folds this epoch's foreground signals into the stream
-    // width. The decision is a pure function of shard-invariant counters,
-    // so governed runs stay byte-identical for any shard count.
-    if (governor_ != nullptr) {
-      GovernorSignals signals;
-      signals.commits = driver_->lifetime_commits() - epoch_commits_;
-      signals.migration_aborts =
-          driver_->lifetime_migration_aborts() - epoch_aborts_;
-      const Histogram window = driver_->TakeCommitLatencyWindow();
-      signals.p99 =
-          window.count() == 0 ? 0 : window.Percentile(99.0);
-      migrator_->SetTargetStreams(governor_->Decide(signals));
-      report_.governor_widens = governor_->report().widens;
-      report_.governor_narrows = governor_->report().narrows;
-    }
+  if (relayout_.in_flight()) {
+    // Mid-relayout epoch: no replanning (nothing sampled), but a governor
+    // folds this epoch's foreground signals into the stream width.
+    relayout_.CloseEpoch();
+    report_.governor_widens = relayout_.totals().governor_widens;
+    report_.governor_narrows = relayout_.totals().governor_narrows;
     return;
   }
   if (report_.settled) {
@@ -229,13 +204,8 @@ void AdaptiveController::CloseEpoch() {
   }
   if (plan.total_moves() > 0) {
     calm_epochs_ = 0;
-    migrator_ = std::make_unique<LiveMigrator>(cluster_, repl_, live_,
-                                               opts_.migrator);
-    migration_start_ = cluster_->sim()->now();
-    commits_at_start_ = driver_->lifetime_commits();
-    aborts_at_start_ = driver_->lifetime_migration_aborts();
     const Status st =
-        migrator_->Start(std::move(plan), std::move(out.partitioner));
+        relayout_.Start(std::move(plan), std::move(out.partitioner));
     CHILLER_CHECK(st.ok()) << st.ToString();
     ++report_.migrations;
     c_migrations_->AddControl();

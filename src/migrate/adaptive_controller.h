@@ -39,6 +39,7 @@
 #include "common/status.h"
 #include "migrate/live_migrator.h"
 #include "migrate/migration_governor.h"
+#include "migrate/relayout_executor.h"
 #include "partition/lookup_table.h"
 #include "partition/stats_collector.h"
 
@@ -145,13 +146,11 @@ class AdaptiveController {
 
   cc::Driver* driver_;
   cc::Cluster* cluster_;
-  cc::ReplicationManager* repl_;
   partition::SwappablePartitioner* live_;
   AdaptiveControllerOptions opts_;
 
   std::unique_ptr<partition::StatsCollector> collector_;
-  std::unique_ptr<LiveMigrator> migrator_;
-  std::unique_ptr<MigrationGovernor> governor_;
+  RelayoutExecutor relayout_;
   // Registry mirrors of the loop's own control-plane accounting
   // ("controller.*"): the report stays the derived JSON source, the
   // registry puts the loop's activity on the trace timeline.
@@ -166,13 +165,6 @@ class AdaptiveController {
   double baseline_residual_ = 0.0;
   /// sampled_txns() of collectors already retired (re-arm discards them).
   uint64_t sampled_retired_ = 0;
-  // Governor epoch-start snapshots (lifetime counters).
-  uint64_t epoch_commits_ = 0;
-  uint64_t epoch_aborts_ = 0;
-  // In-flight relayout bookkeeping (see the window fields of the report).
-  SimTime migration_start_ = 0;
-  uint64_t commits_at_start_ = 0;
-  uint64_t aborts_at_start_ = 0;
   AdaptiveControllerReport report_;
 };
 

@@ -220,9 +220,9 @@ void LiveMigrator::TryCompleteBatch(std::shared_ptr<Batch> batch) {
   std::vector<cc::ReplUpdate> erases;
   puts.reserve(batch->moves.size());
   erases.reserve(batch->moves.size());
-  // Bytes are accounted from the records actually extracted (matching the
-  // quiesced path's accounting); batch->bytes was only the launch-time
-  // transfer-cost estimate and may include records that vanished since.
+  // Bytes are accounted from the records actually extracted; batch->bytes
+  // was only the launch-time transfer-cost estimate and may include
+  // records that vanished since.
   size_t actual_bytes = cc::kMigrationBatchHeaderBytes;
   for (const RecordMove& mv : batch->moves) {
     auto rec = cluster_->ExtractRecord(mv.rid, mv.from);

@@ -1,18 +1,19 @@
-// LiveMigrator: incremental, per-bucket record relayout that runs
-// concurrently with transaction traffic.
+// LiveMigrator: the record mover behind every relayout — incremental,
+// per-bucket, and safe to run concurrently with transaction traffic.
 //
-// Where cc::MigrateToLayout quiesces the whole cluster and moves everything
-// in one stop-the-world pause, the LiveMigrator streams a MigrationPlan
-// through up to `streams` relayout buckets concurrently (k = 1 degenerates
-// to the classic one-bucket-at-a-time walk, event for event). Each
-// in-flight bucket advances independently through the same pipeline:
+// It streams a MigrationPlan through up to `streams` relayout buckets
+// concurrently (k = 1 degenerates to the classic one-bucket-at-a-time
+// walk, event for event). The runner's quiesced migrate phase is the
+// degenerate case: a one-bucket plan run with the driver stopped, so the
+// whole relayout is one stop-the-world pause. Each in-flight bucket
+// advances independently through the same pipeline:
 //
 //   1. lock the bucket in the cluster's BucketLockTable — transactions
 //      touching it abort with the dedicated migration abort class and
 //      retry through their load model's backoff; all other traffic flows;
-//   2. ship the bucket's moves as per-(from,to) batches over the RPC layer
-//      (paying the same simulated transfer + install cost per batch as the
-//      quiesced path); batches of different buckets overlap in flight;
+//   2. ship the bucket's moves as per-(from,to) batches over the RPC layer,
+//      each paying its simulated transfer + install cost; batches of
+//      different buckets overlap in flight;
 //   3. at each batch's arrival, atomically extract + install its records —
 //      a single simulator event, so record conservation and single
 //      residency hold at every observable instant. Storage-bucket lock

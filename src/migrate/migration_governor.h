@@ -57,35 +57,31 @@ struct MigrationGovernorReport {
 
 class MigrationGovernor {
  public:
-  /// With a registry, the decision/widen/narrow counters live in named
-  /// registry counters ("governor.*") and report() derives from them by
-  /// base-diff — a governor reconstructed each relayout keeps accumulating
-  /// into the same cluster-wide handles, and the stream-width gauge lands
-  /// on the trace timeline via registry snapshots. Without one (unit
-  /// tests), plain members back the report; the bytes are identical.
+  /// Decision, widen and narrow counts live in the registry's "governor.*"
+  /// counters and report() is their diff since construction; the
+  /// stream-width gauge reaches the trace timeline through registry
+  /// snapshots.
   MigrationGovernor(MigrationGovernorOptions options, uint32_t initial_streams,
-                    obs::MetricsRegistry* registry = nullptr);
+                    obs::MetricsRegistry* registry);
 
   /// Folds one epoch's signals into the width and returns the new target
   /// (feed it straight to LiveMigrator::SetTargetStreams).
   uint32_t Decide(const GovernorSignals& signals);
 
   uint32_t target() const { return target_; }
-  const MigrationGovernorReport& report() const;
+  MigrationGovernorReport report() const;
 
  private:
   MigrationGovernorOptions opts_;
-  uint32_t target_;
-  mutable MigrationGovernorReport report_;
-  // Registry-backed counters (null without a registry) and this
-  // governor's base offsets into them.
-  obs::MetricsRegistry::Counter* c_decisions_ = nullptr;
-  obs::MetricsRegistry::Counter* c_widens_ = nullptr;
-  obs::MetricsRegistry::Counter* c_narrows_ = nullptr;
-  obs::MetricsRegistry::Gauge* g_width_ = nullptr;
-  uint64_t base_decisions_ = 0;
-  uint64_t base_widens_ = 0;
-  uint64_t base_narrows_ = 0;
+  uint32_t target_ = 0;
+  obs::MetricsRegistry::Counter* c_decisions_;
+  obs::MetricsRegistry::Counter* c_widens_;
+  obs::MetricsRegistry::Counter* c_narrows_;
+  obs::MetricsRegistry::Gauge* g_width_;
+  // This governor's base offsets into the cluster-wide counters.
+  uint64_t base_decisions_;
+  uint64_t base_widens_;
+  uint64_t base_narrows_;
 };
 
 }  // namespace chiller::migrate

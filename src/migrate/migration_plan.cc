@@ -12,9 +12,9 @@ MigrationPlan MigrationPlan::Diff(cc::Cluster* cluster,
   MigrationPlan plan;
   plan.num_buckets = num_buckets;
 
-  // Deterministic partition/bucket scan order (the same order the legacy
-  // quiesced path used), grouped by relayout bucket. std::map keeps the
-  // units in ascending bucket order without a sort pass.
+  // Deterministic partition/bucket scan order, grouped by relayout bucket.
+  // std::map keeps the units in ascending bucket order without a sort
+  // pass.
   std::map<BucketId, std::vector<RecordMove>> by_bucket;
   const uint32_t partitions = cluster->topology().num_partitions();
   for (PartitionId p = 0; p < partitions; ++p) {

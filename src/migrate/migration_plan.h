@@ -1,8 +1,9 @@
 // MigrationPlan: the diff between the cluster's current physical record
 // placement and a target layout, grouped into per-relayout-bucket move
-// units — the schedule both migration paths execute (cc::MigrateToLayout
-// runs the whole plan under a quiesced cluster; migrate::LiveMigrator
-// streams up to `streams` buckets of it concurrently under live traffic).
+// units — the schedule migrate::LiveMigrator executes, streaming up to
+// `streams` buckets of it concurrently. The runner's quiesced migrate phase
+// diffs one bucket (the whole relayout as one unit) and runs it with the
+// driver stopped; live relayouts diff many and run under traffic.
 #ifndef CHILLER_MIGRATE_MIGRATION_PLAN_H_
 #define CHILLER_MIGRATE_MIGRATION_PLAN_H_
 
@@ -52,7 +53,7 @@ struct MigrationPlan {
   /// loaded everywhere (fully replicated read-only tables): their placement
   /// is "everywhere" and they never move. With num_buckets == 1 the plan
   /// degenerates to a single unit holding the whole diff in scan order —
-  /// exactly the legacy quiesced schedule.
+  /// the quiesced migrate phase's schedule.
   static MigrationPlan Diff(cc::Cluster* cluster,
                             const partition::RecordPartitioner& target,
                             uint32_t num_buckets);

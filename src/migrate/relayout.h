@@ -63,18 +63,13 @@ class BucketLockTable {
 
   bool epoch_active() const { return active_; }
 
-  /// True once the cluster's layout has ever been mutated — by a live
-  /// relayout epoch or by a quiesced swap (the runner's migrate phase
-  /// calls NoteLayoutMutation). Protocols use this as a zero-cost gate:
-  /// scenarios on a frozen layout skip the per-access migration checks
-  /// entirely (byte-identical legacy behavior), and layout-assumption
-  /// violations (e.g. Chiller's co-location contract) degrade gracefully
-  /// instead of crashing only when this is set.
+  /// True once any relayout epoch — quiesced or live — has opened, i.e.
+  /// once the cluster's layout may have been mutated. Protocols use this
+  /// as a zero-cost gate: scenarios on a frozen layout skip the per-access
+  /// migration checks entirely (byte-identical legacy behavior), and
+  /// layout-assumption violations (e.g. Chiller's co-location contract)
+  /// degrade gracefully instead of crashing only when this is set.
   bool ever_active() const { return ever_active_; }
-
-  /// Records that a quiesced whole-layout swap mutated the layout without
-  /// opening an epoch (see ever_active()).
-  void NoteLayoutMutation() { ever_active_ = true; }
 
   /// Marks bucket `b` in flight. Multi-bucket contract: the migrator holds
   /// up to its stream width (target_streams) concurrently; each bucket is

@@ -92,21 +92,15 @@ class LookupPartitioner : public RecordPartitioner {
 
 /// Mutable indirection for online repartitioning (paper Section 4.1's
 /// observe -> replan -> migrate loop): protocols hold a stable
-/// RecordPartitioner* for the lifetime of a run, while the runner swaps the
-/// delegate between execution phases. Two swap modes:
-///
-///  - Swap(): whole-layout replacement. Only safe while the cluster is
-///    quiesced AND the physical placement has been migrated to match the
-///    new delegate — the runner's quiesced migrate phase owns that
-///    protocol.
-///  - BeginTransition() / FlipBucket() / FinishTransition(): per-bucket
-///    indirection for *live* migration (src/migrate). The incoming layout
-///    is staged next to the active one and records keep routing through
-///    the active layout until their relayout bucket (migrate::
-///    RelayoutBucketOf, the same bucket space the BucketLockTable guards)
-///    is flipped; the LiveMigrator flips each bucket in the same simulator
-///    event that completes its record moves, so routing and physical
-///    placement never disagree.
+/// RecordPartitioner* for the lifetime of a run, while every relayout —
+/// quiesced or live — changes the delegate bucket by bucket through
+/// BeginTransition() / FlipBucket() / FinishTransition() (src/migrate).
+/// The incoming layout is staged next to the active one and records keep
+/// routing through the active layout until their relayout bucket
+/// (migrate::RelayoutBucketOf, the same bucket space the BucketLockTable
+/// guards) is flipped; the LiveMigrator flips each bucket in the same
+/// simulator event that completes its record moves, so routing and
+/// physical placement never disagree.
 ///
 /// Every layout change bumps version() — the lookup-table version readers
 /// can use to invalidate cached placement decisions.
@@ -116,16 +110,6 @@ class SwappablePartitioner : public RecordPartitioner {
       : active_(std::move(initial)) {}
 
   const RecordPartitioner* active() const { return active_.get(); }
-
-  /// Installs `next` as the live layout and returns the previous one.
-  std::unique_ptr<RecordPartitioner> Swap(
-      std::unique_ptr<RecordPartitioner> next) {
-    CHILLER_CHECK(!in_transition())
-        << "whole-layout Swap during an incremental transition";
-    active_.swap(next);
-    ++version_;
-    return next;
-  }
 
   /// Stages `next` as the incoming layout of an incremental relayout over
   /// `num_buckets` relayout buckets; no routing changes yet.
@@ -162,7 +146,7 @@ class SwappablePartitioner : public RecordPartitioner {
 
   bool in_transition() const { return next_ != nullptr; }
 
-  /// Monotonic layout version, bumped by every Swap / BeginTransition /
+  /// Monotonic layout version, bumped by every BeginTransition /
   /// FlipBucket / FinishTransition.
   uint64_t version() const { return version_; }
 

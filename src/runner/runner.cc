@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
 
 #include "cc/load_model.h"
-#include "cc/migration.h"
 #include "migrate/adaptive_controller.h"
-#include "migrate/live_migrator.h"
-#include "migrate/migration_governor.h"
 #include "migrate/migration_plan.h"
+#include "migrate/relayout_executor.h"
 #include "net/topology.h"
 #include "partition/chiller_partitioner.h"
 #include "partition/stats_collector.h"
@@ -359,9 +358,34 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
   const std::vector<Phase> plan = spec.EffectivePhases();
 
   // Section 4.1 loop state, alive across phases: the sampling statistics
-  // service and the layout the last replan built but has not yet migrated.
+  // service, the layout the last replan built but has not yet migrated,
+  // and the executor every relayout of the plan runs through (so the
+  // report sums them, like the continuous controller's).
   std::unique_ptr<partition::StatsCollector> collector;
   std::unique_ptr<partition::LookupPartitioner> pending_layout;
+  std::unique_ptr<migrate::RelayoutExecutor> relayout;
+  auto start_relayout = [&](uint32_t buckets) -> Status {
+    if (relayout == nullptr) {
+      std::optional<migrate::MigrationGovernorOptions> governor;
+      if (spec.governor) {
+        governor = migrate::MigrationGovernorOptions{
+            .min_streams = spec.governor_min_streams,
+            .max_streams = spec.governor_max_streams,
+            .p99_budget = spec.governor_p99_budget,
+            .max_abort_share = spec.governor_max_abort_share};
+      }
+      relayout = std::make_unique<migrate::RelayoutExecutor>(
+          driver, env->cluster.get(), env->repl.get(),
+          env->bundle->adaptive_partitioner(),
+          migrate::LiveMigratorOptions{
+              .batch_records = spec.migrate_batch_records,
+              .streams = spec.migrate_streams},
+          governor);
+    }
+    migrate::MigrationPlan plan = migrate::MigrationPlan::Diff(
+        env->cluster.get(), *pending_layout, buckets);
+    return relayout->Start(std::move(plan), std::move(pending_layout));
+  };
 
   driver->Start();
   SimTime measured = 0;
@@ -423,12 +447,10 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
       }
 
       case PhaseKind::kMigrate: {
-        // Drain in-flight transactions, make the new layout live, move the
-        // records to match it, then re-arm the closed loop. The swap and
-        // the moves are invisible to execution: nothing runs in between.
-        // The drain is recorded as its own timeline slice so the
-        // stop-the-world window that follows is exactly the zero-commit
-        // migration pause.
+        // Stop the world: drain in-flight transactions, move the whole diff
+        // as one relayout bucket with nothing else running, then re-arm the
+        // load model. The drain is recorded as its own timeline slice so
+        // the one that follows is exactly the zero-commit migration pause.
         {
           const SimTime t0 = sim->now();
           const uint64_t c0 = driver->lifetime_commits();
@@ -436,102 +458,36 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
           driver->Quiesce();
           push_slice(t0, c0, l0);
         }
-        partition::SwappablePartitioner* live =
-            env->bundle->adaptive_partitioner();
-        live->Swap(std::move(pending_layout));
-        // The layout no longer matches what the workload was written
-        // against: arm the protocols' layout-assumption checks (e.g.
-        // Chiller's co-location contract degrades to the fallback instead
-        // of CHECK-failing). Host-side only — the checks cannot fire on a
-        // quiesced swap's consistent placement, so results are unchanged.
-        env->cluster->bucket_locks()->NoteLayoutMutation();
-        const SimTime mig_t0 = sim->now();
-        const uint64_t mig_c0 = driver->lifetime_commits();
-        const uint64_t mig_l0 = driver->lifetime_latency_ns();
-        auto migration =
-            cc::MigrateToLayout(env->cluster.get(), env->repl.get(), *live);
-        if (!migration.ok()) return migration.status();
-        result.adaptive.migration = migration.value();
-        result.adaptive.migration_start = mig_t0;
-        result.adaptive.migration_end = sim->now();
-        result.adaptive.migration_window_commits =
-            driver->lifetime_commits() - mig_c0;
-        push_slice(mig_t0, mig_c0, mig_l0);
+        const SimTime t0 = sim->now();
+        const uint64_t c0 = driver->lifetime_commits();
+        const uint64_t l0 = driver->lifetime_latency_ns();
+        Status mst = start_relayout(/*buckets=*/1);
+        if (!mst.ok()) return mst;
+        sim->Run();
+        relayout->Harvest();
+        push_slice(t0, c0, l0);
         driver->Resume();
         break;
       }
 
       case PhaseKind::kLiveMigrate: {
-        // Incremental relayout under traffic (src/migrate): diff the
-        // physical placement against the replanned layout, then keep the
-        // driver advancing while the migrator walks the plan bucket by
-        // bucket. No quiesce, no resume — commits keep flowing.
-        partition::SwappablePartitioner* live =
-            env->bundle->adaptive_partitioner();
-        migrate::MigrationPlan mplan = migrate::MigrationPlan::Diff(
-            env->cluster.get(), *pending_layout, spec.relayout_buckets);
-        migrate::LiveMigratorOptions mopts;
-        mopts.batch_records = spec.migrate_batch_records;
-        mopts.streams = spec.migrate_streams;
-        migrate::LiveMigrator migrator(env->cluster.get(), env->repl.get(),
-                                       live, mopts);
-        std::unique_ptr<migrate::MigrationGovernor> governor;
-        if (spec.governor) {
-          governor = std::make_unique<migrate::MigrationGovernor>(
-              migrate::MigrationGovernorOptions{
-                  .min_streams = spec.governor_min_streams,
-                  .max_streams = spec.governor_max_streams,
-                  .p99_budget = spec.governor_p99_budget,
-                  .max_abort_share = spec.governor_max_abort_share},
-              spec.migrate_streams, env->cluster->metrics());
-        }
-        const SimTime t0 = sim->now();
-        const uint64_t c0 = driver->lifetime_commits();
-        const uint64_t a0 = driver->lifetime_migration_aborts();
-        Status mst = migrator.Start(std::move(mplan),
-                                    std::move(pending_layout));
+        // Incremental relayout under traffic (src/migrate): keep the driver
+        // advancing, one governed epoch per step, while the migrator walks
+        // the plan bucket by bucket. No quiesce, no resume.
+        Status mst = start_relayout(spec.relayout_buckets);
         if (!mst.ok()) return mst;
         const SimTime step = spec.timeline_slice > 0
                                  ? spec.timeline_slice
                                  : 100 * kMicrosecond;
-        // Scope the governor's p99 window to the relayout's steps.
-        if (governor != nullptr) driver->TakeCommitLatencyWindow();
         uint64_t guard = 0;
-        while (!migrator.done()) {
-          const uint64_t gc0 = driver->lifetime_commits();
-          const uint64_t ga0 = driver->lifetime_migration_aborts();
+        while (relayout->in_flight()) {
+          relayout->BeginEpoch();
           advance_recorded(step);
-          if (governor != nullptr && !migrator.done()) {
-            // One governor epoch per advance step: fold the step's
-            // foreground signals into the stream width.
-            migrate::GovernorSignals signals;
-            signals.commits = driver->lifetime_commits() - gc0;
-            signals.migration_aborts =
-                driver->lifetime_migration_aborts() - ga0;
-            const Histogram window = driver->TakeCommitLatencyWindow();
-            signals.p99 =
-                window.count() == 0 ? 0 : window.Percentile(99.0);
-            migrator.SetTargetStreams(governor->Decide(signals));
-          }
+          relayout->CloseEpoch();
           CHILLER_CHECK(++guard < (1u << 20))
               << "live migration did not settle";
         }
-        result.adaptive.migration = migrator.stats().base;
-        result.adaptive.buckets_moved = migrator.stats().buckets_moved;
-        result.adaptive.peak_streams = std::max(
-            result.adaptive.peak_streams, migrator.stats().peak_streams);
-        if (governor != nullptr) {
-          result.adaptive.governor_widens += governor->report().widens;
-          result.adaptive.governor_narrows += governor->report().narrows;
-        }
-        result.adaptive.migration_start = t0;
-        result.adaptive.migration_end = t0 + migrator.stats().base.sim_time;
-        // Window deltas include the tail of the slice in which the last
-        // bucket flipped (at most one slice of overshoot).
-        result.adaptive.migration_window_commits =
-            driver->lifetime_commits() - c0;
-        result.adaptive.migration_window_aborts =
-            driver->lifetime_migration_aborts() - a0;
+        relayout->Harvest();
         break;
       }
 
@@ -548,6 +504,19 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
     }
   }
   driver->set_measured_window(measured);
+  if (relayout != nullptr) {
+    const migrate::RelayoutTotals& t = relayout->totals();
+    AdaptiveReport& a = result.adaptive;
+    a.migration = t.migration;
+    a.migration_start = t.first_start;
+    a.migration_end = t.last_end;
+    a.migration_window_commits = t.window_commits;
+    a.migration_window_aborts = t.window_aborts;
+    a.buckets_moved = t.buckets_moved;
+    a.peak_streams = t.peak_streams;
+    a.governor_widens = t.governor_widens;
+    a.governor_narrows = t.governor_narrows;
+  }
   return finish();
 }
 

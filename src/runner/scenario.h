@@ -26,7 +26,9 @@ enum class PhaseKind : uint8_t {
   kWarmup,   ///< run the closed loop, discard stats
   kSample,   ///< run the closed loop with a sampling StatsCollector attached
   kReplan,   ///< build a Chiller layout from the samples (no simulated time)
-  kMigrate,  ///< quiesce, swap the live layout, physically move records
+  /// Quiesced relayout: stop the driver, move the whole diff as one
+  /// relayout bucket through the live migrator, resume.
+  kMigrate,
   /// Live relayout (src/migrate): move records bucket-by-bucket while
   /// traffic keeps flowing; transactions hitting an in-flight bucket
   /// retry with the dedicated migration abort class.
@@ -140,7 +142,7 @@ struct ScenarioSpec {
   /// controller: the granule of incremental migration (locked buckets
   /// gate their traffic; everything else keeps flowing).
   uint32_t relayout_buckets = 64;
-  /// Records per migration RPC batch (live path only).
+  /// Records per migration RPC batch (quiesced and live relayouts alike).
   uint32_t migrate_batch_records = 128;
   /// Relayout buckets streamed concurrently by the live path (the
   /// migrator's k). 1 = the legacy sequential walk, byte for byte.
@@ -235,15 +237,16 @@ struct TimelineSlice {
 
 /// Adaptive-loop accounting for one scenario run: what the sampling service
 /// saw, what the replan decided, and what the migration cost. All zero for
-/// plans without sample/replan/migrate phases.
+/// plans without sample/replan/migrate phases; summed over every relayout
+/// when a run has several.
 struct AdaptiveReport {
   uint64_t sampled_txns = 0;
   size_t hot_records = 0;
   size_t lookup_entries = 0;
   cc::MigrationStats migration;
 
-  // Relayout window on the simulator clock (quiesced pause or live span;
-  // for continuous mode, the first relayout's start to the last one's end).
+  // Relayout window on the simulator clock: the first relayout's start to
+  // the last one's end (a quiesced pause or a live span when there is one).
   SimTime migration_start = 0;
   SimTime migration_end = 0;
   /// Commits that landed inside the window: 0 by construction for the
@@ -253,7 +256,7 @@ struct AdaptiveReport {
   uint64_t migration_window_commits = 0;
   /// Attempts aborted by the bucket gate inside the window.
   uint64_t migration_window_aborts = 0;
-  /// Relayout buckets completed by the live path (0 for quiesced).
+  /// Relayout buckets completed (a quiesced relayout is one bucket).
   uint32_t buckets_moved = 0;
 
   // Continuous-controller accounting (see migrate::AdaptiveController).
@@ -267,7 +270,7 @@ struct AdaptiveReport {
   /// Most recent replan's drift reading.
   double last_drift = 0.0;
 
-  // Concurrent-stream accounting (live migrate phases and continuous).
+  // Concurrent-stream accounting (a quiesced relayout runs one stream).
   /// Max relayout buckets concurrently in flight across the run.
   uint32_t peak_streams = 0;
   uint32_t governor_widens = 0;

@@ -338,7 +338,8 @@ TEST(MigrationGovernorTest, AimdWidensWhenCalmAndHalvesOnViolation) {
   opts.max_streams = 6;
   opts.p99_budget = 100 * kMicrosecond;
   opts.max_abort_share = 0.10;
-  migrate::MigrationGovernor gov(opts, /*initial_streams=*/1);
+  obs::MetricsRegistry registry(/*num_engines=*/1);
+  migrate::MigrationGovernor gov(opts, /*initial_streams=*/1, &registry);
   EXPECT_EQ(gov.target(), 1u);
 
   // Calm epochs: additive increase, one stream per epoch, capped at max.
@@ -370,7 +371,7 @@ TEST(MigrationGovernorTest, AimdWidensWhenCalmAndHalvesOnViolation) {
   // p99_budget = 0 disables the latency signal entirely.
   migrate::MigrationGovernorOptions no_lat = opts;
   no_lat.p99_budget = 0;
-  migrate::MigrationGovernor gov2(no_lat, /*initial_streams=*/2);
+  migrate::MigrationGovernor gov2(no_lat, /*initial_streams=*/2, &registry);
   EXPECT_EQ(gov2.Decide(slow), 3u);
 }
 
@@ -865,8 +866,8 @@ TEST(AdaptiveTpccTest, QuiescedPathWorksToo) {
   // engages on a layout the workload's co-location declarations were not
   // written against, and violations must degrade to the 2PL fallback
   // (txn::Transaction::force_fallback) rather than CHECK-crash — the
-  // quiesced swap arms the gate via NoteLayoutMutation just like a live
-  // epoch does.
+  // quiesced relayout opens a lock-table epoch, which arms the gate just
+  // like a live one does.
   ScenarioSpec spec;
   spec.workload = "adaptive-tpcc";
   spec.protocol = "chiller";

@@ -8,9 +8,10 @@
 #include <vector>
 
 #include "cc/cluster.h"
-#include "cc/migration.h"
 #include "cc/replication.h"
 #include "chiller/two_region.h"
+#include "migrate/live_migrator.h"
+#include "migrate/migration_plan.h"
 #include "partition/lookup_table.h"
 #include "workload/flight.h"
 
@@ -199,58 +200,86 @@ void ExpectPlacementMatches(ReplEnv* env, uint64_t n, uint32_t partitions,
   }
 }
 
+/// Starts the quiesced relayout path on `env`: the whole diff to `target`
+/// as one relayout bucket, executed by the live migrator with no traffic.
+/// The caller runs the simulator.
+std::unique_ptr<migrate::LiveMigrator> StartQuiesced(
+    ReplEnv* env, partition::SwappablePartitioner* live,
+    std::unique_ptr<partition::RecordPartitioner> target) {
+  auto migrator = std::make_unique<migrate::LiveMigrator>(
+      env->cluster.get(), env->repl.get(), live);
+  migrate::MigrationPlan plan = migrate::MigrationPlan::Diff(
+      env->cluster.get(), *target, /*num_buckets=*/1);
+  const Status st = migrator->Start(std::move(plan), std::move(target));
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return migrator;
+}
+
+/// StartQuiesced, then runs the simulator dry.
+migrate::LiveMigrationStats MigrateQuiesced(
+    ReplEnv* env, partition::SwappablePartitioner* live,
+    std::unique_ptr<partition::RecordPartitioner> target) {
+  auto migrator = StartQuiesced(env, live, std::move(target));
+  env->cluster->sim()->Run();
+  EXPECT_TRUE(migrator->done());
+  return migrator->stats();
+}
+
 TEST(MigrationTest, RelayoutConservesRecordsAndResyncsReplicas) {
   constexpr uint32_t kNodes = 4;
   constexpr uint32_t kRepl = 2;
   constexpr uint64_t kKeys = 256;
   ReplEnv env = MakeEnv(kNodes, kRepl);
-  partition::HashPartitioner initial(kNodes);
-  LoadSequential(&env, kKeys, initial);
+  partition::SwappablePartitioner live(
+      std::make_unique<partition::HashPartitioner>(kNodes));
+  LoadSequential(&env, kKeys, live);
   ASSERT_EQ(env.cluster->TotalPrimaryRecords(), kKeys);
 
   // Target layout: pin the first 32 keys to partition 0 explicitly (as a
   // replan's lookup table would), everything else keeps its hash home.
-  partition::LookupPartitioner target(
+  auto target = std::make_unique<partition::LookupPartitioner>(
       std::make_unique<partition::HashPartitioner>(kNodes));
-  for (uint64_t k = 0; k < 32; ++k) target.Assign(RecordId{0, k}, 0);
+  for (uint64_t k = 0; k < 32; ++k) target->Assign(RecordId{0, k}, 0);
 
-  auto stats = cc::MigrateToLayout(env.cluster.get(), env.repl.get(), target);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GT(stats->moved_records, 0u);
-  EXPECT_GT(stats->moved_bytes, 0u);
-  EXPECT_GT(stats->sim_time, 0u);  // moves pay simulated network time
+  const migrate::LiveMigrationStats stats =
+      MigrateQuiesced(&env, &live, std::move(target));
+  EXPECT_GT(stats.base.moved_records, 0u);
+  EXPECT_GT(stats.base.moved_bytes, 0u);
+  EXPECT_GT(stats.base.sim_time, 0u);  // moves pay simulated network time
+  EXPECT_EQ(stats.buckets_moved, 1u);
 
   EXPECT_EQ(env.cluster->TotalPrimaryRecords(), kKeys);
-  ExpectPlacementMatches(&env, kKeys, kNodes, kRepl, target);
+  ExpectPlacementMatches(&env, kKeys, kNodes, kRepl, live);
 }
 
 TEST(MigrationTest, NoopWhenLayoutAlreadyMatches) {
   ReplEnv env = MakeEnv(3, 2);
-  partition::HashPartitioner layout(3);
-  LoadSequential(&env, 64, layout);
-  auto stats = cc::MigrateToLayout(env.cluster.get(), env.repl.get(), layout);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->moved_records, 0u);
-  EXPECT_EQ(stats->moved_bytes, 0u);
+  partition::SwappablePartitioner live(
+      std::make_unique<partition::HashPartitioner>(3));
+  LoadSequential(&env, 64, live);
+  const migrate::LiveMigrationStats stats = MigrateQuiesced(
+      &env, &live, std::make_unique<partition::HashPartitioner>(3));
+  EXPECT_EQ(stats.base.moved_records, 0u);
+  EXPECT_EQ(stats.base.moved_bytes, 0u);
   EXPECT_EQ(env.cluster->TotalPrimaryRecords(), 64u);
 }
 
 TEST(MigrationTest, FullyReplicatedRecordsStayEverywhere) {
   ReplEnv env = MakeEnv(3, 2);
-  partition::HashPartitioner layout(3);
-  LoadSequential(&env, 64, layout);
+  partition::SwappablePartitioner live(
+      std::make_unique<partition::HashPartitioner>(3));
+  LoadSequential(&env, 64, live);
   storage::Record item(1);
   item.Set(0, 99);
   env.cluster->LoadEverywhere(RecordId{0, 1000}, item);
 
   // Whatever the layout says about the replicated record, it must not move
   // (it is already everywhere) and the rest must still migrate correctly.
-  partition::LookupPartitioner target(
+  auto target = std::make_unique<partition::LookupPartitioner>(
       std::make_unique<partition::HashPartitioner>(3));
-  target.Assign(RecordId{0, 1000}, 2);
-  for (uint64_t k = 0; k < 8; ++k) target.Assign(RecordId{0, k}, 1);
-  auto stats = cc::MigrateToLayout(env.cluster.get(), env.repl.get(), target);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  target->Assign(RecordId{0, 1000}, 2);
+  for (uint64_t k = 0; k < 8; ++k) target->Assign(RecordId{0, k}, 1);
+  MigrateQuiesced(&env, &live, std::move(target));
   for (PartitionId p = 0; p < 3; ++p) {
     ASSERT_NE(env.cluster->primary(p)->Find(RecordId{0, 1000}), nullptr);
   }
@@ -259,21 +288,41 @@ TEST(MigrationTest, FullyReplicatedRecordsStayEverywhere) {
   }
 }
 
-TEST(MigrationTest, RefusesClustersHoldingLocks) {
-  ReplEnv env = MakeEnv(3, 2);
-  partition::HashPartitioner layout(3);
-  LoadSequential(&env, 16, layout);
+TEST(MigrationTest, HeldLockDelaysTheRelayoutUntilReleased) {
+  constexpr uint32_t kNodes = 3;
+  constexpr uint32_t kRepl = 2;
+  constexpr uint64_t kKeys = 16;
+  ReplEnv env = MakeEnv(kNodes, kRepl);
+  partition::HashPartitioner layout(kNodes);
+  partition::SwappablePartitioner live(
+      std::make_unique<partition::HashPartitioner>(kNodes));
+  LoadSequential(&env, kKeys, live);
   const RecordId rid{0, 3};
-  storage::PartitionStore* holder =
-      env.cluster->primary(layout.PartitionOf(rid));
+  const PartitionId home = layout.PartitionOf(rid);
+  storage::PartitionStore* holder = env.cluster->primary(home);
   ASSERT_TRUE(holder->TryLock(rid, storage::LockMode::kExclusive).ok());
-  partition::LookupPartitioner target(
-      std::make_unique<partition::HashPartitioner>(3));
-  target.Assign(rid, (layout.PartitionOf(rid) + 1) % 3);
-  EXPECT_TRUE(cc::MigrateToLayout(env.cluster.get(), env.repl.get(), target)
-                  .status()
-                  .IsFailedPrecondition());
+  auto target = std::make_unique<partition::LookupPartitioner>(
+      std::make_unique<partition::HashPartitioner>(kNodes));
+  target->Assign(rid, (home + 1) % kNodes);
+
+  // The batch carrying `rid` waits for its storage-bucket lock word: the
+  // relayout stalls with every record still at its old home.
+  auto migrator = StartQuiesced(&env, &live, std::move(target));
+  sim::Scheduler* sim = env.cluster->sim();
+  sim->RunUntil(sim->now() + 500 * kMicrosecond);
+  EXPECT_FALSE(migrator->done());
+  EXPECT_GT(migrator->stats().lock_retries, 0u);
+  EXPECT_EQ(migrator->stats().base.moved_records, 0u);
+  EXPECT_EQ(env.cluster->TotalPrimaryRecords(), kKeys);
+  EXPECT_NE(holder->Find(rid), nullptr);
+
+  // Releasing the lock lets the relayout finish, conserving every record.
   holder->Unlock(rid, storage::LockMode::kExclusive, false);
+  sim->Run();
+  ASSERT_TRUE(migrator->done());
+  EXPECT_EQ(migrator->stats().base.moved_records, 1u);
+  EXPECT_EQ(env.cluster->TotalPrimaryRecords(), kKeys);
+  ExpectPlacementMatches(&env, kKeys, kNodes, kRepl, live);
 }
 
 }  // namespace

@@ -435,6 +435,51 @@ TEST(PhasePlanTest, AdaptiveRelayoutBeatsStaticHashLayout) {
   EXPECT_GT(moved->stats.TotalCommits(), frozen->stats.TotalCommits());
 }
 
+TEST(PhasePlanTest, TwoRelayoutsAccumulateIntoOneReport) {
+  // A plan that relayouts twice reports both, the way the continuous
+  // controller does: moves are summed and the window runs from the first
+  // relayout's start to the last one's end.
+  ScenarioSpec spec;
+  spec.workload = "adaptive";
+  spec.protocol = "chiller";
+  spec.nodes = 3;
+  spec.engines_per_node = 1;
+  spec.concurrency = 2;
+  spec.seed = 9;
+  spec.options.Set("keys_per_partition", 2000);
+  spec.options.Set("theta", 0.95);
+  const std::vector<Phase> first = {
+      Phase::Warmup(kMillisecond),
+      Phase::Sample(2 * kMillisecond, /*rate=*/1.0),
+      Phase::Replan(),
+      Phase::Migrate(),
+  };
+  ScenarioSpec once = spec;
+  once.phases = first;
+  once.phases.push_back(Phase::Measure(kMillisecond));
+  ScenarioSpec twice = spec;
+  twice.phases = first;
+  for (const Phase& ph :
+       {Phase::Sample(2 * kMillisecond, /*rate=*/1.0), Phase::Replan(),
+        Phase::LiveMigrate(), Phase::Measure(kMillisecond)}) {
+    twice.phases.push_back(ph);
+  }
+
+  auto a = ScenarioRunner::Run(once);
+  auto b = ScenarioRunner::Run(twice);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_GT(a->adaptive.migration.moved_records, 0u);
+  EXPECT_EQ(b->adaptive.migration_start, a->adaptive.migration_start);
+  EXPECT_GT(b->adaptive.migration_end, a->adaptive.migration_end);
+  EXPECT_GE(b->adaptive.migration.moved_records,
+            a->adaptive.migration.moved_records);
+  EXPECT_GE(b->adaptive.migration.moved_bytes,
+            a->adaptive.migration.moved_bytes);
+  EXPECT_GE(b->adaptive.migration.sim_time, a->adaptive.migration.sim_time);
+  EXPECT_GE(b->adaptive.buckets_moved, a->adaptive.buckets_moved);
+}
+
 // ---------------------------------------------------------------------------
 // Load models through the runner
 // ---------------------------------------------------------------------------
