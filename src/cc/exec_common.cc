@@ -200,7 +200,7 @@ PartitionId ResolvePartition(const Deps& d, const Transaction& t, size_t i) {
 }
 
 void LockAndFetch(const Deps& d, Transaction* t, size_t i, Engine* eng,
-                  bool apply_inline, std::function<void(bool)> cb) {
+                  bool apply_inline, sim::Fn<void(bool)> cb) {
   const Operation& op = t->ops[i];
   Access& acc = t->accesses[i];
   CHILLER_CHECK(acc.key_resolved && acc.partition != kInvalidPartition);
@@ -322,7 +322,7 @@ void LockAndFetch(const Deps& d, Transaction* t, size_t i, Engine* eng,
         }
       },
       /*completion=*/
-      [d, t, i, eng, apply_inline, res, cb = std::move(cb)]() {
+      [d, t, i, eng, apply_inline, res, cb = std::move(cb)]() mutable {
         eng->cpu()->Submit(
             d.cluster->costs().op_logic,
             [t, i, apply_inline, res, cb = std::move(cb)]() {
@@ -355,7 +355,7 @@ void LockAndFetch(const Deps& d, Transaction* t, size_t i, Engine* eng,
 }
 
 void FetchVersioned(const Deps& d, Transaction* t, size_t i, Engine* eng,
-                    std::function<void()> cb) {
+                    sim::Task cb) {
   Access& acc = t->accesses[i];
   CHILLER_CHECK(acc.key_resolved && acc.partition != kInvalidPartition);
   const ExecCosts& costs = d.cluster->costs();
@@ -447,7 +447,7 @@ void FetchVersioned(const Deps& d, Transaction* t, size_t i, Engine* eng,
           }
         }
       },
-      [d, t, i, eng, res, cb = std::move(cb)]() {
+      [d, t, i, eng, res, cb = std::move(cb)]() mutable {
         eng->cpu()->Submit(d.cluster->costs().op_logic,
                            [t, i, res, cb = std::move(cb)]() {
                              const Operation& op = t->ops[i];
@@ -477,7 +477,7 @@ void FetchVersioned(const Deps& d, Transaction* t, size_t i, Engine* eng,
 }
 
 void ValidateLockWrite(const Deps& d, Transaction* t, size_t i, Engine* eng,
-                       std::function<void(bool)> cb) {
+                       sim::Fn<void(bool)> cb) {
   Access& acc = t->accesses[i];
   CHILLER_CHECK(acc.alias_of < 0);
   auto attempt = [d, t, i](storage::PartitionStore* store) -> bool {
@@ -509,7 +509,7 @@ void ValidateLockWrite(const Deps& d, Transaction* t, size_t i, Engine* eng,
       [d, t, i, attempt, ok]() {
         *ok = attempt(StoreOf(d, t->accesses[i].partition));
       },
-      [eng, d, ok, cb = std::move(cb)]() {
+      [eng, d, ok, cb = std::move(cb)]() mutable {
         eng->cpu()->Submit(d.cluster->costs().op_logic,
                            [ok, cb = std::move(cb)]() { cb(*ok); });
       },
@@ -517,7 +517,7 @@ void ValidateLockWrite(const Deps& d, Transaction* t, size_t i, Engine* eng,
 }
 
 void ValidateRead(const Deps& d, Transaction* t, size_t i, Engine* eng,
-                  std::function<void(bool)> cb) {
+                  sim::Fn<void(bool)> cb) {
   Access& acc = t->accesses[i];
   CHILLER_CHECK(acc.alias_of < 0);
   auto check = [d, t, i]() -> bool {
@@ -543,7 +543,7 @@ void ValidateRead(const Deps& d, Transaction* t, size_t i, Engine* eng,
   const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
   d.cluster->rdma()->OneSided(
       src, dst, 32, kLockRespBase, [check, ok]() { *ok = check(); },
-      [eng, d, ok, cb = std::move(cb)]() {
+      [eng, d, ok, cb = std::move(cb)]() mutable {
         eng->cpu()->Submit(d.cluster->costs().op_logic,
                            [ok, cb = std::move(cb)]() { cb(*ok); });
       },
@@ -566,14 +566,9 @@ namespace {
 /// CPU slice, remote ones as one one-sided WRITE each; cb when all settle.
 void FinishLocks(const Deps& d, Transaction* t,
                  const std::vector<size_t>& indices, Engine* eng, bool apply,
-                 std::function<void()> cb) {
-  // Descending index order: a piggybacked write (which always has a higher
-  // index than its bucket's lock holder) must land before the holder's
-  // unlock — both locally and on the FIFO queue pair to the remote node.
-  std::vector<size_t> ordered(indices.begin(), indices.end());
-  std::sort(ordered.begin(), ordered.end(), std::greater<size_t>());
+                 sim::Task cb) {
   std::vector<size_t> local, remote;
-  for (size_t i : ordered) {
+  for (size_t i : indices) {
     Access& acc = t->accesses[i];
     if (acc.bucket_piggyback) {
       // No lock of its own; only a committed write needs applying.
@@ -583,36 +578,44 @@ void FinishLocks(const Deps& d, Transaction* t,
     }
     (acc.partition == eng->id() ? local : remote).push_back(i);
   }
-  auto pending = std::make_shared<size_t>((local.empty() ? 0 : 1) +
-                                          remote.size());
-  if (*pending == 0) {
+  // Descending index order: a piggybacked write (which always has a higher
+  // index than its bucket's lock holder) must land before the holder's
+  // unlock — both locally and on the FIFO queue pair to the remote node.
+  std::sort(local.begin(), local.end(), std::greater<size_t>());
+  std::sort(remote.begin(), remote.end(), std::greater<size_t>());
+  const size_t arrivals = (local.empty() ? 0 : 1) + remote.size();
+  if (arrivals == 0) {
     cb();
     return;
   }
-  auto shared_cb = std::make_shared<std::function<void()>>(std::move(cb));
-  auto arrive = [pending, shared_cb]() {
-    CHILLER_CHECK(*pending > 0);
-    if (--*pending == 0) (*shared_cb)();
+  struct Join {
+    size_t pending;
+    sim::Task cb;
+  };
+  auto join = std::make_shared<Join>(Join{arrivals, std::move(cb)});
+  auto arrive = [join]() {
+    CHILLER_CHECK(join->pending > 0);
+    if (--join->pending == 0) join->cb();
   };
 
   const ExecCosts& costs = d.cluster->costs();
   if (!local.empty()) {
-    eng->cpu()->Submit(costs.op_commit * local.size(),
-                       [d, t, local, apply, arrive]() {
-                         for (size_t i : local) {
-                           Access& acc = t->accesses[i];
-                           storage::PartitionStore* store =
-                               StoreOf(d, acc.partition);
-                           if (acc.bucket_piggyback) {
-                             ApplyPiggybackAtStore(store, t->ops[i], &acc);
-                           } else if (apply) {
-                             ApplyOneAtStore(store, t->ops[i], &acc);
-                           } else {
-                             ReleaseOneAtStore(store, t->ops[i], &acc);
-                           }
-                         }
-                         arrive();
-                       });
+    const SimTime cost = costs.op_commit * local.size();
+    eng->cpu()->Submit(
+        cost, [d, t, local = std::move(local), apply, arrive]() {
+          for (size_t i : local) {
+            Access& acc = t->accesses[i];
+            storage::PartitionStore* store = StoreOf(d, acc.partition);
+            if (acc.bucket_piggyback) {
+              ApplyPiggybackAtStore(store, t->ops[i], &acc);
+            } else if (apply) {
+              ApplyOneAtStore(store, t->ops[i], &acc);
+            } else {
+              ReleaseOneAtStore(store, t->ops[i], &acc);
+            }
+          }
+          arrive();
+        });
   }
   const NodeId src = d.cluster->topology().NodeOfEngine(eng->id());
   for (size_t i : remote) {
@@ -641,12 +644,12 @@ void FinishLocks(const Deps& d, Transaction* t,
 
 void ApplyAndUnlock(const Deps& d, Transaction* t,
                     const std::vector<size_t>& indices, Engine* eng,
-                    std::function<void()> cb) {
+                    sim::Task cb) {
   FinishLocks(d, t, indices, eng, /*apply=*/true, std::move(cb));
 }
 
 void Release(const Deps& d, Transaction* t, const std::vector<size_t>& indices,
-             Engine* eng, std::function<void()> cb) {
+             Engine* eng, sim::Task cb) {
   FinishLocks(d, t, indices, eng, /*apply=*/false, std::move(cb));
 }
 

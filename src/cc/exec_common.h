@@ -4,7 +4,6 @@
 #ifndef CHILLER_CC_EXEC_COMMON_H_
 #define CHILLER_CC_EXEC_COMMON_H_
 
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "cc/engine.h"
 #include "cc/replication.h"
 #include "partition/lookup_table.h"
+#include "sim/fn.h"
 #include "txn/transaction.h"
 
 namespace chiller::cc::exec {
@@ -41,33 +41,33 @@ PartitionId ResolvePartition(const Deps& d, const txn::Transaction& t,
 /// protocols except deferred outer-phase-2 ops in Chiller).
 /// `cb(ok)`: ok=false means NO_WAIT conflict; the lock was not acquired.
 void LockAndFetch(const Deps& d, txn::Transaction* t, size_t i, Engine* eng,
-                  bool apply_inline, std::function<void(bool)> cb);
+                  bool apply_inline, sim::Fn<void(bool)> cb);
 
 /// OCC execution-phase read: fetches the record image and its version stamp
 /// without taking any lock.
 void FetchVersioned(const Deps& d, txn::Transaction* t, size_t i, Engine* eng,
-                    std::function<void()> cb);
+                    sim::Task cb);
 
 /// OCC validation: exclusively locks op `i`'s bucket and verifies the
 /// version still matches the execution-phase observation. cb(ok).
 void ValidateLockWrite(const Deps& d, txn::Transaction* t, size_t i,
-                       Engine* eng, std::function<void(bool)> cb);
+                       Engine* eng, sim::Fn<void(bool)> cb);
 
 /// OCC read validation: verifies version unchanged and not write-locked.
 void ValidateRead(const Deps& d, txn::Transaction* t, size_t i, Engine* eng,
-                  std::function<void(bool)> cb);
+                  sim::Fn<void(bool)> cb);
 
 /// Applies buffered effects and releases locks for the lock-holding
 /// accesses in `indices`; cb() after every completion (local and remote)
 /// lands. Locks of read-only holders are released without a version bump.
 void ApplyAndUnlock(const Deps& d, txn::Transaction* t,
                     const std::vector<size_t>& indices, Engine* eng,
-                    std::function<void()> cb);
+                    sim::Task cb);
 
 /// Releases locks without applying anything (abort path).
 void Release(const Deps& d, txn::Transaction* t,
              const std::vector<size_t>& indices, Engine* eng,
-             std::function<void()> cb);
+             sim::Task cb);
 
 /// Indices of accesses currently holding locks.
 std::vector<size_t> HeldIndices(const txn::Transaction& t);

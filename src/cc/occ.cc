@@ -17,7 +17,7 @@ using txn::Transaction;
 class OccRun : public std::enable_shared_from_this<OccRun> {
  public:
   OccRun(Protocol* proto, std::shared_ptr<Transaction> t,
-         std::function<void()> done)
+         sim::Task done)
       : deps_{proto->cluster(), proto->partitioner()},
         repl_(proto->replication()),
         t_(std::move(t)),
@@ -156,7 +156,7 @@ class OccRun : public std::enable_shared_from_this<OccRun> {
   exec::Deps deps_;
   ReplicationManager* repl_;
   std::shared_ptr<Transaction> t_;
-  std::function<void()> done_;
+  sim::Task done_;
   Engine* eng_;
   std::vector<size_t> write_set_;
   std::vector<size_t> read_set_;
@@ -164,7 +164,7 @@ class OccRun : public std::enable_shared_from_this<OccRun> {
 
 }  // namespace
 
-void Occ::Execute(std::shared_ptr<Transaction> t, std::function<void()> done) {
+void Occ::Execute(std::shared_ptr<Transaction> t, sim::Task done) {
   std::make_shared<OccRun>(this, std::move(t), std::move(done))->Start();
 }
 

@@ -2,7 +2,6 @@
 #ifndef CHILLER_CC_OCC_H_
 #define CHILLER_CC_OCC_H_
 
-#include <functional>
 #include <memory>
 
 #include "cc/protocol.h"
@@ -26,7 +25,7 @@ class Occ : public Protocol {
   const char* name() const override { return "OCC"; }
 
   void Execute(std::shared_ptr<txn::Transaction> t,
-               std::function<void()> done) override;
+               sim::Task done) override;
 };
 
 }  // namespace chiller::cc

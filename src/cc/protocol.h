@@ -2,7 +2,6 @@
 #ifndef CHILLER_CC_PROTOCOL_H_
 #define CHILLER_CC_PROTOCOL_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "cc/replication.h"
 #include "common/histogram.h"
 #include "partition/lookup_table.h"
+#include "sim/fn.h"
 #include "txn/transaction.h"
 
 namespace chiller::cc {
@@ -153,7 +153,7 @@ class Protocol {
   /// releases and replication) has been issued; the transaction's outcome
   /// field tells the caller whether to retry.
   virtual void Execute(std::shared_ptr<txn::Transaction> t,
-                       std::function<void()> done) = 0;
+                       sim::Task done) = 0;
 
   Cluster* cluster() { return cluster_; }
   const partition::RecordPartitioner* partitioner() const {

@@ -31,7 +31,7 @@ void ReplicationManager::ApplyAtReplica(storage::PartitionStore* store,
 void ReplicationManager::Replicate(EngineId src_engine, PartitionId p,
                                    std::vector<ReplUpdate> updates,
                                    EngineId ack_engine,
-                                   std::function<void()> on_done) {
+                                   sim::Task on_done) {
   const net::Topology& topo = cluster_->topology();
   const uint32_t replicas = topo.num_replicas();
   if (replicas == 0) {
@@ -46,10 +46,14 @@ void ReplicationManager::Replicate(EngineId src_engine, PartitionId p,
       cluster_->costs().replica_apply *
       std::max<SimTime>(1, static_cast<SimTime>(updates.size()));
 
-  auto pending = std::make_shared<uint32_t>(replicas);
-  auto shared_updates =
-      std::make_shared<std::vector<ReplUpdate>>(std::move(updates));
-  auto shared_done = std::make_shared<std::function<void()>>(std::move(on_done));
+  // One allocation shared by every replica's apply and ack.
+  struct Batch {
+    std::vector<ReplUpdate> updates;
+    uint32_t pending;
+    sim::Task on_done;
+  };
+  auto batch = std::make_shared<Batch>(
+      Batch{std::move(updates), replicas, std::move(on_done)});
 
   for (uint32_t i = 1; i <= replicas; ++i) {
     const EngineId replica_engine = topo.ReplicaEngine(p, i);
@@ -57,16 +61,14 @@ void ReplicationManager::Replicate(EngineId src_engine, PartitionId p,
         cluster_->engine(replica_engine)->replica(p);
     cluster_->rpc()->Send(
         src_engine, replica_engine, bytes, apply_cost,
-        [this, store, shared_updates, replica_engine, ack_engine, pending,
-         shared_done]() {
-          ApplyAtReplica(store, *shared_updates);
+        [this, store, batch, replica_engine, ack_engine]() {
+          ApplyAtReplica(store, batch->updates);
           // Ack goes to the coordinator of the transaction, not (necessarily)
           // back to the sender — the Figure 6 inner-region protocol.
-          cluster_->rpc()->Send(replica_engine, ack_engine, 32, 0,
-                                [pending, shared_done]() {
-                                  CHILLER_CHECK(*pending > 0);
-                                  if (--*pending == 0) (*shared_done)();
-                                });
+          cluster_->rpc()->Send(replica_engine, ack_engine, 32, 0, [batch]() {
+            CHILLER_CHECK(batch->pending > 0);
+            if (--batch->pending == 0) batch->on_done();
+          });
         });
   }
 }

@@ -2,11 +2,11 @@
 #ifndef CHILLER_CC_REPLICATION_H_
 #define CHILLER_CC_REPLICATION_H_
 
-#include <functional>
 #include <vector>
 
 #include "cc/cluster.h"
 #include "common/types.h"
+#include "sim/fn.h"
 #include "sim/per_domain.h"
 #include "storage/record.h"
 
@@ -41,7 +41,7 @@ class ReplicationManager {
   /// `on_done` fires on the next simulator step.
   void Replicate(EngineId src_engine, PartitionId p,
                  std::vector<ReplUpdate> updates, EngineId ack_engine,
-                 std::function<void()> on_done);
+                 sim::Task on_done);
 
   uint64_t batches_sent() const { return batches_sent_.Sum(); }
 

@@ -17,7 +17,7 @@ using txn::Transaction;
 class TwoPlRun : public std::enable_shared_from_this<TwoPlRun> {
  public:
   TwoPlRun(Protocol* proto, std::shared_ptr<Transaction> t,
-           std::function<void()> done)
+           sim::Task done)
       : deps_{proto->cluster(), proto->partitioner()},
         repl_(proto->replication()),
         t_(std::move(t)),
@@ -137,7 +137,7 @@ class TwoPlRun : public std::enable_shared_from_this<TwoPlRun> {
   exec::Deps deps_;
   ReplicationManager* repl_;
   std::shared_ptr<Transaction> t_;
-  std::function<void()> done_;
+  sim::Task done_;
   Engine* eng_;
   SimTime commit_start_ = 0;  ///< BeginCommit entry (the 2PC window)
 };
@@ -145,12 +145,12 @@ class TwoPlRun : public std::enable_shared_from_this<TwoPlRun> {
 }  // namespace
 
 void TwoPhaseLocking::Run(Protocol* proto, std::shared_ptr<Transaction> t,
-                          std::function<void()> done) {
+                          sim::Task done) {
   std::make_shared<TwoPlRun>(proto, std::move(t), std::move(done))->Start();
 }
 
 void TwoPhaseLocking::Execute(std::shared_ptr<Transaction> t,
-                              std::function<void()> done) {
+                              sim::Task done) {
   Run(this, std::move(t), std::move(done));
 }
 

@@ -2,7 +2,6 @@
 #ifndef CHILLER_CC_TWOPL_H_
 #define CHILLER_CC_TWOPL_H_
 
-#include <functional>
 #include <memory>
 
 #include "cc/protocol.h"
@@ -22,14 +21,14 @@ class TwoPhaseLocking : public Protocol {
   const char* name() const override { return "2PL"; }
 
   void Execute(std::shared_ptr<txn::Transaction> t,
-               std::function<void()> done) override;
+               sim::Task done) override;
 
   /// Runs the plain-2PL state machine on `t`. Exposed so Chiller can fall
   /// back to normal execution for transactions with no eligible inner
   /// region (Section 3.1: "when a transaction deals only with cold data it
   /// is executed normally, using 2PC at the end").
   static void Run(Protocol* proto, std::shared_ptr<txn::Transaction> t,
-                  std::function<void()> done);
+                  sim::Task done);
 };
 
 }  // namespace chiller::cc

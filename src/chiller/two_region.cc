@@ -33,7 +33,7 @@ struct InnerResult {
 class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
  public:
   ChillerRun(ChillerProtocol* proto, std::shared_ptr<Transaction> t,
-             TwoRegionPlan plan, std::function<void()> done)
+             TwoRegionPlan plan, sim::Task done)
       : proto_(proto),
         deps_{proto->cluster(), proto->partitioner()},
         t_(std::move(t)),
@@ -130,13 +130,13 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
   /// unilaterally, and fires the replica stream (without waiting — the
   /// replicas ack the coordinator; Figure 6).
   void ExecuteInner(std::shared_ptr<InnerResult> result,
-                    std::function<void()> reply) {
+                    sim::Task reply) {
     inner_start_ = deps_.cluster->sim()->now();
     InnerOpNext(0, result, std::move(reply));
   }
 
   void InnerOpNext(size_t k, std::shared_ptr<InnerResult> result,
-                   std::function<void()> reply) {
+                   sim::Task reply) {
     if (k == plan_.inner_ops.size()) {
       InnerCommit(result, std::move(reply));
       return;
@@ -205,7 +205,7 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
   /// replicas, reply. All local to the host; the hot records' contention
   /// span ends here.
   void InnerCommit(std::shared_ptr<InnerResult> result,
-                   std::function<void()> reply) {
+                   sim::Task reply) {
     auto self = shared_from_this();
     const auto held = InnerHeld();
     auto writes = exec::CollectWrites(*t_, held);
@@ -236,7 +236,7 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
   }
 
   void InnerAbort(Outcome why, std::shared_ptr<InnerResult> result,
-                  std::function<void()> reply) {
+                  sim::Task reply) {
     ++proto_->counters_.inner_aborts;
     result->status = why;
     auto self = shared_from_this();
@@ -336,7 +336,7 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
   exec::Deps deps_;
   std::shared_ptr<Transaction> t_;
   TwoRegionPlan plan_;
-  std::function<void()> done_;
+  sim::Task done_;
   Engine* coord_;
   Engine* inner_eng_;
 
@@ -348,7 +348,7 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
 };
 
 void ChillerProtocol::Execute(std::shared_ptr<Transaction> t,
-                              std::function<void()> done) {
+                              sim::Task done) {
   auto self = this;
   Engine* coord = cluster_->engine(
       cluster_->topology().EngineOfPartition(t->home));

@@ -3,7 +3,6 @@
 #define CHILLER_CHILLER_TWO_REGION_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 
 #include "cc/protocol.h"
@@ -54,7 +53,7 @@ class ChillerProtocol : public cc::Protocol {
   const char* name() const override { return "Chiller"; }
 
   void Execute(std::shared_ptr<txn::Transaction> t,
-               std::function<void()> done) override;
+               sim::Task done) override;
 
   const TwoRegionCounters& counters() const { return counters_; }
 

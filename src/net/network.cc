@@ -15,8 +15,7 @@ Network::Network(sim::Scheduler* sim, NetworkConfig config, uint32_t num_nodes)
       messages_sent_(num_nodes + 1u),
       bytes_sent_(num_nodes + 1u) {}
 
-void Network::Deliver(NodeId src, NodeId dst, size_t bytes,
-                      std::function<void()> fn) {
+void Network::Deliver(NodeId src, NodeId dst, size_t bytes, sim::Task fn) {
   CHILLER_DCHECK(src < num_nodes_ && dst < num_nodes_);
   const sim::DomainId ctx = sim_->current_domain();
   ++messages_sent_[ctx];

@@ -3,7 +3,6 @@
 #define CHILLER_NET_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.h"
@@ -53,7 +52,7 @@ class Network {
   /// at arrival time in dst's event domain; what it costs at the
   /// destination (engine CPU vs. NIC bypass) is the caller's concern (see
   /// RdmaFabric / RpcLayer).
-  void Deliver(NodeId src, NodeId dst, size_t bytes, std::function<void()> fn);
+  void Deliver(NodeId src, NodeId dst, size_t bytes, sim::Task fn);
 
   const NetworkConfig& config() const { return config_; }
   uint32_t num_nodes() const { return num_nodes_; }

@@ -5,8 +5,8 @@
 namespace chiller::net {
 
 void RdmaFabric::OneSided(NodeId src, NodeId dst, size_t req_bytes,
-                          size_t resp_bytes, std::function<void()> remote_op,
-                          std::function<void()> completion,
+                          size_t resp_bytes, sim::Task remote_op,
+                          sim::Task completion,
                           sim::CpuResource* initiator_cpu) {
   ++ops_issued_[sim_->current_domain()];
   auto issue = [this, src, dst, req_bytes, resp_bytes,

@@ -2,8 +2,6 @@
 #ifndef CHILLER_NET_RDMA_H_
 #define CHILLER_NET_RDMA_H_
 
-#include <functional>
-
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/cpu_resource.h"
@@ -36,8 +34,7 @@ class RdmaFabric {
   /// Initiator CPU cost (verb post + completion poll) is charged to
   /// `initiator_cpu` if non-null.
   void OneSided(NodeId src, NodeId dst, size_t req_bytes, size_t resp_bytes,
-                std::function<void()> remote_op,
-                std::function<void()> completion,
+                sim::Task remote_op, sim::Task completion,
                 sim::CpuResource* initiator_cpu = nullptr);
 
   uint64_t ops_issued() const { return ops_issued_.Sum(); }

@@ -12,7 +12,7 @@ void RpcLayer::BindEngines(std::vector<sim::CpuResource*> engine_cpus) {
 }
 
 void RpcLayer::Send(EngineId src_engine, EngineId dst_engine, size_t bytes,
-                    SimTime service_cost, std::function<void()> handler) {
+                    SimTime service_cost, sim::Task handler) {
   CHILLER_CHECK(!engine_cpus_.empty()) << "BindEngines not called";
   ++rpcs_sent_[sim_->current_domain()];
   const NodeId src = topology_.NodeOfEngine(src_engine);

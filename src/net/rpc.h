@@ -2,7 +2,6 @@
 #ifndef CHILLER_NET_RPC_H_
 #define CHILLER_NET_RPC_H_
 
-#include <functional>
 #include <vector>
 
 #include "net/network.h"
@@ -33,7 +32,7 @@ class RpcLayer {
   /// consuming `service_cost` ns of it. Charges post cost to the source
   /// engine's CPU. The handler sends any response explicitly via Send.
   void Send(EngineId src_engine, EngineId dst_engine, size_t bytes,
-            SimTime service_cost, std::function<void()> handler);
+            SimTime service_cost, sim::Task handler);
 
   uint64_t rpcs_sent() const { return rpcs_sent_.Sum(); }
   const Topology& topology() const { return topology_; }

@@ -5,7 +5,7 @@
 
 namespace chiller::sim {
 
-void CpuResource::Submit(SimTime cost, std::function<void()> fn) {
+void CpuResource::Submit(SimTime cost, Task fn) {
   const SimTime start = std::max(sim_->now(), busy_until_);
   const SimTime end = start + cost;
   busy_until_ = end;

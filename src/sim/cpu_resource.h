@@ -2,7 +2,6 @@
 #ifndef CHILLER_SIM_CPU_RESOURCE_H_
 #define CHILLER_SIM_CPU_RESOURCE_H_
 
-#include <functional>
 
 #include "common/types.h"
 #include "sim/scheduler.h"
@@ -27,7 +26,7 @@ class CpuResource {
       : sim_(sim), domain_(domain) {}
 
   /// Enqueues work consuming `cost` CPU-ns; `fn` runs at completion time.
-  void Submit(SimTime cost, std::function<void()> fn);
+  void Submit(SimTime cost, Task fn);
 
   /// Time at which the last queued work item completes.
   SimTime busy_until() const { return busy_until_; }

@@ -3,42 +3,49 @@
 #define CHILLER_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/fn.h"
 
 namespace chiller::sim {
 
-/// A scheduled callback. Events are totally ordered by the canonical key
-/// (time, domain, origin, seq) — see sim/scheduler.h for why that order is
-/// independent of thread interleaving. Two events at the same instant in
-/// the same domain from the same origin fire in the order they were
-/// scheduled, which makes simulations bit-for-bit reproducible; the
-/// plain Push(time, fn) overload tags everything (domain 0, origin 0), so
-/// for standalone use the order degenerates to the classic (time,
-/// schedule order) contract.
+/// A popped event: when and in which domain it fires, and what it runs.
 struct Event {
   SimTime time = 0;
   uint32_t domain = 0;  ///< domain the event fires in
-  uint32_t origin = 0;  ///< domain that scheduled it
-  uint64_t seq = 0;     ///< per-origin schedule counter
-  std::function<void()> fn;
+  Task fn;
 };
 
-/// Min-heap of events ordered by (time, domain, origin, seq).
+/// Min-heap of events ordered by the canonical key (time, domain, origin,
+/// seq) — see sim/scheduler.h for why that order is independent of thread
+/// interleaving. Two events at the same instant in the same domain from the
+/// same origin fire in the order they were scheduled, which makes
+/// simulations bit-for-bit reproducible; the plain Push(time, fn) overload
+/// tags everything (domain 0, origin 0), so for standalone use the order
+/// degenerates to the classic (time, schedule order) contract.
+///
+/// Each heap entry holds its Task (one pointer) under a packed key: time,
+/// then one 64-bit tie word holding domain, origin and seq in fixed-width
+/// fields, most significant first, so comparing tie words compares the
+/// three fields lexicographically. Push rejects a tag that does not fit.
 class EventQueue {
  public:
+  static constexpr unsigned kDomainBits = 12;
+  static constexpr unsigned kSeqBits = 64 - 2 * kDomainBits;
+  /// Exclusive upper bounds of the tag fields.
+  static constexpr uint64_t kMaxDomains = uint64_t{1} << kDomainBits;
+  static constexpr uint64_t kMaxSeq = uint64_t{1} << kSeqBits;
+
   /// Schedules `fn` at absolute time `time` with the default tags and an
   /// internal schedule counter (standalone single-origin use).
-  void Push(SimTime time, std::function<void()> fn);
+  void Push(SimTime time, Task fn);
 
   /// Schedules `fn` with an explicit (domain, origin, seq) tag. The caller
   /// owns seq assignment (one counter per origin domain); mixing this with
   /// the untagged overload on one queue forfeits the uniqueness of keys.
   void Push(SimTime time, uint32_t domain, uint32_t origin, uint64_t seq,
-            std::function<void()> fn);
+            Task fn);
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
@@ -49,26 +56,21 @@ class EventQueue {
   /// Removes and returns the earliest event. Queue must be non-empty.
   Event Pop();
 
+  /// Drops every pending event, destroying its closure.
+  void Clear() { heap_.clear(); }
+
  private:
   struct Entry {
     SimTime time;
-    uint32_t domain;
-    uint32_t origin;
-    uint64_t seq;
-    size_t slot;  // index into fns_
+    uint64_t tie;  ///< domain | origin | seq, see the class comment
+    Task fn;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.domain != b.domain) return a.domain > b.domain;
-      if (a.origin != b.origin) return a.origin > b.origin;
-      return a.seq > b.seq;
-    }
-  };
+  /// Heap order: true when `a` fires after `b`.
+  static bool Later(const Entry& a, const Entry& b) {
+    return a.time != b.time ? a.time > b.time : a.tie > b.tie;
+  }
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::vector<std::function<void()>> fns_;
-  std::vector<size_t> free_slots_;
+  std::vector<Entry> heap_;
   uint64_t next_seq_ = 0;
 };
 

@@ -36,13 +36,21 @@
 // one executes a per-domain-consistent interleaving of it, which produces
 // byte-identical results because same-time events in different data
 // domains commute.
+//
+// ## Callbacks
+//
+// Every scheduled callback is a sim::Task (sim/fn.h): a move-only closure
+// built once, in place, in a node from the scheduling thread's free list.
+// Queues and mailboxes move Tasks, which copies one pointer, so once the
+// free lists are warm a simulated hop pays neither a heap allocation nor a
+// closure copy. Protocol continuations use the same type (Task,
+// Fn<void(bool)>), and a lambda converts to either implicitly.
 #ifndef CHILLER_SIM_SCHEDULER_H_
 #define CHILLER_SIM_SCHEDULER_H_
 
 #include <cstdint>
-#include <functional>
-
 #include "common/types.h"
+#include "sim/fn.h"
 
 namespace chiller::sim {
 
@@ -80,8 +88,7 @@ class Scheduler {
   /// a window is exactly what the conservative synchronization forbids.
   /// The network layer satisfies this by construction (every cross-node
   /// message carries at least one window of latency); a DCHECK enforces it.
-  virtual void ScheduleIn(DomainId domain, SimTime when,
-                          std::function<void()> fn) = 0;
+  virtual void ScheduleIn(DomainId domain, SimTime when, Task fn) = 0;
 
   /// Schedules `fn` on the control plane. The fire time is now() + delay
   /// rounded *up* to the lookahead grid (control runs only at window
@@ -91,7 +98,7 @@ class Scheduler {
   /// to plain control-domain scheduling at now() + delay. The rounding is
   /// pure arithmetic on (now, delay, lookahead) — identical for every
   /// shard count.
-  virtual void ScheduleControl(SimTime delay, std::function<void()> fn) = 0;
+  virtual void ScheduleControl(SimTime delay, Task fn) = 0;
 
   /// Runs events until every queue drains. Leaves now() at the last
   /// event's timestamp.
@@ -115,12 +122,12 @@ class Scheduler {
   SimTime lookahead() const { return lookahead_; }
 
   /// Schedules `fn` in the *current* domain, `delay` ns from now.
-  void Schedule(SimTime delay, std::function<void()> fn) {
+  void Schedule(SimTime delay, Task fn) {
     ScheduleIn(current_domain(), now() + delay, std::move(fn));
   }
 
   /// Schedules `fn` in the current domain at absolute time `when`.
-  void ScheduleAt(SimTime when, std::function<void()> fn) {
+  void ScheduleAt(SimTime when, Task fn) {
     ScheduleIn(current_domain(), when, std::move(fn));
   }
 

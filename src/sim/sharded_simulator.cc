@@ -99,8 +99,7 @@ DomainId ShardedSimulator::current_domain() const {
   return kControlDomain;
 }
 
-void ShardedSimulator::ScheduleIn(DomainId domain, SimTime when,
-                                  std::function<void()> fn) {
+void ShardedSimulator::ScheduleIn(DomainId domain, SimTime when, Task fn) {
   CHILLER_CHECK(domain < seq_.size()) << "unknown domain " << domain;
   const SimTime t_now = now();
   const DomainId origin = current_domain();
@@ -137,8 +136,7 @@ void ShardedSimulator::ScheduleIn(DomainId domain, SimTime when,
   }
 }
 
-void ShardedSimulator::ScheduleControl(SimTime delay,
-                                       std::function<void()> fn) {
+void ShardedSimulator::ScheduleControl(SimTime delay, Task fn) {
   ScheduleIn(kControlDomain, ControlFireTime(delay), std::move(fn));
 }
 
@@ -242,11 +240,11 @@ void ShardedSimulator::RunUntil(SimTime until) {
 
 void ShardedSimulator::Clear() {
   for (Shard& s : shards_) {
-    while (!s.queue.empty()) s.queue.Pop();
+    s.queue.Clear();
     for (auto& box : s.outbox) box.clear();
     s.control_outbox.clear();
   }
-  while (!control_queue_.empty()) control_queue_.Pop();
+  control_queue_.Clear();
 }
 
 uint64_t ShardedSimulator::events_processed() const {

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -58,9 +57,8 @@ class ShardedSimulator : public Scheduler {
   SimTime now() const override;
   DomainId current_domain() const override;
 
-  void ScheduleIn(DomainId domain, SimTime when,
-                  std::function<void()> fn) override;
-  void ScheduleControl(SimTime delay, std::function<void()> fn) override;
+  void ScheduleIn(DomainId domain, SimTime when, Task fn) override;
+  void ScheduleControl(SimTime delay, Task fn) override;
 
   void Run() override;
   void RunUntil(SimTime until) override;
@@ -77,13 +75,14 @@ class ShardedSimulator : public Scheduler {
 
  private:
   /// An event in flight between shards, parked in a mailbox until the next
-  /// window boundary. Carries the full canonical key assigned at send time.
+  /// window boundary. Carries the full canonical key assigned at send time;
+  /// moving it moves the Task's node pointer, never the closure.
   struct Pending {
     SimTime when;
     DomainId domain;
     DomainId origin;
     uint64_t seq;
-    std::function<void()> fn;
+    Task fn;
   };
 
   /// Everything one shard's thread touches during a window. Padded so two

@@ -12,8 +12,7 @@ uint64_t Simulator::NextSeq(DomainId origin) {
   return seq_[origin]++;
 }
 
-void Simulator::ScheduleIn(DomainId domain, SimTime when,
-                           std::function<void()> fn) {
+void Simulator::ScheduleIn(DomainId domain, SimTime when, Task fn) {
   CHILLER_CHECK(when >= now_) << "scheduling into the past: " << when << " < "
                               << now_;
   // Conservative-synchronization contract: a data-domain event may reach a
@@ -30,7 +29,7 @@ void Simulator::ScheduleIn(DomainId domain, SimTime when,
               std::move(fn));
 }
 
-void Simulator::ScheduleControl(SimTime delay, std::function<void()> fn) {
+void Simulator::ScheduleControl(SimTime delay, Task fn) {
   const SimTime when = ControlFireTime(delay);
   queue_.Push(when, kControlDomain, current_domain_,
               NextSeq(current_domain_), std::move(fn));
@@ -56,8 +55,6 @@ void Simulator::RunUntil(SimTime until) {
   now_ = std::max(now_, until);
 }
 
-void Simulator::Clear() {
-  while (!queue_.empty()) queue_.Pop();
-}
+void Simulator::Clear() { queue_.Clear(); }
 
 }  // namespace chiller::sim

@@ -5,7 +5,6 @@
 #define CHILLER_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.h"
@@ -29,9 +28,8 @@ class Simulator : public Scheduler {
   SimTime now() const override { return now_; }
   DomainId current_domain() const override { return current_domain_; }
 
-  void ScheduleIn(DomainId domain, SimTime when,
-                  std::function<void()> fn) override;
-  void ScheduleControl(SimTime delay, std::function<void()> fn) override;
+  void ScheduleIn(DomainId domain, SimTime when, Task fn) override;
+  void ScheduleControl(SimTime delay, Task fn) override;
 
   /// Runs events until the queue drains.
   void Run() override;

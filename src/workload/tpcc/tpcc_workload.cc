@@ -75,6 +75,7 @@ std::unique_ptr<Transaction> BuildNewOrder(std::vector<int64_t> params) {
   const int64_t ol_cnt = p[3];
 
   std::vector<Operation> ops;
+  ops.reserve(5 + 3 * static_cast<size_t>(ol_cnt));
   // 0: warehouse tax — a shared lock on the warehouse contention point.
   ops.push_back(ReadOp(kWarehouse,
                        [w](const TxnContext&) { return WarehouseKey(w); },
@@ -212,6 +213,7 @@ std::unique_ptr<Transaction> BuildPayment(std::vector<int64_t> params) {
   const uint64_t h_seq = static_cast<uint64_t>(p[6]);
 
   std::vector<Operation> ops;
+  ops.reserve(4);
   // 0: W_YTD += amount — the paper's severest contention point: an
   //    exclusive lock on the single warehouse row.
   ops.push_back(UpdateOp(kWarehouse,
@@ -267,6 +269,7 @@ std::unique_ptr<Transaction> BuildOrderStatus(std::vector<int64_t> params) {
   const uint64_t o = static_cast<uint64_t>(p[3]);
 
   std::vector<Operation> ops;
+  ops.reserve(5);
   ops.push_back(ReadOp(kCustomer, [w, d, c](const TxnContext&) {
     return CustomerKey(w, d, c);
   }));
@@ -304,6 +307,7 @@ std::unique_ptr<Transaction> BuildDelivery(std::vector<int64_t> params) {
   const int64_t carrier = p[1];
 
   std::vector<Operation> ops;
+  ops.reserve(4 * kDistrictsPerWarehouse);
   for (uint64_t d = 0; d < kDistrictsPerWarehouse; ++d) {
     const uint64_t o = static_cast<uint64_t>(p[2 + d]);
     const int group = static_cast<int>(d);
@@ -389,6 +393,7 @@ std::unique_ptr<Transaction> BuildStockLevel(std::vector<int64_t> params) {
   constexpr uint64_t kLinesPerOrder = 5;
 
   std::vector<Operation> ops;
+  ops.reserve(1 + 2 * kLinesPerOrder * num_orders);
   // 0: D_NEXT_O_ID — shared lock on the district contention point.
   ops.push_back(ReadOp(kDistrict,
                        [w, d](const TxnContext&) {

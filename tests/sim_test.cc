@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <functional>
 #include <future>
@@ -12,6 +13,7 @@
 
 #include "sim/cpu_resource.h"
 #include "sim/event_queue.h"
+#include "sim/fn.h"
 #include "sim/scheduler.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
@@ -47,12 +49,17 @@ TEST(EventQueueTest, NextTimeReportsEarliest) {
   EXPECT_EQ(q.NextTime(), 7u);
 }
 
-TEST(EventQueueTest, SlotReuseAfterPop) {
+TEST(EventQueueTest, PoppedEventReleasesItsCapture) {
   EventQueue q;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) q.Push(i, [] {});
-    while (!q.empty()) q.Pop();
-  }
+  auto token = std::make_shared<int>(0);
+  q.Push(2, [token] { ++*token; });
+  q.Push(1, [token] {});
+  EXPECT_EQ(token.use_count(), 3);
+  q.Pop();  // dropped unrun
+  EXPECT_EQ(token.use_count(), 2);
+  q.Pop().fn();
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
   EXPECT_TRUE(q.empty());
 }
 
@@ -104,6 +111,19 @@ TEST(SimulatorTest, ClearDropsPending) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST(SimulatorTest, CapturesAreReleasedOnceRunOrCleared) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  sim.Schedule(1, [token] { ++*token; });
+  sim.Schedule(5, [token] { ++*token; });
+  sim.RunUntil(2);
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 2);  // only the pending t=5 event holds it
+  sim.Clear();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 1);
+}
+
 TEST(SimulatorTest, EventCountTracked) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.Schedule(i, [] {});
@@ -148,6 +168,36 @@ TEST(EventQueueTest, CanonicalKeyOrder) {
   q.Push(4, 9, 9, 9, tag(0));  // earlier time beats every tag
   while (!q.empty()) q.Pop().fn();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueueTest, CanonicalKeyOrderAtTheFieldLimits) {
+  // The tie word packs domain, origin and seq into fixed-width fields; a
+  // field at its maximum must not carry into its neighbour.
+  constexpr uint32_t kTop = EventQueue::kMaxDomains - 1;
+  constexpr uint64_t kLastSeq = EventQueue::kMaxSeq - 1;
+  EventQueue q;
+  std::vector<int> order;
+  auto tag = [&order](int id) {
+    return [&order, id] { order.push_back(id); };
+  };
+  q.Push(7, kTop, kTop, kLastSeq, tag(5));
+  q.Push(7, kTop, kTop, 0, tag(4));
+  q.Push(7, kTop, 0, kLastSeq, tag(3));
+  q.Push(7, kTop - 1, kTop, kLastSeq, tag(2));
+  q.Push(7, 0, kTop, kLastSeq, tag(1));
+  q.Push(6, kTop, kTop, kLastSeq, tag(0));
+  q.Push(kSimTimeNever - 1, 0, 0, 0, tag(6));
+  while (!q.empty()) q.Pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(EventQueueDeathTest, RejectsTagsOutsideTheirFields) {
+  EventQueue q;
+  EXPECT_DEATH(q.Push(0, EventQueue::kMaxDomains, 0, 0, [] {}),
+               "out of range");
+  EXPECT_DEATH(q.Push(0, 0, EventQueue::kMaxDomains, 0, [] {}),
+               "out of range");
+  EXPECT_DEATH(q.Push(0, 0, 0, EventQueue::kMaxSeq, [] {}), "out of range");
 }
 
 TEST(EventQueueTest, SameOriginFiresInScheduleOrder) {
@@ -331,6 +381,23 @@ TEST(ShardedSimulatorTest, RunUntilClearAndIdle) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(ShardedSimulatorTest, ClearReleasesCapturesOfEventsSentAcrossShards) {
+  ShardedSimulator sim(2, 3);
+  sim.set_lookahead(10);
+  auto token = std::make_shared<int>(0);
+  // Node 0 (shard 0) sends to node 1 (shard 1): the event waits in shard
+  // 0's outbox until the window ends, then in shard 1's queue.
+  sim.ScheduleIn(DomainOfNode(0), 5, [&sim, token] {
+    sim.ScheduleIn(DomainOfNode(1), 25, [token] { ++*token; });
+  });
+  sim.ScheduleIn(DomainOfNode(1), 6, [token] {});  // runs on shard 1
+  sim.RunUntil(20);
+  EXPECT_EQ(token.use_count(), 2);  // only the parked cross-shard event
+  sim.Clear();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 0);
+}
+
 TEST(CpuResourceTest, DomainTargetedSubmit) {
   Simulator sim;
   sim.set_lookahead(100);
@@ -390,6 +457,80 @@ TEST(CpuResourceTest, SaturationModel) {
   }
   sim.RunUntil(10000);
   EXPECT_EQ(completed, 100);  // 10000 ns / 100 ns each
+}
+
+// --- Fn: the move-only callable behind every event and continuation -----
+
+/// Counts its own copies and moves.
+struct CopyCounter {
+  CopyCounter(int* copies, int* moves) : copies(copies), moves(moves) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies), moves(o.moves) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&& o) noexcept : copies(o.copies), moves(o.moves) {
+    ++*moves;
+  }
+  int* copies;
+  int* moves;
+};
+
+TEST(FnTest, MovingATaskNeverCopiesOrMovesItsCapture) {
+  int copies = 0;
+  int moves = 0;
+  int runs = 0;
+  Task f([counter = CopyCounter(&copies, &moves), &runs] {
+    (void)counter;
+    ++runs;
+  });
+  EXPECT_EQ(copies, 0);
+  const int built = moves;  // the lambda moved once into its node
+  Task g = std::move(f);
+  Task h;
+  h = std::move(g);
+  EXPECT_FALSE(f);
+  EXPECT_FALSE(g);
+  // Through the event heap and out again: entries move, closures do not.
+  Simulator sim;
+  sim.Schedule(3, [] {});
+  sim.Schedule(1, std::move(h));
+  sim.Schedule(2, [] {});
+  sim.Run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(copies, 0);
+  EXPECT_EQ(moves, built);
+}
+
+TEST(FnTest, BoolSignatureForwardsItsArgument) {
+  std::vector<bool> seen;
+  Fn<void(bool)> cb = [&seen](bool ok) { seen.push_back(ok); };
+  cb(true);
+  cb(false);
+  Fn<void(bool)> moved = std::move(cb);
+  moved(true);
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, true}));
+}
+
+TEST(FnTest, ClosuresPastTheLargestClassBypassThePool) {
+  // A fresh thread starts with empty free lists.
+  std::thread([] {
+    std::array<char, 600> big{};
+    { Task t([big] { (void)big; }); }
+    EXPECT_EQ(fn_pool::FreeNodes(), 0u);
+    { Task t([] {}); }
+    EXPECT_EQ(fn_pool::FreeNodes(), fn_pool::kPooled ? 1u : 0u);
+  }).join();
+}
+
+TEST(FnTest, EachThreadKeepsAtMostTheCapPerClass) {
+  std::thread([] {
+    std::vector<Task> many;
+    for (uint32_t i = 0; i < fn_pool::kMaxFreePerClass + 10; ++i) {
+      many.emplace_back([] {});
+    }
+    many.clear();
+    EXPECT_EQ(fn_pool::FreeNodes(),
+              fn_pool::kPooled ? fn_pool::kMaxFreePerClass : 0u);
+  }).join();
 }
 
 }  // namespace
