@@ -132,21 +132,39 @@ void Driver::NoteShedEvicted(EngineId e, bool counted_admitted) {
 }
 
 void Driver::OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t) {
-  if (observer_ && t->outcome == txn::Outcome::kCommitted) observer_(*t);
+  const bool committed = t->outcome == txn::Outcome::kCommitted;
+  if (observer_ && committed) observer_(*t);
   EngineState& es = per_engine_[e];
-  // The abort-reason taxonomy shared by the trace and the abort-class
-  // counters; null for commits.
+  // Classify the outcome once: the abort-reason taxonomy the trace shows
+  // (null for commits), the lifetime registry counter, and the ClassStats
+  // field of the measured window. Null counter and field: still pending.
   const char* abort_reason = nullptr;
+  obs::MetricsRegistry::Counter* counter = nullptr;
+  uint64_t ClassStats::*field = nullptr;
   switch (t->outcome) {
     case txn::Outcome::kCommitted:
+      counter = m_commits_;
+      field = &ClassStats::commits;
       break;
     case txn::Outcome::kAbortConflict:
-      abort_reason = t->blocked_by_migration ? "migration"
-                     : t->force_fallback     ? "co-location-fallback"
-                                             : "contention";
+      if (t->blocked_by_migration) {
+        abort_reason = "migration";
+        counter = m_migration_aborts_;
+        field = &ClassStats::migration_aborts;
+      } else if (t->force_fallback) {
+        abort_reason = "co-location-fallback";
+        counter = m_fallback_aborts_;
+        field = &ClassStats::conflict_aborts;
+      } else {
+        abort_reason = "contention";
+        counter = m_contention_aborts_;
+        field = &ClassStats::conflict_aborts;
+      }
       break;
     case txn::Outcome::kAbortUser:
       abort_reason = "user";
+      counter = m_user_aborts_;
+      field = &ClassStats::user_aborts;
       break;
     case txn::Outcome::kPending:
       break;
@@ -166,55 +184,26 @@ void Driver::OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t) {
       trace->Instant(e, t->end_time, "migration_block", t->logical_id,
                      t->attempt, "migration");
     }
-    trace->Instant(e, t->end_time,
-                   t->outcome == txn::Outcome::kCommitted ? "commit" : "abort",
+    trace->Instant(e, t->end_time, committed ? "commit" : "abort",
                    t->logical_id, t->attempt, abort_reason);
   }
   // Lifetime metrics run regardless of the measuring toggle: timeline
   // consumers (runner::AdaptiveReport slices, the live-migration bench)
   // need commit flow visible across warmup and migration windows too.
-  switch (t->outcome) {
-    case txn::Outcome::kCommitted:
-      m_commits_->Add(e);
-      m_latency_ns_->Add(e, t->end_time - t->start_time);
-      m_window_latency_->Add(e, t->end_time - t->start_time);
-      break;
-    case txn::Outcome::kAbortConflict:
-      if (t->blocked_by_migration) {
-        m_migration_aborts_->Add(e);
-      } else if (t->force_fallback) {
-        m_fallback_aborts_->Add(e);
-      } else {
-        m_contention_aborts_->Add(e);
-      }
-      break;
-    case txn::Outcome::kAbortUser:
-      m_user_aborts_->Add(e);
-      break;
-    case txn::Outcome::kPending:
-      break;
+  if (counter != nullptr) counter->Add(e);
+  if (committed) {
+    m_latency_ns_->Add(e, t->end_time - t->start_time);
+    m_window_latency_->Add(e, t->end_time - t->start_time);
   }
   if (measuring_) {
+    CHILLER_CHECK(field != nullptr)
+        << "protocol finished with pending outcome";
     es.stats.EnsureClass(t->txn_class, source_->ClassName(t->txn_class));
     ClassStats& cs = es.stats.classes[t->txn_class];
-    switch (t->outcome) {
-      case txn::Outcome::kCommitted:
-        ++cs.commits;
-        if (exec::IsDistributed(*t)) ++cs.distributed_commits;
-        cs.latency.Add(t->end_time - t->start_time);
-        break;
-      case txn::Outcome::kAbortConflict:
-        if (t->blocked_by_migration) {
-          ++cs.migration_aborts;
-        } else {
-          ++cs.conflict_aborts;
-        }
-        break;
-      case txn::Outcome::kAbortUser:
-        ++cs.user_aborts;
-        break;
-      case txn::Outcome::kPending:
-        CHILLER_CHECK(false) << "protocol finished with pending outcome";
+    ++(cs.*field);
+    if (committed) {
+      if (exec::IsDistributed(*t)) ++cs.distributed_commits;
+      cs.latency.Add(t->end_time - t->start_time);
     }
   }
 

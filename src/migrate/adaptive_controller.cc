@@ -30,7 +30,8 @@ AdaptiveController::AdaptiveController(cc::Driver* driver,
       opts_(options),
       relayout_(driver, cluster, repl, live, opts_.migrator,
                 opts_.governor ? std::optional(opts_.governor_opts)
-                               : std::nullopt) {
+                               : std::nullopt,
+                &report_) {
   CHILLER_CHECK(opts_.period > 0);
   CHILLER_CHECK(opts_.sample_rate > 0.0 && opts_.sample_rate <= 1.0);
   CHILLER_CHECK(opts_.drift_threshold >= 0.0);
@@ -121,27 +122,16 @@ void AdaptiveController::CloseEpoch() {
     // Harvest the finished relayout's accounting exactly once. No replan
     // this epoch — it sampled nothing while the relayout ran.
     relayout_.Harvest();
-    const RelayoutTotals& t = relayout_.totals();
-    report_.moved_records = t.migration.moved_records;
-    report_.moved_bytes = t.migration.moved_bytes;
-    report_.migration_sim_time = t.migration.sim_time;
-    report_.buckets_moved = t.buckets_moved;
-    report_.first_migration_start = t.first_start;
     // Harvest boundary, not the exact in-flight end: the window counters
     // are read here, so span and counters describe the same interval (the
     // exact span lives in migration_sim_time).
     report_.last_migration_end = cluster_->sim()->now();
-    report_.window_commits = t.window_commits;
-    report_.window_aborts = t.window_aborts;
-    report_.peak_streams = t.peak_streams;
     return;
   }
   if (relayout_.in_flight()) {
     // Mid-relayout epoch: no replanning (nothing sampled), but a governor
     // folds this epoch's foreground signals into the stream width.
     relayout_.CloseEpoch();
-    report_.governor_widens = relayout_.totals().governor_widens;
-    report_.governor_narrows = relayout_.totals().governor_narrows;
     return;
   }
   if (report_.settled) {

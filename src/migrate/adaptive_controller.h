@@ -82,6 +82,9 @@ struct AdaptiveControllerOptions {
   uint64_t seed = 1;
 };
 
+/// What the loop did. RelayoutExecutor::Harvest adds every relayout's
+/// fields (moves through window_aborts, peak_streams, the governor's
+/// steps) straight into it; the loop writes the rest.
 struct AdaptiveControllerReport {
   uint32_t epochs = 0;           ///< periods advanced
   uint32_t migrations = 0;       ///< relayouts started
@@ -94,7 +97,8 @@ struct AdaptiveControllerReport {
   /// first relayout's start to the epoch boundary where the last one was
   /// harvested (zero when no relayout ran). The exact in-flight span is
   /// migration_sim_time; this window matches the counters below, so
-  /// commits / (end - start) is a consistent rate.
+  /// commits / (end - start) is a consistent rate. (A runner phase plan's
+  /// relayouts end the window at the last one's exact end instead.)
   SimTime first_migration_start = 0;
   SimTime last_migration_end = 0;
   /// Commits / bucket-gate aborts inside [first_migration_start,
@@ -150,6 +154,8 @@ class AdaptiveController {
   AdaptiveControllerOptions opts_;
 
   std::unique_ptr<partition::StatsCollector> collector_;
+  // Declared before relayout_, which adds every harvested relayout here.
+  AdaptiveControllerReport report_;
   RelayoutExecutor relayout_;
   // Registry mirrors of the loop's own control-plane accounting
   // ("controller.*"): the report stays the derived JSON source, the
@@ -165,7 +171,6 @@ class AdaptiveController {
   double baseline_residual_ = 0.0;
   /// sampled_txns() of collectors already retired (re-arm discards them).
   uint64_t sampled_retired_ = 0;
-  AdaptiveControllerReport report_;
 };
 
 }  // namespace chiller::migrate

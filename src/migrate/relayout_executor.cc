@@ -4,18 +4,21 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "migrate/adaptive_controller.h"
 
 namespace chiller::migrate {
 
 RelayoutExecutor::RelayoutExecutor(
     cc::Driver* driver, cc::Cluster* cluster, cc::ReplicationManager* repl,
     partition::SwappablePartitioner* live, LiveMigratorOptions migrator,
-    std::optional<MigrationGovernorOptions> governor)
+    std::optional<MigrationGovernorOptions> governor,
+    AdaptiveControllerReport* report)
     : driver_(driver),
       cluster_(cluster),
       repl_(repl),
       live_(live),
-      migrator_opts_(migrator) {
+      migrator_opts_(migrator),
+      report_(report) {
   if (governor.has_value()) {
     // The governor's option checks fire here, at construction.
     governor_ = std::make_unique<MigrationGovernor>(
@@ -60,22 +63,22 @@ void RelayoutExecutor::CloseEpoch() {
   signals.p99 = window.count() == 0 ? 0 : window.Percentile(99.0);
   migrator_->SetTargetStreams(governor_->Decide(signals));
   const MigrationGovernorReport rep = governor_->report();
-  totals_.governor_widens = rep.widens;
-  totals_.governor_narrows = rep.narrows;
+  report_->governor_widens = rep.widens;
+  report_->governor_narrows = rep.narrows;
 }
 
 void RelayoutExecutor::Harvest() {
   CHILLER_CHECK(finished()) << "Harvest before the relayout finished";
   const LiveMigrationStats& ms = migrator_->stats();
-  if (totals_.relayouts++ == 0) totals_.first_start = start_;
-  totals_.last_end = start_ + ms.base.sim_time;
-  totals_.migration.moved_records += ms.base.moved_records;
-  totals_.migration.moved_bytes += ms.base.moved_bytes;
-  totals_.migration.sim_time += ms.base.sim_time;
-  totals_.buckets_moved += ms.buckets_moved;
-  totals_.peak_streams = std::max(totals_.peak_streams, ms.peak_streams);
-  totals_.window_commits += driver_->lifetime_commits() - commits_at_start_;
-  totals_.window_aborts +=
+  if (harvested_++ == 0) report_->first_migration_start = start_;
+  report_->last_migration_end = start_ + ms.base.sim_time;
+  report_->moved_records += ms.base.moved_records;
+  report_->moved_bytes += ms.base.moved_bytes;
+  report_->migration_sim_time += ms.base.sim_time;
+  report_->buckets_moved += ms.buckets_moved;
+  report_->peak_streams = std::max(report_->peak_streams, ms.peak_streams);
+  report_->window_commits += driver_->lifetime_commits() - commits_at_start_;
+  report_->window_aborts +=
       driver_->lifetime_migration_aborts() - aborts_at_start_;
   migrator_.reset();
 }

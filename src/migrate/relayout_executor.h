@@ -8,9 +8,9 @@
 // quiesced caller runs it dry; a live caller advances it in epochs
 // bracketed by BeginEpoch() / CloseEpoch(), which retune the stream width
 // through the MigrationGovernor when one is attached. Once finished(),
-// Harvest() folds the relayout into totals(), so a caller that runs
-// several relayouts reports their sum and the window from the first start
-// to the last end.
+// Harvest() adds the relayout into the caller's AdaptiveControllerReport,
+// so a caller that runs several relayouts reports their sum and the
+// window from the first start to the last end.
 #ifndef CHILLER_MIGRATE_RELAYOUT_EXECUTOR_H_
 #define CHILLER_MIGRATE_RELAYOUT_EXECUTOR_H_
 
@@ -18,7 +18,6 @@
 #include <optional>
 
 #include "cc/driver.h"
-#include "cc/migration.h"
 #include "cc/replication.h"
 #include "common/status.h"
 #include "migrate/live_migrator.h"
@@ -28,34 +27,22 @@
 
 namespace chiller::migrate {
 
-/// Accounting summed over every harvested relayout.
-struct RelayoutTotals {
-  uint32_t relayouts = 0;
-  cc::MigrationStats migration;  ///< moves, bytes and in-flight spans
-  uint32_t buckets_moved = 0;
-  uint32_t peak_streams = 0;     ///< max concurrent streams, any relayout
-  /// First relayout's start and the last one's exact end.
-  SimTime first_start = 0;
-  SimTime last_end = 0;
-  /// Commits / bucket-gate aborts from each relayout's start to its
-  /// harvest: traffic up to the harvesting step's end rides along.
-  uint64_t window_commits = 0;
-  uint64_t window_aborts = 0;
-  /// The governor's steps since this executor was built.
-  uint32_t governor_widens = 0;
-  uint32_t governor_narrows = 0;
-};
+struct AdaptiveControllerReport;
 
 class RelayoutExecutor {
  public:
   /// `governor` set: every CloseEpoch() of a relayout in flight feeds the
   /// epoch's foreground signals to one MigrationGovernor, which keeps its
-  /// width across relayouts and starts at migrator.streams.
+  /// width across relayouts and starts at migrator.streams. `report`
+  /// (caller-owned, outliving the executor) receives the relayout fields:
+  /// moves, buckets, the window and its counters, peak streams and the
+  /// governor's steps. Its other fields are left to the caller.
   RelayoutExecutor(cc::Driver* driver, cc::Cluster* cluster,
                    cc::ReplicationManager* repl,
                    partition::SwappablePartitioner* live,
                    LiveMigratorOptions migrator,
-                   std::optional<MigrationGovernorOptions> governor);
+                   std::optional<MigrationGovernorOptions> governor,
+                   AdaptiveControllerReport* report);
 
   /// Opens the relayout window and starts a LiveMigrator on `plan` (see
   /// LiveMigrator::Start). FailedPrecondition if a relayout is unharvested.
@@ -75,10 +62,12 @@ class RelayoutExecutor {
   void BeginEpoch();
   void CloseEpoch();
 
-  /// Folds the finished relayout into totals() and retires its migrator.
+  /// Adds the finished relayout into the report and retires its
+  /// migrator. The window runs from the first relayout's start to this
+  /// one's exact end; its commits and bucket-gate aborts count from each
+  /// relayout's start to its harvest, so traffic up to the harvesting
+  /// step's end rides along.
   void Harvest();
-
-  const RelayoutTotals& totals() const { return totals_; }
 
  private:
   cc::Driver* driver_;
@@ -95,7 +84,8 @@ class RelayoutExecutor {
   // Governed epoch snapshots.
   uint64_t epoch_commits_ = 0;
   uint64_t epoch_aborts_ = 0;
-  RelayoutTotals totals_;
+  AdaptiveControllerReport* report_;
+  uint32_t harvested_ = 0;
 };
 
 }  // namespace chiller::migrate

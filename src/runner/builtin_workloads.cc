@@ -303,6 +303,10 @@ StatusOr<ycsb::YcsbWorkload::Options> ParseYcsbOptions(
     return Status::InvalidArgument(
         "ycsb ops_per_txn must be in [1, keys_per_partition]");
   }
+  if (w.hot_keys_per_partition > w.keys_per_partition) {
+    return Status::InvalidArgument(
+        "ycsb hot_keys_per_partition must be <= keys_per_partition");
+  }
   return w;
 }
 

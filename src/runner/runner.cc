@@ -79,7 +79,52 @@ Status ValidatePhases(const std::vector<Phase>& phases) {
   return Status::OK();
 }
 
+/// The run's relayout and controller accounting into the result's report.
+/// The sampling and replan fields the phase plan writes directly
+/// (hot_records, lookup_entries, timeline) are left alone.
+void FillAdaptiveReport(const migrate::AdaptiveControllerReport& rep,
+                        AdaptiveReport* a) {
+  a->sampled_txns = rep.sampled_txns;
+  a->migration = {.moved_records = rep.moved_records,
+                  .moved_bytes = rep.moved_bytes,
+                  .sim_time = rep.migration_sim_time};
+  a->migration_start = rep.first_migration_start;
+  a->migration_end = rep.last_migration_end;
+  a->migration_window_commits = rep.window_commits;
+  a->migration_window_aborts = rep.window_aborts;
+  a->buckets_moved = rep.buckets_moved;
+  a->controller_epochs = rep.epochs;
+  a->controller_migrations = rep.migrations;
+  a->controller_settled = rep.settled;
+  a->controller_rearms = rep.rearms;
+  a->shadow_evals = rep.shadow_evals;
+  a->last_drift = rep.last_drift;
+  a->peak_streams = rep.peak_streams;
+  a->governor_widens = rep.governor_widens;
+  a->governor_narrows = rep.governor_narrows;
+}
+
 }  // namespace
+
+migrate::AdaptiveControllerOptions ScenarioSpec::MakeAdaptiveControllerOptions()
+    const {
+  return {.period = controller_period,
+          .sample_rate = controller_sample_rate,
+          .drift_threshold = controller_drift_threshold,
+          .hysteresis_epochs = controller_hysteresis,
+          .lock_window_txns = static_cast<double>(concurrency) * partitions(),
+          .relayout_buckets = relayout_buckets,
+          .migrator = {.batch_records = migrate_batch_records,
+                       .streams = migrate_streams},
+          .governor = governor,
+          .governor_opts = {.min_streams = governor_min_streams,
+                            .max_streams = governor_max_streams,
+                            .p99_budget = governor_p99_budget,
+                            .max_abort_share = governor_max_abort_share},
+          .rearm_threshold = rearm_threshold,
+          .shadow = shadow,
+          .seed = seed};
+}
 
 Status ScenarioRunner::Validate(const ScenarioSpec& spec) {
   if (spec.nodes == 0 || spec.engines_per_node == 0) {
@@ -246,6 +291,22 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
 
   cc::Driver* driver = env->driver.get();
   sim::Scheduler* sim = env->cluster->sim();
+  partition::SwappablePartitioner* live = env->bundle->adaptive_partitioner();
+  const std::vector<Phase> plan = spec.EffectivePhases();
+  const bool replans =
+      spec.continuous ||
+      std::any_of(plan.begin(), plan.end(), [](const Phase& ph) {
+        return ph.kind == PhaseKind::kReplan;
+      });
+  if (replans && live == nullptr) {
+    return Status::FailedPrecondition(
+        "workload '" + spec.workload +
+        "' has a frozen layout; replan phases and continuous mode need an "
+        "adaptive workload (one whose bundle exposes a swappable "
+        "partitioner)");
+  }
+  const migrate::AdaptiveControllerOptions copts =
+      spec.MakeAdaptiveControllerOptions();
 
   // Timeline recorder: timed work advances in timeline_slice steps and
   // every slice's lifetime-counter deltas are appended (slicing RunUntil
@@ -280,107 +341,24 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
       left -= step;
     }
   };
-  auto finish = [&]() -> ScenarioResult {
-    result.stats = driver->stats();
-    result.trace = env->cluster->shared_trace();
-    driver->Quiesce();
-    result.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-    return std::move(result);
-  };
-
-  if (spec.continuous) {
-    // The measure window runs under the continuous adaptivity controller:
-    // sample -> replan -> live-migrate epochs interleaved with traffic.
-    partition::SwappablePartitioner* live =
-        env->bundle->adaptive_partitioner();
-    if (live == nullptr) {
-      return Status::FailedPrecondition(
-          "workload '" + spec.workload +
-          "' has a frozen layout; continuous mode needs an adaptive "
-          "workload (one whose bundle exposes a swappable partitioner)");
-    }
-    driver->Start();
-    advance_recorded(spec.warmup);
-    driver->ResetStats();
-    driver->set_measuring(true);
-
-    migrate::AdaptiveControllerOptions copts;
-    copts.period = spec.controller_period;
-    copts.sample_rate = spec.controller_sample_rate;
-    copts.drift_threshold = spec.controller_drift_threshold;
-    copts.hysteresis_epochs = spec.controller_hysteresis;
-    copts.lock_window_txns =
-        static_cast<double>(spec.concurrency) * spec.partitions();
-    copts.relayout_buckets = spec.relayout_buckets;
-    copts.migrator.batch_records = spec.migrate_batch_records;
-    copts.migrator.streams = spec.migrate_streams;
-    copts.governor = spec.governor;
-    copts.governor_opts.min_streams = spec.governor_min_streams;
-    copts.governor_opts.max_streams = spec.governor_max_streams;
-    copts.governor_opts.p99_budget = spec.governor_p99_budget;
-    copts.governor_opts.max_abort_share = spec.governor_max_abort_share;
-    copts.rearm_threshold = spec.rearm_threshold;
-    copts.shadow = spec.shadow;
-    copts.seed = spec.seed;
-    migrate::AdaptiveController controller(driver, env->cluster.get(),
-                                           env->repl.get(), live, copts);
-    auto advanced = controller.RunFor(
-        spec.measure, [&](SimTime d) { advance_recorded(d); });
-    if (!advanced.ok()) return advanced.status();
-    driver->set_measuring(false);
-    driver->set_measured_window(advanced.value());
-
-    const migrate::AdaptiveControllerReport& rep = controller.report();
-    result.adaptive.sampled_txns = rep.sampled_txns;
-    result.adaptive.lookup_entries = live->LookupEntries();
-    result.adaptive.migration.moved_records = rep.moved_records;
-    result.adaptive.migration.moved_bytes = rep.moved_bytes;
-    result.adaptive.migration.sim_time = rep.migration_sim_time;
-    result.adaptive.migration_start = rep.first_migration_start;
-    result.adaptive.migration_end = rep.last_migration_end;
-    result.adaptive.migration_window_commits = rep.window_commits;
-    result.adaptive.migration_window_aborts = rep.window_aborts;
-    result.adaptive.buckets_moved = rep.buckets_moved;
-    result.adaptive.controller_epochs = rep.epochs;
-    result.adaptive.controller_migrations = rep.migrations;
-    result.adaptive.controller_settled = rep.settled;
-    result.adaptive.controller_rearms = rep.rearms;
-    result.adaptive.shadow_evals = rep.shadow_evals;
-    result.adaptive.last_drift = rep.last_drift;
-    result.adaptive.peak_streams = rep.peak_streams;
-    result.adaptive.governor_widens = rep.governor_widens;
-    result.adaptive.governor_narrows = rep.governor_narrows;
-    return finish();
-  }
-
-  const std::vector<Phase> plan = spec.EffectivePhases();
 
   // Section 4.1 loop state, alive across phases: the sampling statistics
   // service, the layout the last replan built but has not yet migrated,
   // and the executor every relayout of the plan runs through (so the
-  // report sums them, like the continuous controller's).
+  // report sums them, like the continuous controller's). A continuous
+  // spec's measure phase runs under the controller instead, and its
+  // report is the run's.
+  migrate::AdaptiveControllerReport report;
   std::unique_ptr<partition::StatsCollector> collector;
   std::unique_ptr<partition::LookupPartitioner> pending_layout;
   std::unique_ptr<migrate::RelayoutExecutor> relayout;
+  std::unique_ptr<migrate::AdaptiveController> controller;
   auto start_relayout = [&](uint32_t buckets) -> Status {
     if (relayout == nullptr) {
-      std::optional<migrate::MigrationGovernorOptions> governor;
-      if (spec.governor) {
-        governor = migrate::MigrationGovernorOptions{
-            .min_streams = spec.governor_min_streams,
-            .max_streams = spec.governor_max_streams,
-            .p99_budget = spec.governor_p99_budget,
-            .max_abort_share = spec.governor_max_abort_share};
-      }
       relayout = std::make_unique<migrate::RelayoutExecutor>(
-          driver, env->cluster.get(), env->repl.get(),
-          env->bundle->adaptive_partitioner(),
-          migrate::LiveMigratorOptions{
-              .batch_records = spec.migrate_batch_records,
-              .streams = spec.migrate_streams},
-          governor);
+          driver, env->cluster.get(), env->repl.get(), live, copts.migrator,
+          copts.governor ? std::optional(copts.governor_opts) : std::nullopt,
+          &report);
     }
     migrate::MigrationPlan plan = migrate::MigrationPlan::Diff(
         env->cluster.get(), *pending_layout, buckets);
@@ -415,17 +393,11 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
             [stats](const txn::Transaction& t) { stats->Observe(t); });
         advance_recorded(ph.duration);
         driver->SetCommitObserver(nullptr);
-        result.adaptive.sampled_txns = collector->sampled_txns();
+        report.sampled_txns = collector->sampled_txns();
         break;
       }
 
       case PhaseKind::kReplan: {
-        if (env->bundle->adaptive_partitioner() == nullptr) {
-          return Status::FailedPrecondition(
-              "workload '" + spec.workload +
-              "' has a frozen layout; replan phases need an adaptive "
-              "workload (one whose bundle exposes a swappable partitioner)");
-        }
         partition::ChillerPartitioner::Options popts;
         popts.k = spec.partitions();
         popts.seed = spec.seed;
@@ -436,8 +408,7 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
         // cluster-wide. The hot threshold (phase knob) then bounds the
         // hot set to the contended head — Section 4.4's small lookup
         // table — rather than the whole sampled tail.
-        popts.lock_window_txns =
-            static_cast<double>(spec.concurrency) * spec.partitions();
+        popts.lock_window_txns = copts.lock_window_txns;
         auto out =
             partition::ChillerPartitioner::Build(collector->traces(), popts);
         result.adaptive.hot_records = out.hot_records.size();
@@ -491,33 +462,42 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
         break;
       }
 
-      case PhaseKind::kMeasure:
+      case PhaseKind::kMeasure: {
         if (!stats_reset) {
           driver->ResetStats();
           stats_reset = true;
         }
         driver->set_measuring(true);
-        advance_recorded(ph.duration);
+        if (!spec.continuous) {
+          advance_recorded(ph.duration);
+          measured += ph.duration;
+        } else {
+          // The window runs under the continuous adaptivity controller:
+          // sample -> replan -> live-migrate epochs interleaved with
+          // traffic, extended past the duration while a relayout is still
+          // in flight, so the controller reports the window it measured.
+          controller = std::make_unique<migrate::AdaptiveController>(
+              driver, env->cluster.get(), env->repl.get(), live, copts);
+          auto advanced = controller->RunFor(ph.duration, advance_recorded);
+          if (!advanced.ok()) return advanced.status();
+          measured += advanced.value();
+          result.adaptive.lookup_entries = live->LookupEntries();
+        }
         driver->set_measuring(false);
-        measured += ph.duration;
         break;
+      }
     }
   }
   driver->set_measured_window(measured);
-  if (relayout != nullptr) {
-    const migrate::RelayoutTotals& t = relayout->totals();
-    AdaptiveReport& a = result.adaptive;
-    a.migration = t.migration;
-    a.migration_start = t.first_start;
-    a.migration_end = t.last_end;
-    a.migration_window_commits = t.window_commits;
-    a.migration_window_aborts = t.window_aborts;
-    a.buckets_moved = t.buckets_moved;
-    a.peak_streams = t.peak_streams;
-    a.governor_widens = t.governor_widens;
-    a.governor_narrows = t.governor_narrows;
-  }
-  return finish();
+  FillAdaptiveReport(controller != nullptr ? controller->report() : report,
+                     &result.adaptive);
+  result.stats = driver->stats();
+  result.trace = env->cluster->shared_trace();
+  driver->Quiesce();
+  result.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
+  return result;
 }
 
 }  // namespace chiller::runner

@@ -51,7 +51,7 @@ class ScenarioRunner {
   /// classic warmup -> measure pair; adaptive plans interleave live stats
   /// sampling, a layout replan, and a record migration — quiesced
   /// (Phase::Migrate) or incremental under traffic (Phase::LiveMigrate,
-  /// src/migrate). Continuous specs instead run the measure window under a
+  /// src/migrate). A continuous spec's measure phase runs under a
   /// migrate::AdaptiveController (periodic sample -> replan -> live-migrate
   /// epochs with drift gating and hysteresis). The result is a pure
   /// function of the spec: scenarios can run on any thread in any order.

@@ -19,6 +19,10 @@
 #include "obs/trace_recorder.h"
 #include "runner/options.h"
 
+namespace chiller::migrate {
+struct AdaptiveControllerOptions;
+}  // namespace chiller::migrate
+
 namespace chiller::runner {
 
 /// One step of a scenario's phase plan (see ScenarioSpec::phases).
@@ -212,6 +216,12 @@ struct ScenarioSpec {
             .shed_policy = shed_policy,
             .seed = seed};
   }
+
+  /// The spec's relayout and controller knobs in migrate terms — the one
+  /// conversion behind the continuous controller and the phase plan's
+  /// relayouts (which take its migrator and governor options), defined in
+  /// runner.cc.
+  migrate::AdaptiveControllerOptions MakeAdaptiveControllerOptions() const;
 
   /// The plan Run() executes: `phases`, or the legacy two-phase shape.
   std::vector<Phase> EffectivePhases() const {

@@ -31,6 +31,7 @@ using migrate::RelayoutBucketOf;
 using partition::HashPartitioner;
 using partition::LookupPartitioner;
 using partition::SwappablePartitioner;
+using runner::AdaptiveReport;
 using runner::Phase;
 using runner::ScenarioRunner;
 using runner::ScenarioSpec;
@@ -625,6 +626,43 @@ TEST(LiveMigratePhaseTest, LiveAndQuiescedConvergeToTheSameLayout) {
                 r->adaptive.timeline[i - 1].end);
     }
   }
+}
+
+// The two relayout-window conventions AdaptiveReport carries. A phased
+// relayout's window ends at its exact in-flight end; the continuous
+// controller reads the window counters at the epoch boundary where it
+// harvests the relayout, so its window ends on that boundary.
+TEST(RelayoutWindowTest, PhasedLiveRelayoutEndsAtItsExactSpan) {
+  ScenarioSpec spec = SmallAdaptive();
+  spec.phases = PhasedPlan(/*live=*/true);
+  spec.relayout_buckets = 8;
+
+  auto result = ScenarioRunner::Run(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const AdaptiveReport& a = result->adaptive;
+  ASSERT_GT(a.migration.moved_records, 0u);
+  EXPECT_GT(a.migration_start, 0u);
+  EXPECT_EQ(a.migration_end, a.migration_start + a.migration.sim_time);
+}
+
+TEST(RelayoutWindowTest, ContinuousRelayoutEndsOnItsHarvestingEpoch) {
+  ScenarioSpec spec = SmallAdaptive();
+  spec.continuous = true;
+  spec.warmup = kMillisecond;
+  spec.measure = 8 * kMillisecond;
+  spec.controller_period = kMillisecond;
+  spec.relayout_buckets = 8;
+
+  auto result = ScenarioRunner::Run(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const AdaptiveReport& a = result->adaptive;
+  ASSERT_GE(a.controller_migrations, 1u);
+  ASSERT_GT(a.migration.moved_records, 0u);
+  EXPECT_GE(a.migration_end, a.migration_start + a.migration.sim_time);
+  // Epochs start when the warmup ends and last one period each.
+  EXPECT_EQ((a.migration_end - spec.warmup) % spec.controller_period, 0u);
+  EXPECT_LE(a.migration_end,
+            spec.warmup + a.controller_epochs * spec.controller_period);
 }
 
 TEST(ContinuousControllerTest, ConvergesThenSettles) {

@@ -258,6 +258,11 @@ TEST(YcsbTest, InvalidKnobsAreRejected) {
   spec = SmallYcsb();
   spec.options.Set("ops_per_txn", 0);
   EXPECT_TRUE(ScenarioRunner::Run(spec).status().IsInvalidArgument());
+  // More hot keys than keys: a Status, not a CHECK failure in the workload.
+  spec = SmallYcsb();
+  spec.options.Set("keys_per_partition", 1000);
+  spec.options.Set("hot_keys_per_partition", 5000);
+  EXPECT_TRUE(ScenarioRunner::Run(spec).status().IsInvalidArgument());
 }
 
 TEST(YcsbTest, PartitionerPlacesAndFlagsHotKeys) {
