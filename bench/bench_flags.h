@@ -73,11 +73,12 @@ struct BenchFlags {
   uint32_t queue_cap = 64;        ///< open loop: admission queue per engine
   uint32_t batch_size = 8;        ///< batched: admissions per engine batch
   /// Admission scheduler for every scenario the bench sweeps (the default
-  /// fifo is the passthrough: byte-identical to the pre-scheduler code).
+  /// fifo admits in arrival order and draws at launch: byte-identical to
+  /// the pre-scheduler code).
   /// See schedule/scheduler.h and --list-schedulers.
   std::string scheduler = "fifo";
   uint32_t sched_classes = 0;     ///< conflict-class universe (0 = auto)
-  /// Scheduled-queue overflow policy: drop-new | drop-cold | drop-hot.
+  /// Admission-queue overflow policy: drop-new | drop-cold | drop-hot.
   std::string shed_policy = "drop-new";
   /// Sweep worker threads; 0 = one per hardware thread. Results are
   /// byte-identical for every value (see runner::SweepExecutor).
@@ -135,8 +136,6 @@ inline void ApplyLoadModelFlags(const BenchFlags& flags,
   spec->scheduler = flags.scheduler;
   spec->sched_classes = flags.sched_classes;
   spec->shed_policy = flags.shed_policy;
-  spec->shards = flags.shards;
-  spec->trace_sample_every = flags.trace_sample_every;
 }
 
 /// Guard for benches that never drive transactions through a load model

@@ -36,13 +36,18 @@ Sweep::Sweep(const BenchFlags& flags, std::string bench_name)
     : executor_(flags.jobs),
       name_(std::move(bench_name)),
       shards_(flags.shards),
+      trace_sample_every_(flags.trace_sample_every),
       start_(std::chrono::steady_clock::now()) {
   executor_.set_mem_budget_bytes(flags.MemBudgetBytes());
   executor_.set_trace_out(flags.trace_out);
 }
 
 std::vector<runner::ScenarioResult> Sweep::Run(
-    const std::vector<runner::ScenarioSpec>& specs) {
+    std::vector<runner::ScenarioSpec> specs) {
+  for (runner::ScenarioSpec& spec : specs) {
+    spec.shards = shards_;
+    spec.trace_sample_every = trace_sample_every_;
+  }
   size_t completed = 0;  // progress callbacks are serialized by the executor
   auto results = executor_.Run(
       specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {

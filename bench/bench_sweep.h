@@ -21,10 +21,13 @@ class Sweep {
   Sweep(const BenchFlags& flags, std::string bench_name);
 
   /// Runs every spec (in parallel, per --jobs) and returns the results in
-  /// spec order. Prints one stderr line per finished scenario; if any
-  /// scenario failed, names the first in spec order and exits 1.
+  /// spec order. Every spec runs with --shards and --trace-sample-every:
+  /// neither changes a result byte, so they are applied here once rather
+  /// than per grid point by each bench. Prints one stderr line per
+  /// finished scenario; if any scenario failed, names the first in spec
+  /// order and exits 1.
   std::vector<runner::ScenarioResult> Run(
-      const std::vector<runner::ScenarioSpec>& specs);
+      std::vector<runner::ScenarioSpec> specs);
 
   /// Prints "sweep: N scenarios in X s wall-clock (--jobs J, --shards S)"
   /// to stdout, N counting every Run call so far.
@@ -34,6 +37,7 @@ class Sweep {
   runner::SweepExecutor executor_;
   std::string name_;
   uint32_t shards_;
+  uint32_t trace_sample_every_;
   size_t scenarios_ = 0;
   std::chrono::steady_clock::time_point start_;
 };

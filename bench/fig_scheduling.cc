@@ -8,7 +8,7 @@
 //
 //   stage 1  closed-loop capacity probe per (protocol, theta) — the
 //            saturation throughput C. Probes run the default fifo
-//            passthrough, so the offered-load grid is identical for every
+//            scheduler, so the offered-load grid is identical for every
 //            scheduler (the comparison is apples-to-apples by construction).
 //   stage 2  open-loop sweep of offered load {0.2..1.1} x C for each
 //            scheduler: p99 execution latency, p99 queueing delay, shed
@@ -129,9 +129,8 @@ void Main(const BenchFlags& flags) {
 
   Sweep sweep(flags, "scheduling");
 
-  // Stage 1: closed-loop capacity per (protocol, theta). Probes never
-  // install a scheduler (fifo passthrough), so both stage-2 series share
-  // one grid.
+  // Stage 1: closed-loop capacity per (protocol, theta). Probes run under
+  // the default fifo scheduler, so both stage-2 series share one grid.
   std::vector<runner::ScenarioSpec> probes;
   for (const std::string& proto : protocols) {
     for (double theta : kThetas) probes.push_back(BaseSpec(flags, proto, theta));

@@ -6,6 +6,7 @@
 #include "cc/exec_common.h"
 #include "cc/load_model.h"
 #include "common/logging.h"
+#include "schedule/scheduler.h"
 
 namespace chiller::cc {
 
@@ -20,6 +21,7 @@ Driver::Driver(Cluster* cluster, Protocol* protocol, WorkloadSource* source,
       protocol_(protocol),
       source_(source),
       model_(std::move(model)),
+      scheduler_(&schedule::Fifo()),
       per_engine_(cluster->num_engines()) {
   CHILLER_CHECK(model_ != nullptr);
   for (uint32_t e = 0; e < per_engine_.size(); ++e) {
@@ -40,15 +42,10 @@ Driver::Driver(Cluster* cluster, Protocol* protocol, WorkloadSource* source,
 
 Driver::~Driver() = default;
 
-void Driver::set_scheduler(schedule::Scheduler* scheduler) {
+void Driver::set_scheduler(const schedule::Scheduler* scheduler) {
   CHILLER_CHECK(!started_) << "install the scheduler before Start()";
+  CHILLER_CHECK(scheduler != nullptr) << "a driver always has a scheduler";
   scheduler_ = scheduler;
-}
-
-void Driver::LaunchFresh(EngineId e, SimTime admission_delay) {
-  std::shared_ptr<txn::Transaction> t = source_->Next(e, rng(e));
-  t->admission_delay = admission_delay;
-  Launch(e, std::move(t));
 }
 
 std::shared_ptr<txn::Transaction> Driver::Draw(EngineId e) {
@@ -56,37 +53,28 @@ std::shared_ptr<txn::Transaction> Driver::Draw(EngineId e) {
   if (t->accesses.empty()) t->InitAccesses();
   t->ResolveReadyKeys();
   // Identity is assigned at draw time, before classification, so the
-  // scheduler's classify/route decisions are traceable too.
-  AssignIdentity(e, t.get());
-  return t;
-}
-
-void Driver::AssignIdentity(EngineId e, txn::Transaction* t) {
-  if (t->logical_id != 0) return;
+  // scheduler's classify/route decisions are traceable too. Same striping
+  // as attempt ids: engine e issues e+1, e+1+E, e+1+2E, ...; retries carry
+  // both fields (RebuildForRetry).
   EngineState& es = per_engine_[e];
-  // Same striping as attempt ids: engine e issues e+1, e+1+E, e+1+2E, ...
   t->logical_id = es.next_logical * per_engine_.size() + e + 1;
   ++es.next_logical;
   t->traced = cluster_->trace()->Sampled(t->logical_id);
-}
-
-void Driver::LaunchRouted(EngineId e, std::shared_ptr<txn::Transaction> t,
-                          SimTime admission_delay) {
-  t->admission_delay = admission_delay;
-  Launch(e, std::move(t));
+  return t;
 }
 
 void Driver::Launch(EngineId e, std::shared_ptr<txn::Transaction> t) {
+  CHILLER_DCHECK(t->logical_id != 0)
+      << "launch a Draw()n or rebuilt transaction";
   EngineState& es = per_engine_[e];
   // Globally unique and engine-local deterministic: engine e issues ids
   // e+1, e+1+E, e+1+2E, ... regardless of how engines interleave.
   t->id = es.next_local * per_engine_.size() + e + 1;
   ++es.next_local;
-  AssignIdentity(e, t.get());
   t->home = e;
   t->outcome = txn::Outcome::kPending;
   t->start_time = cluster_->sim()->now();
-  if (t->accesses.empty()) t->InitAccesses();
+  if (t->accesses.empty()) t->InitAccesses();  // a rebuilt retry
   protocol_->Execute(t, [this, e, t]() { OnDone(e, t); });
 }
 

@@ -142,12 +142,13 @@ class Driver {
 
   /// Installs a non-owning admission scheduler (see schedule/scheduler.h):
   /// the load models consult it to classify, steer, and serialize
-  /// admissions. Must be called before Start(); null (the default) keeps
-  /// every legacy admission path byte-identical. The caller owns the
+  /// admissions. Must be called before Start() and must not be null; a
+  /// driver starts with the shared schedule::Fifo(). The caller owns the
   /// scheduler and must keep it alive for the driver's lifetime
   /// (runner::ScenarioEnv does).
-  void set_scheduler(schedule::Scheduler* scheduler);
-  schedule::Scheduler* scheduler() const { return scheduler_; }
+  void set_scheduler(const schedule::Scheduler* scheduler);
+  /// The installed scheduler (never null).
+  const schedule::Scheduler& scheduler() const { return *scheduler_; }
 
   // --- Load-model surface -------------------------------------------------
   // Called by LoadModel implementations; not meant for other callers.
@@ -160,27 +161,22 @@ class Driver {
   /// True between Quiesce() and Resume(): models must stop producing work.
   bool quiesced() const { return stopped_; }
 
-  /// Draws a fresh transaction for engine `e` from the workload source and
-  /// executes it now. `admission_delay` is how long the request waited in
-  /// an admission queue (0 for immediate admission); it rides along on
-  /// retries of the same logical transaction.
-  void LaunchFresh(EngineId e, SimTime admission_delay = 0);
-
-  /// Executes transaction `t` on engine `e` now (retry callbacks land
-  /// here; Quiesce() lets already-scheduled retries run to completion).
-  void Launch(EngineId e, std::shared_ptr<txn::Transaction> t);
-
-  /// Draws a fresh transaction from engine `e`'s workload stream *without*
-  /// launching it, with accesses initialized and ready keys resolved so a
-  /// scheduler can classify it. Scheduled admission paths pair this with
-  /// LaunchRouted; the draw consumes e's workload RNG exactly like
-  /// LaunchFresh, so fifo (which never calls it) stays byte-identical.
+  /// Draws a fresh transaction from engine `e`'s workload stream without
+  /// launching it, with its identity assigned, accesses initialized and
+  /// ready keys resolved, so a scheduler can classify it. Each call
+  /// consumes e's workload RNG, so *when* a model draws is part of the
+  /// run's output: the open loop draws at arrival only under a classifying
+  /// scheduler, and at launch otherwise.
   std::shared_ptr<txn::Transaction> Draw(EngineId e);
 
-  /// Executes a previously drawn (possibly steered) transaction on engine
-  /// `e` now. `admission_delay` as in LaunchFresh.
-  void LaunchRouted(EngineId e, std::shared_ptr<txn::Transaction> t,
-                    SimTime admission_delay = 0);
+  /// Executes transaction `t` on engine `e` now: a fresh draw (possibly
+  /// steered from another engine), or a retry (retry callbacks land here;
+  /// Quiesce() lets already-scheduled retries run to completion).
+  /// `t->admission_delay` is how long the request waited in an admission
+  /// queue (0 for immediate admission); it rides along on retries of the
+  /// same logical transaction. `t` must carry an identity (a Draw() or a
+  /// RebuildForRetry() result); debug builds check it.
+  void Launch(EngineId e, std::shared_ptr<txn::Transaction> t);
 
   /// Rebuilds `t` for its next attempt (same logical transaction,
   /// attempt + 1, admission delay carried over).
@@ -199,8 +195,8 @@ class Driver {
   /// admission back — per-engine `admitted` stays "requests that entered
   /// service or still wait", consistent with `shed`.
   void NoteShedEvicted(EngineId e, bool counted_admitted);
-  /// True while finished work counts into stats() (scheduled admission
-  /// queues record it per entry to keep eviction accounting exact across
+  /// True while finished work counts into stats() (admission queues
+  /// record it per entry to keep eviction accounting exact across
   /// warmup/measure boundaries).
   bool measuring() const { return measuring_; }
   /// Per-engine accounting reads, control-plane only (tests assert that
@@ -227,16 +223,11 @@ class Driver {
 
   void OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t);
 
-  /// Assigns the logical id and the trace sampling decision on the first
-  /// sighting of a transaction (Draw for scheduled admission, Launch
-  /// otherwise). Idempotent per logical transaction: retries carry both.
-  void AssignIdentity(EngineId e, txn::Transaction* t);
-
   Cluster* cluster_;
   Protocol* protocol_;
   WorkloadSource* source_;
   std::unique_ptr<LoadModel> model_;
-  schedule::Scheduler* scheduler_ = nullptr;  ///< non-owning; null = fifo
+  const schedule::Scheduler* scheduler_;  ///< non-owning, never null
   std::vector<EngineState> per_engine_;
   mutable RunStats merged_;  ///< scratch for stats(); control-plane only
   // Registry-backed lifetime metrics (the source the lifetime_* reads and

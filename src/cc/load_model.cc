@@ -50,7 +50,7 @@ ClosedLoop::ClosedLoop(uint32_t slots_per_engine) : slots_(slots_per_engine) {
 }
 
 void ClosedLoop::StartEngine(EngineId e) {
-  for (uint32_t s = 0; s < slots_; ++s) driver_->LaunchFresh(e);
+  for (uint32_t s = 0; s < slots_; ++s) driver_->Launch(e, driver_->Draw(e));
 }
 
 void ClosedLoop::OnSlotFree(EngineId e, const txn::Transaction& t) {
@@ -58,19 +58,17 @@ void ClosedLoop::OnSlotFree(EngineId e, const txn::Transaction& t) {
     RetryAfterBackoff(e, t);
     return;
   }
-  driver_->LaunchFresh(e);
+  driver_->Launch(e, driver_->Draw(e));
 }
 
 // ---------------------------------------------------------------------------
 // OpenLoop
 // ---------------------------------------------------------------------------
 
-OpenLoop::OpenLoop(OpenLoopOptions options) : opts_(std::move(options)) {
-  CHILLER_CHECK(opts_.offered_tps > 0.0);
-  CHILLER_CHECK(opts_.slots_per_engine >= 1);
-  CHILLER_CHECK(opts_.queue_cap >= 1);
-  CHILLER_CHECK(opts_.arrival == "poisson" || opts_.arrival == "uniform")
-      << "unknown arrival process '" << opts_.arrival << "'";
+OpenLoop::OpenLoop(const LoadModelParams& params) : params_(params) {
+  const Status st = ValidateLoadModelParams("open", params_);
+  CHILLER_CHECK(st.ok()) << st.ToString();
+  shed_policy_ = schedule::ParseShedPolicy(params_.shed_policy).value();
 }
 
 void OpenLoop::OnBind() {
@@ -85,7 +83,7 @@ void OpenLoop::StartEngine(EngineId e) {
     // The per-engine arrival rate: the cluster-wide offered load split
     // evenly. Computed once so every engine paces identically.
     const double per_engine_tps =
-        opts_.offered_tps / static_cast<double>(engines_.size());
+        params_.offered_tps / static_cast<double>(engines_.size());
     mean_interarrival_ = std::max<SimTime>(
         1, static_cast<SimTime>(
                std::llround(static_cast<double>(kSecond) / per_engine_tps)));
@@ -95,21 +93,15 @@ void OpenLoop::StartEngine(EngineId e) {
     s.initialized = true;
     // SplitMix64-style stream split keeps engine clocks decorrelated while
     // staying a pure function of (seed, engine).
-    s.arrivals.Seed(opts_.seed + 0x9e3779b97f4a7c15ULL * (e + 1));
-    s.free_slots = opts_.slots_per_engine;
+    s.arrivals.Seed(params_.seed + 0x9e3779b97f4a7c15ULL * (e + 1));
   }
   // After a quiesce every in-flight transaction has settled, so all slots
-  // are free again; requests that were already admitted to the queue keep
-  // their place (and their admission timestamps) and launch first.
-  s.free_slots = opts_.slots_per_engine;
-  if (driver_->scheduler() != nullptr) {
-    // Everything in flight settled, so no class is held anymore.
-    s.inflight_classes.clear();
-    TryAdmitScheduled(e);
-    ScheduleNextArrival(e);
-    return;
-  }
-  while (s.free_slots > 0 && !s.queue.empty()) AdmitFromQueue(e);
+  // are free and no class is held anymore; requests that were already
+  // admitted to the queue keep their place (and their admission
+  // timestamps) and launch first.
+  s.free_slots = params_.slots_per_engine;
+  s.inflight_classes.clear();
+  TryAdmit(e);
   ScheduleNextArrival(e);
 }
 
@@ -117,7 +109,7 @@ void OpenLoop::ScheduleNextArrival(EngineId e) {
   EngineState& s = engines_[e];
   const double u = s.arrivals.NextDouble();
   SimTime gap;
-  if (opts_.arrival == "poisson") {
+  if (params_.arrival == "poisson") {
     // Exponential interarrival; clamp the (measure-zero) u == 0 draw.
     const double x = -std::log(std::max(u, 1e-300));
     gap = static_cast<SimTime>(
@@ -140,180 +132,150 @@ void OpenLoop::Arrive(EngineId e) {
   // A quiesce drains the event queue, which fires pending arrivals early;
   // discard them and leave the clock disarmed — Resume() restarts it.
   if (driver_->quiesced()) return;
-  if (const schedule::Scheduler* sched = driver_->scheduler()) {
-    // Scheduled path: draw at arrival (instead of at launch) so the
-    // scheduler can classify and steer before admission. The draw
-    // consumes e's workload RNG exactly where the legacy path would for
-    // an immediate admission; under fifo this branch never runs, which is
-    // what keeps legacy runs byte-identical.
-    std::shared_ptr<txn::Transaction> t = driver_->Draw(e);
-    t->sched_class = sched->Classify(*t);
-    const EngineId target = sched->Route(*t, t->sched_class, e);
-    if (t->traced) {
-      obs::TraceRecorder* trace = driver_->cluster()->trace();
-      const SimTime now = driver_->cluster()->sim()->now();
-      trace->Instant(e, now, "sched_classify", t->logical_id, t->attempt,
-                     /*reason=*/nullptr, "class", t->sched_class);
-      trace->Instant(e, now, "sched_route", t->logical_id, t->attempt,
-                     /*reason=*/nullptr, "target", target);
-    }
-    if (target == e) {
-      AdmitScheduled(e, std::move(t));
-    } else {
-      // Cross-engine steering goes through the fabric: the admission
-      // decision must run in the target engine's event domain (the
-      // sharded simulator's ownership rule), and the hop charges its real
-      // one-way latency. The shed decision therefore lands on the engine
-      // the request was routed *to* — per-engine shed stays consistent
-      // with admitted.
-      m_routed_remote_->Add(e);
-      Cluster* cluster = driver_->cluster();
-      cluster->network()->Deliver(
-          cluster->topology().NodeOfEngine(e),
-          cluster->topology().NodeOfEngine(target), kForwardRequestBytes,
-          [this, target, t]() {
-            // Mirrors the arrival-discard rule: a request in flight when
-            // a quiesce drains the simulator is dropped, not admitted.
-            if (driver_->quiesced()) return;
-            AdmitScheduled(target, t);
-          });
-    }
+  const schedule::Scheduler& sched = driver_->scheduler();
+  if (!sched.Classifies()) {
+    // Nothing to classify or steer: the draw waits for a slot. Drawing at
+    // arrival instead would let queued and shed arrivals consume e's
+    // workload RNG ahead of the retry-jitter draws of the work in flight.
+    Admit(e, nullptr);
     ScheduleNextArrival(e);
     return;
   }
-  EngineState& s = engines_[e];
-  if (s.free_slots > 0) {
-    --s.free_slots;
-    driver_->NoteAdmitted(e);
-    driver_->LaunchFresh(e, /*admission_delay=*/0);
-  } else if (s.queue.size() < opts_.queue_cap) {
-    driver_->NoteAdmitted(e);
-    s.queue.push_back(driver_->cluster()->sim()->now());
-    m_queue_depth_->Add(e, 1);
+  // Draw at arrival so the scheduler can classify and steer before
+  // admission.
+  std::shared_ptr<txn::Transaction> t = driver_->Draw(e);
+  t->sched_class = sched.Classify(*t);
+  const EngineId target = sched.Route(*t, t->sched_class, e);
+  if (t->traced) {
+    obs::TraceRecorder* trace = driver_->cluster()->trace();
+    const SimTime now = driver_->cluster()->sim()->now();
+    trace->Instant(e, now, "sched_classify", t->logical_id, t->attempt,
+                   /*reason=*/nullptr, "class", t->sched_class);
+    trace->Instant(e, now, "sched_route", t->logical_id, t->attempt,
+                   /*reason=*/nullptr, "target", target);
+  }
+  if (target == e) {
+    Admit(e, std::move(t));
   } else {
-    driver_->NoteShed(e);
+    // Cross-engine steering goes through the fabric: the admission
+    // decision must run in the target engine's event domain (the sharded
+    // simulator's ownership rule), and the hop charges its real one-way
+    // latency. The shed decision therefore lands on the engine the
+    // request was routed *to* — per-engine shed stays consistent with
+    // admitted.
+    m_routed_remote_->Add(e);
+    Cluster* cluster = driver_->cluster();
+    cluster->network()->Deliver(
+        cluster->topology().NodeOfEngine(e),
+        cluster->topology().NodeOfEngine(target), kForwardRequestBytes,
+        [this, target, t]() {
+          // Mirrors the arrival-discard rule: a request in flight when a
+          // quiesce drains the simulator is dropped, not admitted.
+          if (driver_->quiesced()) return;
+          Admit(target, t);
+        });
   }
   ScheduleNextArrival(e);
 }
 
-void OpenLoop::AdmitFromQueue(EngineId e) {
-  EngineState& s = engines_[e];
-  const SimTime waited = driver_->cluster()->sim()->now() - s.queue.front();
-  s.queue.pop_front();
-  m_queue_depth_->Add(e, -1);
-  --s.free_slots;
-  driver_->LaunchFresh(e, waited);
-}
-
 bool OpenLoop::ClassAdmissible(const EngineState& s, uint32_t cls) const {
   if (cls == schedule::kColdClass) return true;
-  if (!driver_->scheduler()->SerializeClasses()) return true;
+  if (!driver_->scheduler().SerializeClasses()) return true;
   return !s.inflight_classes.contains(cls);
 }
 
-void OpenLoop::AdmitScheduled(EngineId e, std::shared_ptr<txn::Transaction> t) {
+void OpenLoop::Admit(EngineId e, std::shared_ptr<txn::Transaction> t) {
   EngineState& s = engines_[e];
-  const uint32_t cls = t->sched_class;
+  const uint32_t cls = t ? t->sched_class : schedule::kColdClass;
   if (s.free_slots > 0 && ClassAdmissible(s, cls)) {
-    --s.free_slots;
-    if (cls != schedule::kColdClass &&
-        driver_->scheduler()->SerializeClasses()) {
-      ++s.inflight_classes[cls];
-    }
     driver_->NoteAdmitted(e);
-    driver_->LaunchRouted(e, std::move(t), /*admission_delay=*/0);
+    LaunchInSlot(e, std::move(t), cls, /*waited=*/0);
     return;
   }
-  if (s.sched_queue.size() < opts_.queue_cap) {
+  const SimTime now = driver_->cluster()->sim()->now();
+  if (s.queue.size() < params_.queue_cap) {
     driver_->NoteAdmitted(e);
-    s.sched_queue.push_back({std::move(t), driver_->cluster()->sim()->now(),
-                             driver_->measuring()});
+    s.queue.push_back({std::move(t), cls, now, driver_->measuring()});
     m_queue_depth_->Add(e, 1);
     return;
   }
   // Queue full: the shed policy chooses between the arrival and a queued
   // victim of the opposite temperature.
-  std::vector<bool> hot(s.sched_queue.size());
-  for (size_t i = 0; i < s.sched_queue.size(); ++i) {
-    hot[i] = s.sched_queue[i].txn->sched_class != schedule::kColdClass;
+  std::vector<bool> hot(s.queue.size());
+  for (size_t i = 0; i < s.queue.size(); ++i) {
+    hot[i] = s.queue[i].cls != schedule::kColdClass;
   }
-  const int victim = schedule::PickVictim(
-      hot, cls != schedule::kColdClass, opts_.shed_policy);
+  const int victim =
+      schedule::PickVictim(hot, cls != schedule::kColdClass, shed_policy_);
   obs::TraceRecorder* trace = driver_->cluster()->trace();
-  const SimTime now = driver_->cluster()->sim()->now();
   if (victim < 0) {
-    if (t->traced) {
+    if (t && t->traced) {
       trace->Instant(e, now, "shed", t->logical_id, t->attempt, "shed");
     }
     driver_->NoteShed(e);
     return;
   }
-  const ScheduledRequest& evicted =
-      s.sched_queue[static_cast<size_t>(victim)];
-  if (evicted.txn->traced) {
+  const Request& evicted = s.queue[static_cast<size_t>(victim)];
+  if (evicted.txn && evicted.txn->traced) {
     trace->Instant(e, now, "shed_evicted", evicted.txn->logical_id,
                    evicted.txn->attempt, "shed");
   }
   driver_->NoteShedEvicted(e, evicted.counted);
-  s.sched_queue.erase(s.sched_queue.begin() + victim);
+  s.queue.erase(s.queue.begin() + victim);
   driver_->NoteAdmitted(e);
-  s.sched_queue.push_back({std::move(t), driver_->cluster()->sim()->now(),
-                           driver_->measuring()});
+  s.queue.push_back({std::move(t), cls, now, driver_->measuring()});
 }
 
-void OpenLoop::TryAdmitScheduled(EngineId e) {
+void OpenLoop::TryAdmit(EngineId e) {
   EngineState& s = engines_[e];
   while (s.free_slots > 0) {
     // First admissible request in queue order: a blocked hot class lets
     // the work behind it through instead of head-of-line blocking, and
     // the scan order is deterministic.
-    size_t pick = s.sched_queue.size();
-    for (size_t i = 0; i < s.sched_queue.size(); ++i) {
-      if (ClassAdmissible(s, s.sched_queue[i].txn->sched_class)) {
-        pick = i;
-        break;
-      }
-    }
-    if (pick == s.sched_queue.size()) return;
-    ScheduledRequest req = std::move(s.sched_queue[pick]);
-    s.sched_queue.erase(s.sched_queue.begin() + static_cast<long>(pick));
+    auto it = std::find_if(s.queue.begin(), s.queue.end(),
+                           [&](const Request& r) {
+                             return ClassAdmissible(s, r.cls);
+                           });
+    if (it == s.queue.end()) return;
+    Request req = std::move(*it);
+    s.queue.erase(it);
     m_queue_depth_->Add(e, -1);
-    const SimTime waited =
-        driver_->cluster()->sim()->now() - req.enqueued;
-    --s.free_slots;
-    const uint32_t cls = req.txn->sched_class;
-    if (cls != schedule::kColdClass &&
-        driver_->scheduler()->SerializeClasses()) {
-      ++s.inflight_classes[cls];
-    }
-    driver_->LaunchRouted(e, std::move(req.txn), waited);
+    LaunchInSlot(e, std::move(req.txn), req.cls,
+                 driver_->cluster()->sim()->now() - req.enqueued);
   }
+}
+
+void OpenLoop::LaunchInSlot(EngineId e, std::shared_ptr<txn::Transaction> t,
+                            uint32_t cls, SimTime waited) {
+  EngineState& s = engines_[e];
+  --s.free_slots;
+  if (cls != schedule::kColdClass &&
+      driver_->scheduler().SerializeClasses()) {
+    ++s.inflight_classes[cls];
+  }
+  if (t == nullptr) t = driver_->Draw(e);  // the deferred draw
+  t->admission_delay = waited;
+  driver_->Launch(e, std::move(t));
 }
 
 void OpenLoop::OnSlotFree(EngineId e, const txn::Transaction& t) {
   if (t.outcome == txn::Outcome::kAbortConflict) {
-    // The retried request keeps its slot: admitted work finishes before
-    // queued work starts, so a conflict storm lengthens the queue instead
-    // of multiplying the in-flight population. On the scheduled path it
-    // also keeps its conflict class held.
+    // The retried request keeps its slot and its conflict class: admitted
+    // work finishes before queued work starts, so a conflict storm
+    // lengthens the queue instead of multiplying the in-flight population.
     RetryAfterBackoff(e, t);
     return;
   }
   driver_->NoteQueueDelay(e, t.admission_delay);
   EngineState& s = engines_[e];
   ++s.free_slots;
-  if (driver_->scheduler() != nullptr) {
-    const uint32_t cls = t.sched_class;
-    if (cls != schedule::kColdClass) {
-      auto it = s.inflight_classes.find(cls);
-      if (it != s.inflight_classes.end() && --it->second == 0) {
-        s.inflight_classes.erase(it);
-      }
+  if (t.sched_class != schedule::kColdClass) {
+    auto it = s.inflight_classes.find(t.sched_class);
+    if (it != s.inflight_classes.end() && --it->second == 0) {
+      s.inflight_classes.erase(it);
     }
-    TryAdmitScheduled(e);
-    return;
   }
-  if (!s.queue.empty()) AdmitFromQueue(e);
+  TryAdmit(e);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,17 +293,7 @@ void Batched::StartEngine(EngineId e) {
 }
 
 void Batched::LaunchBatch(EngineId e) {
-  if (driver_->scheduler() != nullptr) {
-    LaunchPackedBatch(e);
-    return;
-  }
-  EngineState& s = engines_[e];
-  s.outstanding = batch_;
-  for (uint32_t i = 0; i < batch_; ++i) driver_->LaunchFresh(e);
-}
-
-void Batched::LaunchPackedBatch(EngineId e) {
-  const schedule::Scheduler* sched = driver_->scheduler();
+  const schedule::Scheduler& sched = driver_->scheduler();
   EngineState& s = engines_[e];
   std::vector<std::shared_ptr<txn::Transaction>> batch;
   std::unordered_set<uint32_t> used;
@@ -365,13 +317,13 @@ void Batched::LaunchPackedBatch(EngineId e) {
   }
   // Fresh draws fill the rest. Collisions are deferred up to a bounded
   // backlog; past the cap the collision is admitted anyway (the batch
-  // degrades toward legacy behavior instead of deferring unboundedly),
+  // degrades toward unpacked formation instead of deferring unboundedly),
   // and the draw bound keeps batch formation O(batch) per refill.
   const size_t defer_cap = static_cast<size_t>(batch_) * 4;
   for (uint32_t draws = 0; batch.size() < batch_ && draws < batch_ * 4;
        ++draws) {
     std::shared_ptr<txn::Transaction> t = driver_->Draw(e);
-    t->sched_class = sched->Classify(*t);
+    t->sched_class = sched.Classify(*t);
     if (admissible(t->sched_class)) {
       take(std::move(t));
     } else if (s.deferred.size() < defer_cap) {
@@ -385,7 +337,7 @@ void Batched::LaunchPackedBatch(EngineId e) {
   CHILLER_CHECK(!batch.empty());
   s.outstanding = static_cast<uint32_t>(batch.size());
   for (std::shared_ptr<txn::Transaction>& t : batch) {
-    driver_->LaunchRouted(e, std::move(t));
+    driver_->Launch(e, std::move(t));
   }
 }
 
@@ -424,7 +376,7 @@ Status ValidateLoadModelParams(const std::string& name,
                                      params.arrival +
                                      "' (known: poisson, uniform)");
     }
-    return Status::OK();
+    return schedule::ParseShedPolicy(params.shed_policy).status();
   }
   if (name == "batched") {
     if (params.batch_size == 0) {
@@ -446,16 +398,7 @@ StatusOr<std::unique_ptr<LoadModel>> MakeLoadModel(
         std::make_unique<ClosedLoop>(params.slots_per_engine));
   }
   if (name == "open") {
-    OpenLoopOptions o;
-    o.offered_tps = params.offered_tps;
-    o.arrival = params.arrival;
-    o.slots_per_engine = params.slots_per_engine;
-    o.queue_cap = params.queue_cap;
-    o.seed = params.seed;
-    auto policy = schedule::ParseShedPolicy(params.shed_policy);
-    if (!policy.ok()) return policy.status();
-    o.shed_policy = policy.value();
-    return std::unique_ptr<LoadModel>(std::make_unique<OpenLoop>(o));
+    return std::unique_ptr<LoadModel>(std::make_unique<OpenLoop>(params));
   }
   return std::unique_ptr<LoadModel>(
       std::make_unique<Batched>(params.batch_size));

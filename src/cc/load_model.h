@@ -102,28 +102,23 @@ class ClosedLoop final : public LoadModel {
   uint32_t slots_;
 };
 
-struct OpenLoopOptions {
-  /// Cluster-wide offered load, transactions per simulated second, split
-  /// evenly across engines. Must be > 0.
+/// Declarative load-model parameters, the union of every model's knobs
+/// (each model reads only its own; see ScenarioSpec for the field docs).
+struct LoadModelParams {
+  /// closed: open transactions per engine; open: service parallelism.
+  uint32_t slots_per_engine = 4;
   double offered_tps = 0.0;
-  /// "poisson": exponential interarrivals (a memoryless arrival process);
-  /// "uniform": interarrivals uniform in [0, 2*mean) — same rate, bounded
-  /// burstiness. Both are deterministic per seed.
+  /// "poisson": exponential interarrivals; "uniform": uniform in
+  /// [0, 2*mean), the same rate with bounded burstiness.
   std::string arrival = "poisson";
-  /// Service parallelism per engine (how many admitted transactions may
-  /// execute concurrently); the ScenarioSpec concurrency knob.
-  uint32_t slots_per_engine = 1;
-  /// Bounded per-engine admission queue. An arrival that finds `queue_cap`
-  /// requests already waiting is shed (dropped and counted), which bounds
-  /// queueing delay under overload instead of growing it without limit.
   uint32_t queue_cap = 64;
-  /// Seed for the per-engine arrival clocks (independent of the workload
-  /// RNG so arrival times do not depend on transaction parameters).
+  uint32_t batch_size = 8;
+  /// open: overflow policy of a full admission queue ("drop-new",
+  /// "drop-cold", "drop-hot"; see schedule::ShedPolicy).
+  std::string shed_policy = "drop-new";
+  /// Seeds the open loop's per-engine arrival clocks, independently of the
+  /// workload RNG.
   uint64_t seed = 1;
-  /// Overflow behavior of the *scheduled* admission queue (ignored on the
-  /// legacy path, which always sheds the arrival): see
-  /// schedule::ShedPolicy.
-  schedule::ShedPolicy shed_policy = schedule::ShedPolicy::kDropNew;
 };
 
 /// Open loop: arrivals at a fixed offered rate, a bounded admission queue,
@@ -137,9 +132,16 @@ struct OpenLoopOptions {
 /// simulated time per quiesce, deterministic, and included in the waits of
 /// requests that sit in the queue across the pause (like the pause
 /// itself).
+///
+/// Every arrival passes through the driver's scheduler. A classifying
+/// scheduler sees the transaction at arrival (drawn, classified, possibly
+/// steered to another engine); under one that does not classify (fifo)
+/// the draw is deferred to launch, so a shed arrival draws nothing.
 class OpenLoop final : public LoadModel {
  public:
-  explicit OpenLoop(OpenLoopOptions options);
+  /// Reads slots_per_engine, offered_tps, arrival, queue_cap, shed_policy,
+  /// and seed; CHECK-fails on parameters ValidateLoadModelParams rejects.
+  explicit OpenLoop(const LoadModelParams& params);
 
   const char* name() const override { return "open"; }
   void StartEngine(EngineId e) override;
@@ -147,14 +149,14 @@ class OpenLoop final : public LoadModel {
   bool UsesAdmissionQueue() const override { return true; }
 
  private:
-  /// One waiting request on the scheduled path. Unlike the legacy queue
-  /// (timestamps only — the transaction is drawn at launch), scheduled
-  /// admission draws at arrival so the scheduler can classify and steer;
-  /// the drawn transaction waits here. `counted` remembers whether this
-  /// admission landed in the current stats window, so a later shed-policy
-  /// eviction can take exactly that admission back.
-  struct ScheduledRequest {
+  /// One waiting request. `txn` is null when the draw is deferred to
+  /// launch (a scheduler that does not classify); `cls` is its conflict
+  /// class either way, which is what the shed policy reads. `counted`
+  /// remembers whether this admission landed in the current stats window,
+  /// so a later shed-policy eviction can take exactly that admission back.
+  struct Request {
     std::shared_ptr<txn::Transaction> txn;
+    uint32_t cls = schedule::kColdClass;
     SimTime enqueued = 0;
     bool counted = false;
   };
@@ -162,8 +164,7 @@ class OpenLoop final : public LoadModel {
   struct EngineState {
     Rng arrivals{1};             ///< arrival-clock RNG, seeded per engine
     uint32_t free_slots = 0;
-    std::deque<SimTime> queue;   ///< legacy: admission times of waiters
-    std::deque<ScheduledRequest> sched_queue;  ///< scheduled path only
+    std::deque<Request> queue;   ///< admitted, waiting for a slot
     /// In-flight count per non-cold conflict class (class-serialized
     /// admission under a SerializeClasses scheduler). A retry keeps its
     /// slot and its class; release happens when the logical transaction
@@ -175,25 +176,30 @@ class OpenLoop final : public LoadModel {
   void OnBind() override;
 
   void ScheduleNextArrival(EngineId e);
+  /// One arrival-clock tick on engine `e`: draw and classify (classifying
+  /// schedulers only), route, and admit on the target engine.
   void Arrive(EngineId e);
-  /// Launches the request at the head of `e`'s queue into a free slot.
-  void AdmitFromQueue(EngineId e);
-
-  // --- scheduled path (driver()->scheduler() != nullptr) ------------------
-  /// Admits `t` on engine `e`: launch if a slot is free and its class is
-  /// admissible, else queue, else run the shed policy. Runs in e's event
-  /// domain (steered arrivals get here through the fabric).
-  void AdmitScheduled(EngineId e, std::shared_ptr<txn::Transaction> t);
+  /// Admits a request on engine `e`: launch if a slot is free and its
+  /// class is admissible, else queue, else run the shed policy. `t` is
+  /// null for a deferred draw. Runs in e's event domain (steered arrivals
+  /// get here through the fabric).
+  void Admit(EngineId e, std::shared_ptr<txn::Transaction> t);
   /// Launches queued requests whose class is admissible while slots are
   /// free (first-admissible order, not strict FIFO: a blocked hot class
   /// never starves the cold work behind it).
-  void TryAdmitScheduled(EngineId e);
+  void TryAdmit(EngineId e);
+  /// Takes a slot (and the class, when serialized) and launches `t` —
+  /// drawing it first when the draw was deferred — after `waited` ns in
+  /// the queue.
+  void LaunchInSlot(EngineId e, std::shared_ptr<txn::Transaction> t,
+                    uint32_t cls, SimTime waited);
   bool ClassAdmissible(const EngineState& s, uint32_t cls) const;
 
-  OpenLoopOptions opts_;
+  LoadModelParams params_;
+  schedule::ShedPolicy shed_policy_;
   SimTime mean_interarrival_ = 0;  ///< per engine, ns
-  /// Live admission-queue depth (legacy + scheduled queues), one cell per
-  /// engine; snapshotted onto the trace timeline each slice.
+  /// Live admission-queue depth, one cell per engine; snapshotted onto the
+  /// trace timeline each slice.
   obs::MetricsRegistry::Gauge* m_queue_depth_ = nullptr;
   /// Arrivals the scheduler steered to another engine (lifetime).
   obs::MetricsRegistry::Counter* m_routed_remote_ = nullptr;
@@ -202,7 +208,9 @@ class OpenLoop final : public LoadModel {
 
 /// Batched admission: each engine launches `batch_size` transactions at
 /// once and refills only when all of them (including their conflict
-/// retries) have settled.
+/// retries) have settled. Batch formation asks the driver's scheduler for
+/// each draw's class and never puts two members of one non-cold class in
+/// a batch; fifo classes everything cold, so its batches are plain.
 class Batched final : public LoadModel {
  public:
   explicit Batched(uint32_t batch_size);
@@ -219,36 +227,21 @@ class Batched final : public LoadModel {
     std::deque<std::shared_ptr<txn::Transaction>> deferred;
   };
 
+  /// Conflict-free batch formation: oldest deferred transactions first,
+  /// then fresh draws, never two members of the same non-cold class per
+  /// batch.
   void LaunchBatch(EngineId e);
-  /// Conflict-free batch formation under a classifying scheduler: oldest
-  /// deferred transactions first, then fresh draws, never two members of
-  /// the same non-cold class per batch.
-  void LaunchPackedBatch(EngineId e);
 
   uint32_t batch_;
   std::vector<EngineState> engines_;
 };
 
-/// Declarative load-model parameters, the union of every model's knobs
-/// (each model reads only its own; see ScenarioSpec for the field docs).
-struct LoadModelParams {
-  uint32_t slots_per_engine = 4;
-  double offered_tps = 0.0;
-  std::string arrival = "poisson";
-  uint32_t queue_cap = 64;
-  uint32_t batch_size = 8;
-  /// open + scheduler: overflow policy of the scheduled admission queue
-  /// ("drop-new", "drop-cold", "drop-hot"); validated by
-  /// schedule::ValidateSchedulerParams, not here.
-  std::string shed_policy = "drop-new";
-  uint64_t seed = 1;
-};
-
 /// The single source of truth for load-model parameter validity, shared by
 /// MakeLoadModel, ScenarioRunner::Validate, and bench flag parsing:
 /// InvalidArgument on an unknown name or parameters degenerate for the
-/// chosen model (open needs a finite offered_tps > 0, queue_cap >= 1, and
-/// a known arrival process; batched needs batch_size >= 1).
+/// chosen model (open needs a finite offered_tps > 0, queue_cap >= 1, a
+/// known arrival process, and a known shed policy; batched needs
+/// batch_size >= 1).
 Status ValidateLoadModelParams(const std::string& name,
                                const LoadModelParams& params);
 

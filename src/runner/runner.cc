@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -48,7 +49,8 @@ Status ValidatePhases(const std::vector<Phase>& phases) {
         if (ph.duration == 0) {
           return Status::InvalidArgument("timed phases must have duration > 0");
         }
-        if (ph.sample_rate <= 0.0 || ph.sample_rate > 1.0) {
+        if (!std::isfinite(ph.sample_rate) || ph.sample_rate <= 0.0 ||
+            ph.sample_rate > 1.0) {
           return Status::InvalidArgument("sample_rate must be in (0, 1]");
         }
         sampled = true;
@@ -57,6 +59,9 @@ Status ValidatePhases(const std::vector<Phase>& phases) {
         if (!sampled) {
           return Status::InvalidArgument(
               "a replan phase needs an earlier sample phase");
+        }
+        if (!std::isfinite(ph.hot_threshold)) {
+          return Status::InvalidArgument("hot_threshold must be finite");
         }
         pending_replan = true;
         break;
@@ -173,14 +178,15 @@ Status ScenarioRunner::Validate(const ScenarioSpec& spec) {
       return Status::InvalidArgument(
           "governor_min_streams must be <= governor_max_streams");
     }
-    if (spec.governor_max_abort_share < 0.0 ||
+    if (!std::isfinite(spec.governor_max_abort_share) ||
+        spec.governor_max_abort_share < 0.0 ||
         spec.governor_max_abort_share > 1.0) {
       return Status::InvalidArgument(
           "governor_max_abort_share must be in [0, 1]");
     }
   }
-  if (spec.rearm_threshold < 0.0) {
-    return Status::InvalidArgument("rearm_threshold must be >= 0");
+  if (!std::isfinite(spec.rearm_threshold) || spec.rearm_threshold < 0.0) {
+    return Status::InvalidArgument("rearm_threshold must be finite and >= 0");
   }
   if (spec.rearm_threshold > 0.0 && !spec.continuous) {
     return Status::InvalidArgument(
@@ -206,14 +212,16 @@ Status ScenarioRunner::Validate(const ScenarioSpec& spec) {
     if (spec.controller_period == 0) {
       return Status::InvalidArgument("controller_period must be > 0");
     }
-    if (spec.controller_sample_rate <= 0.0 ||
+    if (!std::isfinite(spec.controller_sample_rate) ||
+        spec.controller_sample_rate <= 0.0 ||
         spec.controller_sample_rate > 1.0) {
       return Status::InvalidArgument(
           "controller_sample_rate must be in (0, 1]");
     }
-    if (spec.controller_drift_threshold < 0.0) {
+    if (!std::isfinite(spec.controller_drift_threshold) ||
+        spec.controller_drift_threshold < 0.0) {
       return Status::InvalidArgument(
-          "controller_drift_threshold must be >= 0");
+          "controller_drift_threshold must be finite and >= 0");
     }
     if (spec.controller_hysteresis == 0) {
       return Status::InvalidArgument("controller_hysteresis must be >= 1");
@@ -263,9 +271,6 @@ StatusOr<ScenarioEnv> ScenarioRunner::Wire(const ScenarioSpec& spec) {
       env.cluster.get(), env.protocol.get(), env.bundle->source(),
       std::move(model).value(), spec.seed);
 
-  // The admission scheduler. Passthrough policies (fifo) are built for
-  // validation parity but never installed: with a null scheduler the load
-  // models keep their legacy code paths, byte for byte.
   schedule::SchedulerContext sctx;
   sctx.num_engines = env.cluster->num_engines();
   sctx.classes = spec.sched_classes;
@@ -274,10 +279,8 @@ StatusOr<ScenarioEnv> ScenarioRunner::Wire(const ScenarioSpec& spec) {
   auto sched = schedule::SchedulerRegistry::Global().Make(spec.scheduler,
                                                           sctx);
   if (!sched.ok()) return sched.status();
-  if (!sched.value()->Passthrough()) {
-    env.scheduler = std::move(sched).value();
-    env.driver->set_scheduler(env.scheduler.get());
-  }
+  env.scheduler = std::move(sched).value();
+  env.driver->set_scheduler(env.scheduler.get());
   return env;
 }
 

@@ -25,10 +25,9 @@ struct ScenarioEnv {
   std::unique_ptr<cc::Cluster> cluster;
   std::unique_ptr<cc::ReplicationManager> repl;
   std::unique_ptr<cc::Protocol> protocol;
-  /// Admission scheduler the driver consults (null for passthrough
-  /// policies — fifo installs nothing, keeping legacy paths
-  /// byte-identical). Declared before driver: members destroy in reverse
-  /// order, so the driver never outlives the scheduler it points at.
+  /// Admission scheduler the driver consults. Declared before driver:
+  /// members destroy in reverse order, so the driver never outlives the
+  /// scheduler it points at.
   std::unique_ptr<schedule::Scheduler> scheduler;
   std::unique_ptr<cc::Driver> driver;
 };

@@ -111,14 +111,14 @@ struct ScenarioSpec {
 
   // Admission scheduler (see schedule/scheduler.h): which transaction is
   // admitted where, ahead of the load model's when.
-  /// Registry key: "fifo" (default, byte-identical to no scheduler),
+  /// Registry key: "fifo" (default: arrival order, no classification),
   /// "hash-affinity" (open model), "batch-pack" (batched model).
   std::string scheduler = "fifo";
   /// Conflict-class universe size for classifying schedulers; 0 = a
   /// default large enough that distinct hot records rarely share a class.
   uint32_t sched_classes = 0;
-  /// Overflow policy of the scheduled admission queue: "drop-new"
-  /// (legacy: shed the arrival), "drop-cold", or "drop-hot". Non-default
+  /// Overflow policy of the open loop's admission queue: "drop-new"
+  /// (the default: shed the arrival), "drop-cold", or "drop-hot". Non-default
   /// values need a classifying scheduler.
   std::string shed_policy = "drop-new";
 

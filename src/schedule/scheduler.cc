@@ -48,13 +48,13 @@ uint32_t ClassOfRecord(const RecordId& rid, uint32_t classes) {
 }
 
 // ---------------------------------------------------------------------------
-// fifo — the passthrough
+// fifo — arrival order, no steering
 // ---------------------------------------------------------------------------
 
 class FifoScheduler final : public Scheduler {
  public:
   const char* name() const override { return "fifo"; }
-  bool Passthrough() const override { return true; }
+  bool Classifies() const override { return false; }
   uint32_t Classify(const txn::Transaction&) const override {
     return kColdClass;
   }
@@ -173,6 +173,11 @@ int PickVictim(const std::vector<bool>& queued_is_hot, bool arriving_is_hot,
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
+
+const Scheduler& Fifo() {
+  static const FifoScheduler fifo{};
+  return fifo;
+}
 
 SchedulerRegistry& SchedulerRegistry::Global() {
   static SchedulerRegistry* registry = [] {

@@ -15,9 +15,11 @@
 //
 // Three built-in policies behind a string-keyed registry:
 //
-//   fifo           today's behavior, byte-identical: no classification, no
-//                  steering. Passthrough() — the load models keep their
-//                  legacy code paths untouched.
+//   fifo           no classification, no steering: arrivals are admitted
+//                  in order on their own engine. It is installed like any
+//                  other policy (a Driver starts with it), and because it
+//                  does not classify, the open loop defers each draw to
+//                  launch — see Classifies().
 //   hash-affinity  open model: transactions *writing* a hot record are
 //                  classed by that record and routed to the engine that
 //                  owns it; the open loop then never runs two in-flight
@@ -67,7 +69,7 @@ struct SchedulerContext {
   /// The live placement + heat source (the workload bundle's partitioner;
   /// for adaptive workloads this is the swappable indirection, so the
   /// scheduler tracks relayouts automatically). May be null only for
-  /// passthrough policies.
+  /// policies that do not classify.
   const partition::RecordPartitioner* partitioner = nullptr;
   uint64_t seed = 1;
 
@@ -90,10 +92,12 @@ class Scheduler {
 
   virtual const char* name() const = 0;
 
-  /// True for policies that change nothing (fifo): the runner skips
-  /// installing them so the load models keep their legacy code paths —
-  /// the mechanism behind the "fifo is byte-identical" guarantee.
-  virtual bool Passthrough() const { return false; }
+  /// False for policies whose Classify always returns kColdClass and whose
+  /// Route always returns the arrival engine (fifo). Nothing then depends
+  /// on the transaction before it runs, so the open loop draws it at
+  /// launch rather than at arrival: a shed arrival draws nothing, and the
+  /// engine's workload RNG advances in launch order.
+  virtual bool Classifies() const { return true; }
 
   /// Predicted conflict class of `t`, or kColdClass when no conflict is
   /// expected. Requires t.accesses initialized with ready keys resolved
@@ -114,11 +118,11 @@ class Scheduler {
 };
 
 // ---------------------------------------------------------------------------
-// Shed policy: who is dropped when a scheduled admission queue overflows
+// Shed policy: who is dropped when an admission queue overflows
 // ---------------------------------------------------------------------------
 
-/// Overload behavior of a full scheduled admission queue. drop-new is the
-/// legacy rule (shed the arrival). The temperature-aware policies trade
+/// Overload behavior of a full admission queue. drop-new (the default)
+/// sheds the arrival. The temperature-aware policies trade
 /// work classes against each other: drop-cold sheds uncontended work to
 /// keep the hot requests the scheduler can serialize efficiently;
 /// drop-hot sheds the contended work whose serialized service time is the
@@ -151,6 +155,10 @@ int PickVictim(const std::vector<bool>& queued_is_hot, bool arriving_is_hot,
 using SchedulerFactory =
     std::function<StatusOr<std::unique_ptr<Scheduler>>(
         const SchedulerContext&)>;
+
+/// The shared fifo instance every Driver starts with. Stateless, so one
+/// instance serves any number of drivers on any thread.
+const Scheduler& Fifo();
 
 /// String-keyed scheduler registry, mirroring WorkloadRegistry /
 /// ProtocolRegistry: benches resolve --scheduler by name and

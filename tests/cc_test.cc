@@ -16,6 +16,7 @@
 #include "cc/replication.h"
 #include "cc/twopl.h"
 #include "chiller/two_region.h"
+#include "schedule/scheduler.h"
 #include "workload/flight.h"
 
 namespace chiller {
@@ -277,7 +278,7 @@ TEST(LoadModelTest, OpenLoopDeliversTheOfferedRate) {
   // uniform arrivals at 20k tps cluster-wide over a 10 ms window = ~200
   // attempts, with an idle queue and nothing shed.
   Env env = MakeEnv("2pl", 2, /*concurrency=*/2);
-  cc::OpenLoopOptions o;
+  cc::LoadModelParams o;
   o.offered_tps = 20000;
   o.arrival = "uniform";
   o.slots_per_engine = 2;
@@ -301,7 +302,7 @@ TEST(LoadModelTest, OpenLoopShedsAtAFullQueue) {
   // admission queue must shed most arrivals instead of queueing without
   // limit, and what is admitted still commits.
   Env env = MakeEnv("2pl", 2, /*concurrency=*/1);
-  cc::OpenLoopOptions o;
+  cc::LoadModelParams o;
   o.offered_tps = 5000000;
   o.slots_per_engine = 1;
   o.queue_cap = 2;
@@ -321,7 +322,7 @@ TEST(LoadModelTest, OpenLoopShedsAtAFullQueue) {
 TEST(LoadModelTest, OpenLoopIsDeterministic) {
   auto run = [] {
     Env env = MakeEnv("chiller", 3, /*concurrency=*/2);
-    cc::OpenLoopOptions o;
+    cc::LoadModelParams o;
     o.offered_tps = 100000;
     o.slots_per_engine = 2;
     o.queue_cap = 8;
@@ -333,6 +334,95 @@ TEST(LoadModelTest, OpenLoopIsDeterministic) {
                            env.cluster->sim()->events_processed());
   };
   EXPECT_EQ(run(), run());
+}
+
+/// Forwards to a workload and counts fresh draws (Next) separately from
+/// retry rebuilds.
+class CountingSource final : public cc::WorkloadSource {
+ public:
+  explicit CountingSource(cc::WorkloadSource* inner) : inner_(inner) {}
+
+  std::unique_ptr<txn::Transaction> Next(PartitionId home,
+                                         Rng* rng) override {
+    ++next_calls;
+    return inner_->Next(home, rng);
+  }
+  std::unique_ptr<txn::Transaction> Rebuild(
+      const txn::Transaction& t) override {
+    return inner_->Rebuild(t);
+  }
+  uint32_t NumClasses() const override { return inner_->NumClasses(); }
+  std::string ClassName(uint32_t cls) const override {
+    return inner_->ClassName(cls);
+  }
+
+  uint64_t next_calls = 0;
+
+ private:
+  cc::WorkloadSource* inner_;
+};
+
+/// Classifies (everything cold) but never steers: the arrival-time draw is
+/// the only difference from fifo.
+class ColdClassifier final : public schedule::Scheduler {
+ public:
+  const char* name() const override { return "cold-classifier"; }
+  uint32_t Classify(const txn::Transaction&) const override {
+    return schedule::kColdClass;
+  }
+  EngineId Route(const txn::Transaction&, uint32_t,
+                 EngineId arrival) const override {
+    return arrival;
+  }
+};
+
+/// Open loop with a one-deep queue far past capacity, counting from the
+/// first arrival. Returns (Next calls, admitted, shed, still queued).
+std::tuple<uint64_t, uint64_t, uint64_t, int64_t> RunShedding(
+    const schedule::Scheduler* sched) {
+  Env env = MakeEnv("2pl", 2, /*concurrency=*/1);
+  CountingSource source(env.workload.get());
+  cc::LoadModelParams o;
+  o.offered_tps = 5000000;
+  o.slots_per_engine = 1;
+  o.queue_cap = 1;
+  env.driver = std::make_unique<cc::Driver>(
+      env.cluster.get(), env.protocol.get(), &source,
+      std::make_unique<cc::OpenLoop>(o));
+  if (sched != nullptr) env.driver->set_scheduler(sched);
+  env.driver->set_measuring(true);
+  env.driver->Start();
+  env.driver->Advance(2 * kMillisecond);
+  const cc::RunStats& stats = env.driver->stats();
+  const int64_t queued =
+      env.cluster->metrics()->GetGauge("admission.queue_depth")->Value();
+  return {source.next_calls, stats.admitted, stats.shed, queued};
+}
+
+TEST(LoadModelTest, DriverStartsWithFifo) {
+  Env env = MakeEnv("2pl");
+  EXPECT_STREQ(env.driver->scheduler().name(), "fifo");
+  EXPECT_FALSE(env.driver->scheduler().Classifies());
+}
+
+TEST(LoadModelTest, FifoDrawsAtLaunchAndShedArrivalsDrawNothing) {
+  // The rule that keeps fifo's open loop on the same workload-RNG order as
+  // before schedulers existed: every admitted request is drawn when it
+  // launches, so queued requests have not drawn yet and shed ones never
+  // do. Launched fresh = admitted - still queued.
+  const auto [next, admitted, shed, queued] = RunShedding(nullptr);
+  ASSERT_GT(shed, 0u);
+  ASSERT_GT(admitted, 0u);
+  EXPECT_EQ(next, admitted - static_cast<uint64_t>(queued));
+}
+
+TEST(LoadModelTest, ClassifyingSchedulerDrawsEveryArrival) {
+  // A classifying scheduler must see the transaction at arrival, so every
+  // arrival draws — the shed ones included.
+  ColdClassifier sched;
+  const auto [next, admitted, shed, queued] = RunShedding(&sched);
+  ASSERT_GT(shed, 0u);
+  EXPECT_EQ(next, admitted + shed);
 }
 
 TEST(LoadModelTest, BatchedAdmitsInBatches) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -830,6 +831,32 @@ TEST(MigrateValidationTest, RejectsMalformedSpecs) {
   EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
   spec.controller_hysteresis = 2;
   EXPECT_TRUE(ScenarioRunner::Validate(spec).ok());
+
+  // NaN passes every ordered comparison: a range check alone would let
+  // these through to a CHECK in the controller or the governor.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNaN, kInf}) {
+    ScenarioSpec c = SmallAdaptive();
+    c.continuous = true;
+    ASSERT_TRUE(ScenarioRunner::Validate(c).ok());
+    c.controller_sample_rate = bad;
+    EXPECT_TRUE(ScenarioRunner::Validate(c).IsInvalidArgument()) << bad;
+    c = SmallAdaptive();
+    c.continuous = true;
+    c.controller_drift_threshold = bad;
+    EXPECT_TRUE(ScenarioRunner::Validate(c).IsInvalidArgument()) << bad;
+    c = SmallAdaptive();
+    c.continuous = true;
+    c.rearm_threshold = bad;
+    EXPECT_TRUE(ScenarioRunner::Validate(c).IsInvalidArgument()) << bad;
+    c = SmallAdaptive();
+    c.continuous = true;
+    c.governor = true;
+    ASSERT_TRUE(ScenarioRunner::Validate(c).ok());
+    c.governor_max_abort_share = bad;
+    EXPECT_TRUE(ScenarioRunner::Validate(c).IsInvalidArgument()) << bad;
+  }
 
   // Concurrent streams and the governor.
   spec = SmallAdaptive();

@@ -382,6 +382,19 @@ TEST(PhasePlanTest, ValidateRejectsMalformedPlans) {
   spec.phases = {Phase::Measure(0)};  // zero-length timed phase
   EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
 
+  // Non-finite rates and thresholds: NaN passes every ordered comparison,
+  // and a NaN sample rate would sample every commit.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNaN, kInf}) {
+    spec.phases = {Phase::Sample(kMillisecond, bad), Phase::Replan(),
+                   Phase::Migrate(), Phase::Measure(kMillisecond)};
+    EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument()) << bad;
+    spec.phases = {Phase::Sample(kMillisecond, 1.0), Phase::Replan(bad),
+                   Phase::Migrate(), Phase::Measure(kMillisecond)};
+    EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument()) << bad;
+  }
+
   spec.phases = AdaptivePlan();
   spec.workload = "adaptive";
   EXPECT_TRUE(ScenarioRunner::Validate(spec).ok());

@@ -82,7 +82,10 @@ TEST(SchedulerRegistryTest, UnknownNameListsAlternatives) {
 TEST(SchedulerRegistryTest, FifoNeedsNoPartitioner) {
   auto sched = SchedulerRegistry::Global().Make("fifo", SchedulerContext{});
   ASSERT_TRUE(sched.ok()) << sched.status().ToString();
-  EXPECT_TRUE(sched.value()->Passthrough());
+  // fifo never classifies: the open loop may defer its draws to launch.
+  EXPECT_FALSE(sched.value()->Classifies());
+  EXPECT_STREQ(Fifo().name(), "fifo");
+  EXPECT_FALSE(Fifo().Classifies());
   EXPECT_FALSE(sched.value()->SerializeClasses());
 }
 
