@@ -63,8 +63,8 @@ void Main(const BenchFlags& flags) {
         auto out = partition::ChillerPartitioner::Build(traces, opts);
         WPoint p;
         p.dist = partition::DistributedRatio(eval, *out.partitioner);
-        p.resid = partition::ResidualContention(eval, *out.partitioner,
-                                                eval_stats, 16.0);
+        p.resid = partition::ResidualContention(
+            eval, {out.partitioner.get()}, eval_stats, 16.0)[0];
         p.cut = out.report.cut_weight;
         return p;
       });

@@ -63,12 +63,14 @@ void Main(const BenchFlags& flags) {
     p.dist_schism = partition::DistributedRatio(eval, *layouts.schism);
     p.dist_chiller =
         partition::DistributedRatio(eval, *layouts.chiller_out.partitioner);
-    p.resid_hash =
-        partition::ResidualContention(eval, *layouts.hashing, stats, 16.0);
-    p.resid_schism =
-        partition::ResidualContention(eval, *layouts.schism, stats, 16.0);
-    p.resid_chiller = partition::ResidualContention(
-        eval, *layouts.chiller_out.partitioner, stats, 16.0);
+    const std::vector<double> resid = partition::ResidualContention(
+        eval,
+        {layouts.hashing.get(), layouts.schism.get(),
+         layouts.chiller_out.partitioner.get()},
+        stats, 16.0);
+    p.resid_hash = resid[0];
+    p.resid_schism = resid[1];
+    p.resid_chiller = resid[2];
     std::fprintf(stderr, "  [fig8] k=%u done\n", k);
     return p;
   });

@@ -185,14 +185,15 @@ void BM_SchedulerRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerRoute);
 
-/// The migration planner's full-cluster placement diff: walk every primary
-/// record, compare the live and target layouts, and group the movers into
-/// per-relayout-bucket units. Runs once per replan decision (every
-/// controller epoch that trips the drift threshold), so it must stay cheap
-/// next to the simulated relayout it schedules.
+/// The migration planner's placement diff: enumerate the records the live
+/// and target layouts name, keep the ones whose primary changes, and group
+/// them into per-relayout-bucket units in storage scan order. Runs once per
+/// replan decision (every controller epoch that trips the drift
+/// threshold), so it must stay cheap next to the simulated relayout it
+/// schedules.
 void BM_MigrationPlanDiff(benchmark::State& state) {
   runner::ScenarioSpec spec;
-  spec.workload = "ycsb";
+  spec.workload = "adaptive";
   spec.nodes = 4;
   spec.options.Set("keys_per_partition", 2000);
   auto env = runner::ScenarioRunner::Wire(spec);
@@ -211,12 +212,12 @@ void BM_MigrationPlanDiff(benchmark::State& state) {
         });
   }
   for (auto _ : state) {
-    auto plan = migrate::MigrationPlan::Diff(env->cluster.get(), *target,
-                                             /*num_buckets=*/64);
+    auto plan = migrate::MigrationPlan::Diff(
+        env->cluster.get(), *env->bundle->adaptive_partitioner(), *target,
+        /*num_buckets=*/64);
     benchmark::DoNotOptimize(plan.units.data());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          env->cluster->TotalPrimaryRecords());
+  state.SetItemsProcessed(state.iterations() * target->LookupEntries());
 }
 BENCHMARK(BM_MigrationPlanDiff)->Unit(benchmark::kMicrosecond);
 

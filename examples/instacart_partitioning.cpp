@@ -44,10 +44,11 @@ int main() {
               "residual-contention", "lookup-entries", "graph-edges");
   auto report = [&](const char* name, const partition::RecordPartitioner& p,
                     size_t entries, size_t edges) {
+    const double residual =
+        partition::ResidualContention(eval, {&p}, layouts.stats, 16.0)[0];
     std::printf("%-10s %16.3f %18.1f %14zu %12zu\n", name,
-                partition::DistributedRatio(eval, p),
-                partition::ResidualContention(eval, p, layouts.stats, 16.0),
-                entries, edges);
+                partition::DistributedRatio(eval, p), residual, entries,
+                edges);
   };
   report("hash", *layouts.hash_base, 0, 0);
   report("schism", *layouts.schism_out.partitioner,

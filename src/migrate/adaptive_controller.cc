@@ -171,10 +171,11 @@ void AdaptiveController::CloseEpoch() {
   // candidate relabels partitions. A relayout only starts when it would
   // actually pay (the reaction-worth-the-cost rule of the production
   // loop).
-  const double live_cost = partition::ResidualContention(
-      eval, *live_, *collector_, opts_.lock_window_txns);
-  const double cand_cost = partition::ResidualContention(
-      eval, *out.partitioner, *collector_, opts_.lock_window_txns);
+  const std::vector<double> costs = partition::ResidualContention(
+      eval, {live_, out.partitioner.get()}, *collector_,
+      opts_.lock_window_txns);
+  const double live_cost = costs[0];
+  const double cand_cost = costs[1];
   const double drift =
       live_cost <= 0.0 ? 0.0 : (live_cost - cand_cost) / live_cost;
   report_.last_drift = drift;
@@ -189,7 +190,7 @@ void AdaptiveController::CloseEpoch() {
 
   MigrationPlan plan;
   if (drift > opts_.drift_threshold) {
-    plan = MigrationPlan::Diff(cluster_, *out.partitioner,
+    plan = MigrationPlan::Diff(cluster_, *live_, *out.partitioner,
                                opts_.relayout_buckets);
   }
   if (plan.total_moves() > 0) {
@@ -221,8 +222,8 @@ void AdaptiveController::MaybeRearm() {
   // Per-trace normalization: ResidualContention sums over traces, and
   // probes of different epochs catch different trace counts.
   const double live_residual =
-      partition::ResidualContention(traces, *live_, *probe,
-                                    opts_.lock_window_txns) /
+      partition::ResidualContention(traces, {live_}, *probe,
+                                    opts_.lock_window_txns)[0] /
       static_cast<double>(traces.size());
   if (baseline_residual_ <= 0.0 || live_residual < baseline_residual_) {
     // First probe after settling, or a calmer epoch than any seen: this is

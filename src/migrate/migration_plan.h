@@ -48,13 +48,26 @@ struct MigrationPlan {
     return n;
   }
 
-  /// Scans every primary record and diffs its current residency against
-  /// `target`. Records already present at their target primary are records
-  /// loaded everywhere (fully replicated read-only tables): their placement
-  /// is "everywhere" and they never move. With num_buckets == 1 the plan
-  /// degenerates to a single unit holding the whole diff in scan order —
-  /// the quiesced migrate phase's schedule.
+  /// Diffs the records' current placement, which is `live`'s active layout,
+  /// against `target`. Only records that some layout names can move: the
+  /// candidates are the lookup entries of live's active layout and of
+  /// `target` (partition::LookupPartitioner::entries()), and every other
+  /// record goes to the same hash fallback under both. A candidate that is
+  /// absent at its live home (an erased row) or that already sits at its
+  /// target primary (a record loaded everywhere, i.e. a fully replicated
+  /// read-only table) never moves. Moves follow the order of a full scan of
+  /// the primaries (partition, table, storage bucket, slot), grouped by
+  /// ascending relayout bucket. With num_buckets == 1 the plan degenerates
+  /// to a single unit holding the whole diff in scan order — the quiesced
+  /// migrate phase's schedule.
+  ///
+  /// Precondition (CHECKed): `live` is not in transition, and both layouts
+  /// are a partition::HashPartitioner or a LookupPartitioner over one, with
+  /// equal hash fallbacks (same partition count and key function). Live
+  /// migration relies on the same invariant: a record born mid-relayout
+  /// places identically under the outgoing and the incoming layout.
   static MigrationPlan Diff(cc::Cluster* cluster,
+                            const partition::SwappablePartitioner& live,
                             const partition::RecordPartitioner& target,
                             uint32_t num_buckets);
 };

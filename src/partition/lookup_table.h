@@ -50,6 +50,12 @@ class HashPartitioner : public RecordPartitioner {
     return static_cast<PartitionId>(RecordIdHash{}(rid) % num_partitions_);
   }
 
+  /// Same partition count and key function: the two place every record
+  /// identically.
+  bool SameAs(const HashPartitioner& other) const {
+    return num_partitions_ == other.num_partitions_ && fn_ == other.fn_;
+  }
+
  private:
   uint32_t num_partitions_;
   KeyToPartition fn_;
@@ -83,6 +89,14 @@ class LookupPartitioner : public RecordPartitioner {
 
   size_t LookupEntries() const override { return entries_.size(); }
   size_t HotEntries() const { return hot_.size(); }
+
+  /// The records this layout names explicitly; every other record goes to
+  /// fallback(). A placement diff between two layouts that share a fallback
+  /// only has to look at the names (migrate::MigrationPlan::Diff).
+  const std::unordered_map<RecordId, PartitionId>& entries() const {
+    return entries_;
+  }
+  const RecordPartitioner& fallback() const { return *fallback_; }
 
  private:
   std::unique_ptr<RecordPartitioner> fallback_;

@@ -21,10 +21,18 @@ double DistributedRatio(const std::vector<TxnAccessTrace>& traces,
 /// locked across the outer region's span). Lower is better. This evaluates
 /// a layout against the paper's min-sum-of-cut-weights objective without
 /// running the system.
-double ResidualContention(const std::vector<TxnAccessTrace>& traces,
-                          const RecordPartitioner& partitioner,
-                          const StatsCollector& stats,
-                          double lock_window_txns);
+///
+/// Scores every layout in `layouts` in one pass and returns one total per
+/// layout, in the same order: each distinct record's conflict likelihood is
+/// priced once, and its partition looked up once per layout. Each total is
+/// bit-identical to scoring its layout alone. Per trace, records count
+/// once (first occurrence), partition masses accumulate in that order, the
+/// host is the first strictly largest mass in ascending partition order,
+/// and the residual is summed in ascending RecordId order.
+std::vector<double> ResidualContention(
+    const std::vector<TxnAccessTrace>& traces,
+    const std::vector<const RecordPartitioner*>& layouts,
+    const StatsCollector& stats, double lock_window_txns);
 
 }  // namespace chiller::partition
 

@@ -1,6 +1,7 @@
 #include "partition/multilevel_partitioner.h"
 
 #include <algorithm>
+#include <memory_resource>
 #include <numeric>
 #include <unordered_map>
 
@@ -67,8 +68,14 @@ Level Coarsen(const Graph& g, Rng* rng) {
   for (uint32_t v = 0; v < n; ++v) {
     cg.vwgt[level.coarse_of[v]] += g.vwgt[v];
   }
-  // Merge adjacency, accumulating parallel edges.
-  std::unordered_map<uint64_t, double> merged;
+  // Merge adjacency, accumulating parallel edges. The map's nodes live in a
+  // per-call arena. Its iteration order sets the coarse adjacency order,
+  // which breaks weight ties in HeavyEdgeMatching and InitialPartition; in
+  // libstdc++ that order depends only on the sequence of distinct keys
+  // inserted (not on the allocator), so the map must keep its growth
+  // policy: no reserve.
+  std::pmr::monotonic_buffer_resource arena;
+  std::pmr::unordered_map<uint64_t, double> merged(&arena);
   for (uint32_t v = 0; v < n; ++v) {
     const uint32_t cv = level.coarse_of[v];
     for (const auto& [u, w] : g.adj[v]) {

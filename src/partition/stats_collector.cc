@@ -1,6 +1,8 @@
 #include "partition/stats_collector.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "common/logging.h"
 #include "partition/contention_model.h"
@@ -62,9 +64,9 @@ void StatsCollector::Observe(const txn::Transaction& t) {
   Shard& shard = shards_[t.home];
   if (sample_rate_ < 1.0 && !shard.rng.Bernoulli(sample_rate_)) return;
   TxnAccessTrace trace = TraceOf(t);
-  if (retain_traces_) shard.traces.push_back(trace);
   shard.sampled += trace.multiplicity;
   CountTrace(trace, &shard.records);
+  if (retain_traces_) shard.traces.push_back(std::move(trace));
 }
 
 void StatsCollector::ObserveTrace(const TxnAccessTrace& trace) {
@@ -80,18 +82,33 @@ void StatsCollector::MergeShards() const {
   uint64_t total = 0;
   for (const Shard& s : shards_) total += s.sampled;
   if (total == merged_upto_) return;
-  traces_.clear();
-  records_.clear();
-  sampled_txns_ = 0;
-  for (const Shard& s : shards_) {
-    traces_.insert(traces_.end(), s.traces.begin(), s.traces.end());
-    sampled_txns_ += s.sampled;
+  size_t fresh = 0;
+  for (const Shard& s : shards_) fresh += s.traces.size();
+  if (fresh > 0) {
+    // Shard-major order: each shard's new traces go after its merged ones.
+    std::vector<TxnAccessTrace> merged;
+    merged.reserve(traces_.size() + fresh);
+    auto older = traces_.begin();
+    for (Shard& s : shards_) {
+      merged.insert(merged.end(), std::make_move_iterator(older),
+                    std::make_move_iterator(older + s.merged_traces));
+      older += s.merged_traces;
+      merged.insert(merged.end(), std::make_move_iterator(s.traces.begin()),
+                    std::make_move_iterator(s.traces.end()));
+      s.merged_traces += s.traces.size();
+      s.traces.clear();
+    }
+    traces_ = std::move(merged);
+  }
+  for (Shard& s : shards_) {
     for (const auto& [rid, counts] : s.records) {
       RecordCounts& c = records_[rid];
       c.reads += counts.reads;
       c.writes += counts.writes;
     }
+    s.records.clear();
   }
+  sampled_txns_ = total;
   merged_upto_ = total;
 }
 

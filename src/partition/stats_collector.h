@@ -33,7 +33,12 @@ struct TxnAccessTrace {
 ///    so commit observers can run concurrently from the sharded simulator's
 ///    threads. Read accessors merge the shards engine-ascending (each
 ///    engine's sequence is deterministic), so results are identical for any
-///    simulator shard count; they must only be called at control.
+///    simulator shard count; they must only be called at control. The merge
+///    is incremental: a shard holds only what it sampled since the last
+///    merge, and a read that finds new samples adds just those — their
+///    counts into the merged records, their traces after the shard's
+///    earlier ones (the older merged traces are moved, never copied, so
+///    the merged list stays shard-major).
 class StatsCollector {
  public:
   /// `sample_rate` in (0, 1]: fraction of transactions recorded. The paper
@@ -89,23 +94,28 @@ class StatsCollector {
   /// simulator shards never false-share.
   struct alignas(64) Shard {
     Rng rng{1};
+    /// Sampled since the last merge: the traces (if retained) and their
+    /// counts.
     std::vector<TxnAccessTrace> traces;
     std::unordered_map<RecordId, RecordCounts> records;
-    uint64_t sampled = 0;
+    uint64_t sampled = 0;       ///< lifetime
+    size_t merged_traces = 0;   ///< this shard's traces in the merged view
   };
 
-  /// Rebuilds the merged read view if any shard changed since the last
-  /// merge. Control-plane only.
+  /// Folds what the shards sampled since the last merge into the merged
+  /// read view. Control-plane only.
   void MergeShards() const;
 
   double sample_rate_;
   uint64_t seed_;
   Rng rng_;  ///< sampling stream in plain mode
   bool retain_traces_ = false;
-  std::vector<Shard> shards_;  ///< empty = plain mode
+  /// Empty = plain mode. Mutable: a read drains the shards into the merged
+  /// view.
+  mutable std::vector<Shard> shards_;
 
   // In plain mode these ARE the state; in sharded mode they are the merged
-  // read view, rebuilt lazily.
+  // read view, updated lazily.
   mutable std::vector<TxnAccessTrace> traces_;
   mutable std::unordered_map<RecordId, RecordCounts> records_;
   mutable uint64_t sampled_txns_ = 0;

@@ -39,15 +39,26 @@ class RecordInterner {
 };
 
 /// Canonical form of an access set for transaction dedup: sorted unique
-/// (record, write) pairs, writes folded in.
+/// (record, write) pairs, writes folded in. Records are interned in trace
+/// order.
 std::vector<std::pair<uint32_t, bool>> CanonicalAccesses(
     const TxnAccessTrace& trace, RecordInterner* interner) {
-  std::map<uint32_t, bool> by_vertex;
+  std::vector<std::pair<uint32_t, bool>> canon;
+  canon.reserve(trace.accesses.size());
   for (const auto& [rid, write] : trace.accesses) {
-    const uint32_t v = interner->Intern(rid);
-    by_vertex[v] = by_vertex[v] || write;
+    canon.emplace_back(interner->Intern(rid), write);
   }
-  return {by_vertex.begin(), by_vertex.end()};
+  std::sort(canon.begin(), canon.end());
+  size_t n = 0;
+  for (const auto& [v, write] : canon) {
+    if (n > 0 && canon[n - 1].first == v) {
+      canon[n - 1].second = canon[n - 1].second || write;
+    } else {
+      canon[n++] = {v, write};
+    }
+  }
+  canon.resize(n);
+  return canon;
 }
 
 }  // namespace
@@ -62,20 +73,24 @@ StarGraph WorkloadGraphBuilder::BuildStar(
   // feeds the txn-count load metric.
   std::vector<std::pair<std::vector<std::pair<uint32_t, bool>>, uint64_t>>
       txn_groups;
+  for (const TxnAccessTrace& trace : traces) {
+    auto canon = CanonicalAccesses(trace, &interner);
+    if (canon.empty()) continue;
+    txn_groups.emplace_back(std::move(canon), trace.multiplicity);
+  }
   if (options.dedupe_identical_txns) {
-    std::map<std::vector<std::pair<uint32_t, bool>>, uint64_t> merged;
-    for (const TxnAccessTrace& trace : traces) {
-      auto canon = CanonicalAccesses(trace, &interner);
-      if (canon.empty()) continue;
-      merged[std::move(canon)] += trace.multiplicity;
+    // Ascending access-set order, equal sets summed into one group.
+    std::sort(txn_groups.begin(), txn_groups.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    size_t n = 0;
+    for (auto& [accesses, multiplicity] : txn_groups) {
+      if (n > 0 && txn_groups[n - 1].first == accesses) {
+        txn_groups[n - 1].second += multiplicity;
+      } else {
+        txn_groups[n++] = {std::move(accesses), multiplicity};
+      }
     }
-    txn_groups.assign(merged.begin(), merged.end());
-  } else {
-    for (const TxnAccessTrace& trace : traces) {
-      auto canon = CanonicalAccesses(trace, &interner);
-      if (canon.empty()) continue;
-      txn_groups.emplace_back(std::move(canon), trace.multiplicity);
-    }
+    txn_groups.resize(n);
   }
 
   const size_t num_records = interner.size();

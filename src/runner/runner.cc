@@ -364,7 +364,7 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
           &report);
     }
     migrate::MigrationPlan plan = migrate::MigrationPlan::Diff(
-        env->cluster.get(), *pending_layout, buckets);
+        env->cluster.get(), *live, *pending_layout, buckets);
     return relayout->Start(std::move(plan), std::move(pending_layout));
   };
 

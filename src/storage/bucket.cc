@@ -25,12 +25,17 @@ Record* Bucket::Find(Key key) {
 }
 
 const Record* Bucket::Find(Key key) const {
-  if (block_ == nullptr) return nullptr;
+  const std::optional<uint32_t> slot = SlotOf(key);
+  return slot ? &block_->entries()[*slot].record : nullptr;
+}
+
+std::optional<uint32_t> Bucket::SlotOf(Key key) const {
+  if (block_ == nullptr) return std::nullopt;
   const Entry* e = block_->entries();
   for (uint32_t i = 0; i < block_->size; ++i) {
-    if (e[i].key == key) return &e[i].record;
+    if (e[i].key == key) return i;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 bool Bucket::Insert(Key key, Record record) {

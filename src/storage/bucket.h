@@ -3,6 +3,7 @@
 #define CHILLER_STORAGE_BUCKET_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "common/types.h"
 #include "storage/lock_word.h"
@@ -22,7 +23,7 @@ namespace chiller::storage {
 ///
 /// Order invariant: Insert appends, and Erase moves the last entry into the
 /// hole. ForEach visits entries in that order, which migration planning
-/// depends on (PartitionStore::ForEach feeds MigrationPlan::Diff).
+/// depends on (MigrationPlan::Diff orders its moves by SlotOf).
 class Bucket {
  public:
   Bucket() : lock_(LockWord::MakeFree(0)) {}
@@ -51,6 +52,8 @@ class Bucket {
   /// invalidated by the next Insert or Erase on this bucket.
   Record* Find(Key key);
   const Record* Find(Key key) const;
+  /// Index of `key` in ForEach order, or nullopt if absent.
+  std::optional<uint32_t> SlotOf(Key key) const;
 
   /// Appends a new record; returns false if the key already exists.
   bool Insert(Key key, Record record);

@@ -67,6 +67,15 @@ Record* PartitionStore::Find(const RecordId& rid) {
   return table(rid.table)->Find(rid.key);
 }
 
+std::optional<PartitionStore::ScanPosition> PartitionStore::PositionOf(
+    const RecordId& rid) const {
+  const Table* t = table(rid.table);
+  const size_t bucket = t->BucketIndex(rid.key);
+  const std::optional<uint32_t> slot = t->BucketFor(rid.key)->SlotOf(rid.key);
+  if (!slot) return std::nullopt;
+  return ScanPosition{.table = rid.table, .bucket = bucket, .slot = *slot};
+}
+
 Status PartitionStore::Insert(const RecordId& rid, Record record) {
   return table(rid.table)->Insert(rid.key, std::move(record));
 }

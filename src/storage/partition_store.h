@@ -2,7 +2,9 @@
 #ifndef CHILLER_STORAGE_PARTITION_STORE_H_
 #define CHILLER_STORAGE_PARTITION_STORE_H_
 
+#include <compare>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -39,6 +41,20 @@ class PartitionStore {
   uint64_t VersionOf(const RecordId& rid) const;
 
   Record* Find(const RecordId& rid);
+
+  /// Where a record sits in ForEach order: its table, the index of its
+  /// bucket, and its slot in Bucket::ForEach order. Ordering positions
+  /// ascending reproduces the scan.
+  struct ScanPosition {
+    TableId table = 0;
+    size_t bucket = 0;
+    uint32_t slot = 0;
+    friend auto operator<=>(const ScanPosition&,
+                            const ScanPosition&) = default;
+  };
+  /// nullopt if `rid` is absent.
+  std::optional<ScanPosition> PositionOf(const RecordId& rid) const;
+
   Status Insert(const RecordId& rid, Record record);
   Status Erase(const RecordId& rid);
 

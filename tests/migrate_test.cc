@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -18,7 +19,9 @@
 #include "migrate/migration_governor.h"
 #include "migrate/migration_plan.h"
 #include "migrate/relayout.h"
+#include "partition/chiller_partitioner.h"
 #include "partition/lookup_table.h"
+#include "partition/stats_collector.h"
 #include "runner/runner.h"
 #include "runner/sweep.h"
 
@@ -294,8 +297,9 @@ TEST(MigrationPlanTest, DiffGroupsMovesByBucketAscending) {
   const size_t entries = target->LookupEntries();
   ASSERT_GT(entries, 0u);
 
+  SwappablePartitioner* live = env->bundle->adaptive_partitioner();
   const MigrationPlan plan =
-      MigrationPlan::Diff(env->cluster.get(), *target, 16);
+      MigrationPlan::Diff(env->cluster.get(), *live, *target, 16);
   EXPECT_EQ(plan.num_buckets, 16u);
   EXPECT_EQ(plan.total_moves(), entries);
   migrate::BucketId prev = 0;
@@ -316,7 +320,7 @@ TEST(MigrationPlanTest, DiffGroupsMovesByBucketAscending) {
   // One bucket degenerates to the whole diff in one unit (the quiesced
   // path's schedule).
   const MigrationPlan flat =
-      MigrationPlan::Diff(env->cluster.get(), *target, 1);
+      MigrationPlan::Diff(env->cluster.get(), *live, *target, 1);
   ASSERT_EQ(flat.units.size(), 1u);
   EXPECT_EQ(flat.units[0].moves.size(), entries);
 }
@@ -325,9 +329,178 @@ TEST(MigrationPlanTest, IdenticalLayoutDiffsEmpty) {
   auto env = ScenarioRunner::Wire(SmallAdaptive());
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   HashPartitioner same(3);  // the adaptive workload's hash-start layout
-  const MigrationPlan plan = MigrationPlan::Diff(env->cluster.get(), same, 8);
+  const MigrationPlan plan = MigrationPlan::Diff(
+      env->cluster.get(), *env->bundle->adaptive_partitioner(), same, 8);
   EXPECT_EQ(plan.total_moves(), 0u);
   EXPECT_TRUE(plan.units.empty());
+}
+
+/// The full-store scan Diff replaced, kept as its reference: walk every
+/// primary record in storage order, diff its residency against `target`,
+/// and group the movers by relayout bucket. Records already present at
+/// their target primary (loaded everywhere) never move.
+MigrationPlan ScanDiff(cc::Cluster* cluster,
+                       const partition::RecordPartitioner& target,
+                       uint32_t num_buckets) {
+  std::map<migrate::BucketId, std::vector<migrate::RecordMove>> by_bucket;
+  for (PartitionId p = 0; p < cluster->topology().num_partitions(); ++p) {
+    cluster->primary(p)->ForEach(
+        [&](const RecordId& rid, const storage::Record&) {
+          const PartitionId to = target.PartitionOf(rid);
+          if (to == p || cluster->primary(to)->Find(rid) != nullptr) return;
+          by_bucket[RelayoutBucketOf(rid, num_buckets)].push_back(
+              migrate::RecordMove{.rid = rid, .from = p, .to = to});
+        });
+  }
+  MigrationPlan plan;
+  plan.num_buckets = num_buckets;
+  for (auto& [bucket, moves] : by_bucket) {
+    plan.units.push_back(
+        migrate::MoveUnit{.bucket = bucket, .moves = std::move(moves)});
+  }
+  return plan;
+}
+
+/// Diff against `target` must equal the scan: same units, bucket ids and
+/// move order.
+void ExpectDiffMatchesScan(cc::Cluster* cluster,
+                           const SwappablePartitioner& live,
+                           const partition::RecordPartitioner& target,
+                           uint32_t num_buckets) {
+  const MigrationPlan got =
+      MigrationPlan::Diff(cluster, live, target, num_buckets);
+  const MigrationPlan want = ScanDiff(cluster, target, num_buckets);
+  EXPECT_EQ(got.num_buckets, want.num_buckets);
+  ASSERT_EQ(got.units.size(), want.units.size());
+  for (size_t u = 0; u < want.units.size(); ++u) {
+    EXPECT_EQ(got.units[u].bucket, want.units[u].bucket) << "unit " << u;
+    EXPECT_EQ(got.units[u].moves, want.units[u].moves) << "unit " << u;
+  }
+}
+
+struct RelayoutRounds {
+  size_t moves = 0;          ///< planned over every round
+  size_t erased_names = 0;   ///< live entries naming absent rows, summed
+};
+
+/// Back-to-back sample -> replan -> live relayout rounds under traffic on
+/// `spec`'s swappable workload, each replan's Diff checked against the
+/// scan. From the second round on, the live layout is a lookup table too,
+/// so both layouts' names feed the candidates.
+RelayoutRounds RelayoutRoundsMatchScan(const ScenarioSpec& spec, int rounds,
+                                       double hot_threshold,
+                                       bool store_cold_placements) {
+  RelayoutRounds out_rounds;
+  auto env = ScenarioRunner::Wire(spec);
+  EXPECT_TRUE(env.ok()) << env.status().ToString();
+  if (!env.ok()) return out_rounds;
+  cc::Cluster* cluster = env->cluster.get();
+  cc::Driver* driver = env->driver.get();
+  SwappablePartitioner* live = env->bundle->adaptive_partitioner();
+  driver->Start();
+  for (int round = 0; round < rounds; ++round) {
+    partition::StatsCollector stats(1.0, spec.seed + round);
+    stats.set_retain_traces(true);
+    stats.EnableEngineSharding(cluster->num_engines());
+    driver->SetCommitObserver(
+        [&stats](const txn::Transaction& t) { stats.Observe(t); });
+    driver->Advance(2 * kMillisecond);
+    driver->SetCommitObserver(nullptr);
+
+    partition::ChillerPartitioner::Options popts;
+    popts.k = spec.partitions();
+    popts.seed = spec.seed + round;
+    popts.hot_threshold = hot_threshold;
+    popts.store_cold_placements = store_cold_placements;
+    auto out = partition::ChillerPartitioner::Build(stats.traces(), popts);
+    if (const auto* named =
+            dynamic_cast<const LookupPartitioner*>(live->active())) {
+      for (const auto& [rid, p] : named->entries()) {
+        if (cluster->primary(p)->Find(rid) == nullptr) {
+          ++out_rounds.erased_names;
+        }
+      }
+    }
+    for (uint32_t buckets : {1u, 16u}) {
+      ExpectDiffMatchesScan(cluster, *live, *out.partitioner, buckets);
+    }
+    MigrationPlan plan =
+        MigrationPlan::Diff(cluster, *live, *out.partitioner, 16);
+    out_rounds.moves += plan.total_moves();
+    LiveMigrator migrator(cluster, env->repl.get(), live);
+    const Status st =
+        migrator.Start(std::move(plan), std::move(out.partitioner));
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    for (int steps = 0; !migrator.done(); ++steps) {
+      driver->Advance(50 * kMicrosecond);
+      EXPECT_LT(steps, 100000) << "relayout did not settle";
+      if (steps >= 100000) break;
+    }
+  }
+  driver->Quiesce();
+  return out_rounds;
+}
+
+TEST(MigrationPlanTest, DiffMatchesScanAcrossShiftingRelayouts) {
+  ScenarioSpec spec = SmallAdaptive();
+  spec.options.Set("shift_every_us", uint64_t{2000});
+  spec.options.Set("shift_stride", uint64_t{500});
+  EXPECT_GT(RelayoutRoundsMatchScan(spec, /*rounds=*/4, /*hot=*/0.01,
+                                    /*store_cold_placements=*/false)
+                .moves,
+            0u);
+}
+
+TEST(MigrationPlanTest, DiffMatchesScanWithEntriesForErasedRows) {
+  // TPC-C inserts and erases rows while it runs. Naming every sampled
+  // record leaves the live layout with entries for rows that Delivery has
+  // since erased; Diff must skip them exactly like the scan does.
+  ScenarioSpec spec;
+  spec.workload = "adaptive-tpcc";
+  spec.protocol = "chiller";
+  spec.nodes = 3;
+  spec.engines_per_node = 1;
+  spec.concurrency = 2;
+  spec.seed = 11;
+  const RelayoutRounds rounds =
+      RelayoutRoundsMatchScan(spec, /*rounds=*/3, /*hot=*/0.002,
+                              /*store_cold_placements=*/true);
+  EXPECT_GT(rounds.moves, 0u);
+  EXPECT_GT(rounds.erased_names, 0u);
+}
+
+TEST(MigrationPlanTest, DiffMatchesScanOnFullyReplicatedRecords) {
+  // A record loaded everywhere already sits at every target primary: a
+  // layout that names it moves nothing for it.
+  auto env = ScenarioRunner::Wire(SmallAdaptive());
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  storage::Record item(1);
+  item.Set(0, 99);
+  const RecordId everywhere{0, 1u << 30};
+  env->cluster->LoadEverywhere(everywhere, item);
+  SwappablePartitioner* live = env->bundle->adaptive_partitioner();
+  auto target = ShiftedLayout(env->cluster.get(), 3, 50);
+  target->Assign(everywhere, (live->PartitionOf(everywhere) + 1) % 3);
+  ExpectDiffMatchesScan(env->cluster.get(), *live, *target, 8);
+  const MigrationPlan plan =
+      MigrationPlan::Diff(env->cluster.get(), *live, *target, 8);
+  EXPECT_GT(plan.total_moves(), 0u);
+  for (const migrate::MoveUnit& unit : plan.units) {
+    for (const migrate::RecordMove& mv : unit.moves) {
+      EXPECT_NE(mv.rid, everywhere);
+    }
+  }
+}
+
+TEST(MigrationPlanDeathTest, TargetWithADifferentFallbackIsRejected) {
+  auto env = ScenarioRunner::Wire(SmallAdaptive());
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  SwappablePartitioner* live = env->bundle->adaptive_partitioner();
+  // Unnamed records would land elsewhere under this target, so a diff of
+  // the names alone would miss them.
+  LookupPartitioner wider(std::make_unique<HashPartitioner>(4));
+  EXPECT_DEATH(MigrationPlan::Diff(env->cluster.get(), *live, wider, 8),
+               "share their hash fallback");
 }
 
 // ---------------------------------------------------------------------------
@@ -393,13 +566,13 @@ TEST(LiveMigratorTest, ConservationAndSingleResidencyHoldMidMigration) {
   driver->Start();
   driver->Advance(kMillisecond);
 
+  SwappablePartitioner* live = env->bundle->adaptive_partitioner();
   auto target = ShiftedLayout(cluster, partitions, 25);
-  MigrationPlan plan = MigrationPlan::Diff(cluster, *target, 8);
+  MigrationPlan plan = MigrationPlan::Diff(cluster, *live, *target, 8);
   ASSERT_GT(plan.total_moves(), 0u);
   ASSERT_GT(plan.units.size(), 1u);
   const std::vector<migrate::MoveUnit> units = plan.units;  // keep a copy
 
-  SwappablePartitioner* live = env->bundle->adaptive_partitioner();
   LiveMigrator migrator(cluster, env->repl.get(), live);
   const uint64_t commits_before = driver->lifetime_commits();
   ASSERT_TRUE(
@@ -464,7 +637,8 @@ TEST(LiveMigratorTest, BlockedTransactionsUseTheMigrationAbortClass) {
   driver->Advance(kMillisecond);
 
   auto target = ShiftedLayout(cluster, spec.partitions(), 5);
-  MigrationPlan plan = MigrationPlan::Diff(cluster, *target, 4);
+  MigrationPlan plan = MigrationPlan::Diff(
+      cluster, *env->bundle->adaptive_partitioner(), *target, 4);
   ASSERT_GT(plan.total_moves(), 100u);
 
   LiveMigrator migrator(cluster, env->repl.get(),
@@ -513,7 +687,8 @@ TEST(LiveMigratorTest, ConcurrentStreamsPreserveConservationAndResidency) {
   driver->Advance(kMillisecond);
 
   auto target = ShiftedLayout(cluster, partitions, 25);
-  MigrationPlan plan = MigrationPlan::Diff(cluster, *target, 8);
+  MigrationPlan plan = MigrationPlan::Diff(
+      cluster, *env->bundle->adaptive_partitioner(), *target, 8);
   ASSERT_GT(plan.units.size(), 4u);
   const std::vector<migrate::MoveUnit> units = plan.units;
 

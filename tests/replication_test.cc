@@ -209,7 +209,7 @@ std::unique_ptr<migrate::LiveMigrator> StartQuiesced(
   auto migrator = std::make_unique<migrate::LiveMigrator>(
       env->cluster.get(), env->repl.get(), live);
   migrate::MigrationPlan plan = migrate::MigrationPlan::Diff(
-      env->cluster.get(), *target, /*num_buckets=*/1);
+      env->cluster.get(), *live, *target, /*num_buckets=*/1);
   const Status st = migrator->Start(std::move(plan), std::move(target));
   EXPECT_TRUE(st.ok()) << st.ToString();
   return migrator;
