@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -21,7 +20,9 @@ using txn::Transaction;
 
 // Wire-size estimates for the latency model.
 constexpr size_t kLockReadReq = 48;
+constexpr size_t kReadReq = 32;
 constexpr size_t kLockRespBase = 16;
+constexpr size_t kImageBytes = 128;
 constexpr size_t kWriteUnlockRespBase = 16;
 
 /// Finds an earlier access of `t` that holds the lock on the same record.
@@ -107,6 +108,18 @@ storage::PartitionStore* StoreOf(const Deps& d, PartitionId p) {
   return d.cluster->primary(p);
 }
 
+/// Marks op `i`'s record absent: its skip group dies and the access counts
+/// as fetched with nothing buffered. Only may_be_missing ops may miss.
+void MarkMissing(Transaction* t, size_t i) {
+  const Operation& op = t->ops[i];
+  Access& acc = t->accesses[i];
+  CHILLER_CHECK(op.may_be_missing)
+      << "op " << i << ": missing record " << acc.rid.ToString();
+  if (op.skip_group >= 0) t->dead_groups.insert(op.skip_group);
+  acc.missing = true;
+  acc.fetched = true;
+}
+
 /// Store-side live-migration gate, run before any lock/fetch attempt on op
 /// `i`: the access must abort its attempt (a) while the record's relayout
 /// bucket is in flight (the move would race the lock), or (b) when a
@@ -143,424 +156,169 @@ bool MigrationBlocked(const Deps& d, Transaction* t, size_t i) {
   return false;
 }
 
-/// Applies one holder access's effect to the primary store and unlocks.
-void ApplyOneAtStore(storage::PartitionStore* store, const Operation& op,
-                     Access* acc) {
-  if (acc->wrote) {
-    if (op.type == OpType::kInsert) {
-      CHILLER_CHECK(store->Insert(acc->rid, acc->local_copy).ok())
-          << "insert conflict on " << acc->rid.ToString();
-    } else if (op.type == OpType::kErase) {
-      CHILLER_CHECK(store->Erase(acc->rid).ok());
-    } else {
-      storage::Record* rec = store->Find(acc->rid);
-      CHILLER_CHECK(rec != nullptr);
-      *rec = acc->local_copy;
-    }
-    store->Unlock(acc->rid, LockMode::kExclusive, /*modified=*/true);
+// ---- Store steps: each runs where op `i`'s record lives (see AtStore) ----
+
+/// A store step: acts on the partition store of op `i`'s record and
+/// returns its verdict.
+using StoreStep = bool (*)(const Deps& d, Transaction* t, size_t i);
+
+/// Copies op `i`'s record image into its buffered copy, or marks the
+/// access missing. An insert reads nothing.
+void FetchAtStore(storage::PartitionStore* store, Transaction* t, size_t i) {
+  if (t->ops[i].type == OpType::kInsert) return;
+  Access& acc = t->accesses[i];
+  storage::Record* rec = store->Find(acc.rid);
+  if (rec == nullptr) {
+    MarkMissing(t, i);
   } else {
-    store->Unlock(acc->rid, op.mode, /*modified=*/false);
-  }
-  acc->lock_held = false;
-}
-
-/// Applies a piggybacked write under the bucket holder's lock (no unlock).
-void ApplyPiggybackAtStore(storage::PartitionStore* store,
-                           const Operation& op, Access* acc) {
-  if (!acc->wrote) return;
-  if (op.type == OpType::kInsert) {
-    CHILLER_CHECK(store->Insert(acc->rid, acc->local_copy).ok())
-        << "insert conflict on " << acc->rid.ToString();
-  } else if (op.type == OpType::kErase) {
-    CHILLER_CHECK(store->Erase(acc->rid).ok());
-  } else {
-    storage::Record* rec = store->Find(acc->rid);
-    CHILLER_CHECK(rec != nullptr);
-    *rec = acc->local_copy;
+    acc.local_copy = *rec;
   }
 }
 
-void ReleaseOneAtStore(storage::PartitionStore* store, const Operation& op,
-                       Access* acc) {
-  const LockMode mode =
-      op.mode;  // the mode actually taken (writes always exclusive)
-  store->Unlock(acc->rid, mode, /*modified=*/false);
-  acc->lock_held = false;
-}
-
-}  // namespace
-
-PartitionId ResolvePartition(const Deps& d, const Transaction& t, size_t i) {
-  if (t.ops[i].access_local_replica) {
-    CHILLER_CHECK(!t.ops[i].IsWrite())
-        << "replicated tables are read-only (op " << i << ")";
-    return t.home;
+/// Takes op `i`'s bucket lock in `mode`, or piggybacks on the earlier
+/// access `bucket_holder` of this transaction that already holds it.
+/// False on a NO_WAIT conflict.
+bool LockOrPiggyback(storage::PartitionStore* store, Transaction* t, size_t i,
+                     int bucket_holder, LockMode mode) {
+  Access& acc = t->accesses[i];
+  if (bucket_holder >= 0) {
+    acc.bucket_piggyback = true;
+    return true;
   }
-  return d.partitioner->PartitionOf(t.accesses[i].rid);
+  if (!store->TryLock(acc.rid, mode).ok()) return false;
+  acc.lock_held = true;
+  return true;
 }
 
-void LockAndFetch(const Deps& d, Transaction* t, size_t i, Engine* eng,
-                  bool apply_inline, sim::Fn<void(bool)> cb) {
+bool LockAndFetchAtStore(const Deps& d, Transaction* t, size_t i) {
+  if (MigrationBlocked(d, t, i)) return false;
   const Operation& op = t->ops[i];
-  Access& acc = t->accesses[i];
-  CHILLER_CHECK(acc.key_resolved && acc.partition != kInvalidPartition);
-  const ExecCosts& costs = d.cluster->costs();
-
-  // Repeated access to a record this transaction already locked.
-  const int holder = FindHolder(*t, i);
-  if (holder >= 0) {
-    const txn::Access& held = t->accesses[static_cast<size_t>(holder)];
-    if (held.missing) {
-      // The holder probed an absent record: this access misses too.
-      CHILLER_CHECK(op.may_be_missing)
-          << "op " << i << " aliases a missing record";
-      if (op.skip_group >= 0) t->dead_groups.insert(op.skip_group);
-      acc.alias_of = holder;
-      acc.missing = true;
-      acc.fetched = true;
-      cb(true);
-      return;
-    }
-    const Operation& holder_op = t->ops[static_cast<size_t>(holder)];
-    if (op.IsWrite() || op.mode == LockMode::kExclusive) {
-      CHILLER_CHECK(holder_op.mode == LockMode::kExclusive)
-          << "lock upgrade not supported: first access must take the "
-             "strongest mode (Figure 4 read_with_wl)";
-    }
-    acc.alias_of = holder;
-    RunClosures(t, i, apply_inline);
-    cb(true);
-    return;
-  }
-
-  if (acc.partition == eng->id()) {
-    // Local access on this engine's own partition.
-    eng->cpu()->Submit(costs.op_local, [d, t, i, apply_inline,
-                                        cb = std::move(cb)]() {
-      const Operation& op = t->ops[i];
-      Access& acc = t->accesses[i];
-      if (MigrationBlocked(d, t, i)) {
-        cb(false);
-        return;
-      }
-      storage::PartitionStore* store = StoreOf(d, acc.partition);
-      const int bucket_holder = FindBucketHolder(store, *t, i);
-      if (bucket_holder >= 0) {
-        const Operation& holder_op =
-            t->ops[static_cast<size_t>(bucket_holder)];
-        CHILLER_CHECK(!op.IsWrite() ||
-                      holder_op.mode == LockMode::kExclusive)
-            << "bucket lock upgrade within a transaction";
-        acc.bucket_piggyback = true;
-      } else if (!store->TryLock(acc.rid, op.mode).ok()) {
-        cb(false);
-        return;
-      } else {
-        acc.lock_held = true;
-      }
-      if (op.type != OpType::kInsert) {
-        storage::Record* rec = store->Find(acc.rid);
-        if (rec == nullptr) {
-          CHILLER_CHECK(op.may_be_missing)
-              << "missing record " << acc.rid.ToString();
-          if (op.skip_group >= 0) t->dead_groups.insert(op.skip_group);
-          acc.missing = true;
-          acc.fetched = true;
-          cb(true);
-          return;
-        }
-        acc.local_copy = *rec;
-      }
-      RunClosures(t, i, apply_inline);
-      cb(true);
-    });
-    return;
-  }
-
-  // Remote: one-sided CAS on the bucket lock word + READ of the record,
-  // modeled as a single combined round trip (doorbell batching).
-  struct RemoteResult {
-    bool ok = false;
-    bool missing = false;
-    bool piggyback = false;
-    storage::Record image;
-  };
-  auto res = std::make_shared<RemoteResult>();
-  const NodeId src = d.cluster->topology().NodeOfEngine(eng->id());
-  const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
-  const size_t resp_bytes =
-      kLockRespBase + (op.type == OpType::kInsert ? 0 : 128);
-  d.cluster->rdma()->OneSided(
-      src, dst, kLockReadReq, resp_bytes,
-      /*remote_op=*/
-      [d, t, i, res]() {
-        const Operation& op = t->ops[i];
-        Access& acc = t->accesses[i];
-        if (MigrationBlocked(d, t, i)) return;  // res->ok stays false
-        storage::PartitionStore* store = StoreOf(d, acc.partition);
-        const int bucket_holder = FindBucketHolder(store, *t, i);
-        if (bucket_holder >= 0) {
-          const Operation& holder_op =
-              t->ops[static_cast<size_t>(bucket_holder)];
-          CHILLER_CHECK(!op.IsWrite() ||
-                        holder_op.mode == LockMode::kExclusive)
-              << "bucket lock upgrade within a transaction";
-          res->piggyback = true;
-        } else if (!store->TryLock(acc.rid, op.mode).ok()) {
-          return;
-        }
-        res->ok = true;
-        if (op.type != OpType::kInsert) {
-          storage::Record* rec = store->Find(acc.rid);
-          if (rec == nullptr) {
-            CHILLER_CHECK(op.may_be_missing)
-                << "missing record " << acc.rid.ToString();
-            res->missing = true;
-          } else {
-            res->image = *rec;
-          }
-        }
-      },
-      /*completion=*/
-      [d, t, i, eng, apply_inline, res, cb = std::move(cb)]() mutable {
-        eng->cpu()->Submit(
-            d.cluster->costs().op_logic,
-            [t, i, apply_inline, res, cb = std::move(cb)]() {
-              const Operation& op = t->ops[i];
-              Access& acc = t->accesses[i];
-              if (!res->ok) {
-                cb(false);
-                return;
-              }
-              if (res->piggyback) {
-                acc.bucket_piggyback = true;
-              } else {
-                acc.lock_held = true;
-              }
-              if (res->missing) {
-                if (op.skip_group >= 0) {
-                  t->dead_groups.insert(op.skip_group);
-                }
-                acc.missing = true;
-                acc.fetched = true;
-                cb(true);
-                return;
-              }
-              acc.local_copy = std::move(res->image);
-              RunClosures(t, i, apply_inline);
-              cb(true);
-            });
-      },
-      eng->cpu());
+  storage::PartitionStore* store = StoreOf(d, t->accesses[i].partition);
+  const int bucket_holder = FindBucketHolder(store, *t, i);
+  CHILLER_CHECK(bucket_holder < 0 || !op.IsWrite() ||
+                t->ops[static_cast<size_t>(bucket_holder)].mode ==
+                    LockMode::kExclusive)
+      << "bucket lock upgrade within a transaction";
+  if (!LockOrPiggyback(store, t, i, bucket_holder, op.mode)) return false;
+  FetchAtStore(store, t, i);
+  return true;
 }
 
-void FetchVersioned(const Deps& d, Transaction* t, size_t i, Engine* eng,
-                    sim::Task cb) {
+bool FetchVersionedAtStore(const Deps& d, Transaction* t, size_t i) {
+  // Lockless OCC reads must still respect the migration gate: the caller
+  // (occ.cc) aborts the attempt when the flag is set.
+  if (MigrationBlocked(d, t, i)) return false;
   Access& acc = t->accesses[i];
-  CHILLER_CHECK(acc.key_resolved && acc.partition != kInvalidPartition);
-  const ExecCosts& costs = d.cluster->costs();
+  storage::PartitionStore* store = StoreOf(d, acc.partition);
+  acc.observed_version = store->VersionOf(acc.rid);
+  FetchAtStore(store, t, i);
+  return true;
+}
 
-  // OCC has no locks during execution; alias on a prior fetch of the same
-  // record for read-own-writes.
-  for (size_t j = 0; j < i; ++j) {
-    if (t->accesses[j].fetched && t->accesses[j].alias_of < 0 &&
-        t->accesses[j].key_resolved && t->accesses[j].rid == acc.rid) {
-      acc.alias_of = static_cast<int>(j);
-      if (t->accesses[j].missing) {
-        CHILLER_CHECK(t->ops[i].may_be_missing)
-            << "op " << i << " aliases a missing record";
-        if (t->ops[i].skip_group >= 0) {
-          t->dead_groups.insert(t->ops[i].skip_group);
-        }
-        acc.missing = true;
-        acc.fetched = true;
-        cb();
-        return;
-      }
-      RunClosures(t, i, /*apply_inline=*/true);
-      cb();
-      return;
-    }
-  }
+bool ValidateLockWriteAtStore(const Deps& d, Transaction* t, size_t i) {
+  if (MigrationBlocked(d, t, i)) return false;
+  const Access& acc = t->accesses[i];
+  storage::PartitionStore* store = StoreOf(d, acc.partition);
+  if (store->VersionOf(acc.rid) != acc.observed_version) return false;
+  // A bucket validation-locked by an earlier write of this transaction is
+  // piggybacked: the version check above suffices.
+  return LockOrPiggyback(store, t, i, FindBucketHolder(store, *t, i),
+                         LockMode::kExclusive);
+}
 
-  if (acc.partition == eng->id()) {
-    eng->cpu()->Submit(costs.op_local, [d, t, i, cb = std::move(cb)]() {
-      const Operation& op = t->ops[i];
-      Access& acc = t->accesses[i];
-      // Lockless OCC reads must still respect the migration gate: the
-      // caller (occ.cc) aborts the attempt when the flag is set.
-      if (MigrationBlocked(d, t, i)) {
-        cb();
-        return;
-      }
-      storage::PartitionStore* store = StoreOf(d, acc.partition);
-      acc.observed_version = store->VersionOf(acc.rid);
-      if (op.type != OpType::kInsert) {
-        storage::Record* rec = store->Find(acc.rid);
-        if (rec == nullptr) {
-          CHILLER_CHECK(op.may_be_missing)
-              << "missing record " << acc.rid.ToString();
-          if (op.skip_group >= 0) t->dead_groups.insert(op.skip_group);
-          acc.missing = true;
-          acc.fetched = true;
-          cb();
-          return;
-        }
-        acc.local_copy = *rec;
-      }
-      RunClosures(t, i, /*apply_inline=*/true);
-      cb();
-    });
+bool ValidateReadAtStore(const Deps& d, Transaction* t, size_t i) {
+  if (MigrationBlocked(d, t, i)) return false;
+  const Access& acc = t->accesses[i];
+  storage::PartitionStore* store = StoreOf(d, acc.partition);
+  // Version must match and no concurrent writer may hold the bucket — our
+  // own validation lock on a colliding key does not count.
+  storage::Table* table = store->table(acc.rid.table);
+  const uint64_t w = table->BucketFor(acc.rid.key)->lock_word();
+  if (storage::LockWord::Version(w) != acc.observed_version) return false;
+  if (!storage::LockWord::IsExclusive(w)) return true;
+  return FindBucketHolder(store, *t, i) >= 0;
+}
+
+/// Runs `step` against the store of op `i`'s record, then `finish(verdict)`
+/// on `eng`. On eng's own partition both run in one op_local slice of its
+/// CPU. Otherwise `step` is the remote_op of one one-sided RDMA verb
+/// (`req_bytes` out, `resp_bytes` back; the target's NIC acts, not its
+/// engine), and `finish` runs in an op_logic slice once the response lands.
+/// A remote step writes the access as the verb's response would: the
+/// initiator reads nothing of it before `finish`.
+void AtStore(const Deps& d, Transaction* t, size_t i, Engine* eng,
+             size_t req_bytes, size_t resp_bytes, StoreStep step,
+             sim::Fn<void(bool)> finish) {
+  const PartitionId p = t->accesses[i].partition;
+  if (p == eng->id()) {
+    eng->cpu()->Submit(d.cluster->costs().op_local,
+                       [d, t, i, step, finish = std::move(finish)]() mutable {
+                         t->accesses[i].store_ok = step(d, t, i);
+                         finish(t->accesses[i].store_ok);
+                       });
     return;
   }
-
-  struct RemoteResult {
-    uint64_t version = 0;
-    storage::Record image;
-    bool has_image = false;
-    bool missing = false;
-    bool blocked = false;
-  };
-  auto res = std::make_shared<RemoteResult>();
   const NodeId src = d.cluster->topology().NodeOfEngine(eng->id());
-  const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
+  const NodeId dst = d.cluster->topology().NodeOfPartition(p);
   d.cluster->rdma()->OneSided(
-      src, dst, 32, kLockRespBase + 128,
-      [d, t, i, res]() {
-        const Operation& op = t->ops[i];
-        Access& acc = t->accesses[i];
-        if (MigrationBlocked(d, t, i)) {
-          res->blocked = true;
-          return;
-        }
-        storage::PartitionStore* store = StoreOf(d, acc.partition);
-        res->version = store->VersionOf(acc.rid);
-        if (op.type != OpType::kInsert) {
-          storage::Record* rec = store->Find(acc.rid);
-          if (rec == nullptr) {
-            CHILLER_CHECK(op.may_be_missing)
-                << "missing record " << acc.rid.ToString();
-            res->missing = true;
-          } else {
-            res->image = *rec;
-            res->has_image = true;
-          }
-        }
-      },
-      [d, t, i, eng, res, cb = std::move(cb)]() mutable {
+      src, dst, req_bytes, resp_bytes,
+      /*remote_op=*/
+      [d, t, i, step]() { t->accesses[i].store_ok = step(d, t, i); },
+      /*completion=*/
+      [d, t, i, eng, finish = std::move(finish)]() mutable {
         eng->cpu()->Submit(d.cluster->costs().op_logic,
-                           [t, i, res, cb = std::move(cb)]() {
-                             const Operation& op = t->ops[i];
-                             Access& acc = t->accesses[i];
-                             if (res->blocked) {
-                               cb();
-                               return;
-                             }
-                             acc.observed_version = res->version;
-                             if (res->missing) {
-                               if (op.skip_group >= 0) {
-                                 t->dead_groups.insert(op.skip_group);
-                               }
-                               acc.missing = true;
-                               acc.fetched = true;
-                               cb();
-                               return;
-                             }
-                             if (res->has_image) {
-                               acc.local_copy = std::move(res->image);
-                             }
-                             RunClosures(t, i, /*apply_inline=*/true);
-                             cb();
+                           [t, i, finish = std::move(finish)]() mutable {
+                             finish(t->accesses[i].store_ok);
                            });
       },
       eng->cpu());
 }
 
-void ValidateLockWrite(const Deps& d, Transaction* t, size_t i, Engine* eng,
-                       sim::Fn<void(bool)> cb) {
-  Access& acc = t->accesses[i];
-  CHILLER_CHECK(acc.alias_of < 0);
-  auto attempt = [d, t, i](storage::PartitionStore* store) -> bool {
-    Access& acc = t->accesses[i];
-    if (MigrationBlocked(d, t, i)) return false;
-    if (store->VersionOf(acc.rid) != acc.observed_version) return false;
-    if (FindBucketHolder(store, *t, i) >= 0) {
-      // The bucket is validation-locked by an earlier write of this
-      // transaction: the version check above suffices.
-      acc.bucket_piggyback = true;
-      return true;
-    }
-    if (!store->TryLock(acc.rid, LockMode::kExclusive).ok()) return false;
-    acc.lock_held = true;
-    return true;
-  };
-  if (acc.partition == eng->id()) {
-    eng->cpu()->Submit(d.cluster->costs().op_local,
-                       [d, i, t, attempt, cb = std::move(cb)]() {
-                         cb(attempt(StoreOf(d, t->accesses[i].partition)));
-                       });
-    return;
-  }
-  auto ok = std::make_shared<bool>(false);
-  const NodeId src = d.cluster->topology().NodeOfEngine(eng->id());
-  const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
-  d.cluster->rdma()->OneSided(
-      src, dst, kLockReadReq, kLockRespBase,
-      [d, t, i, attempt, ok]() {
-        *ok = attempt(StoreOf(d, t->accesses[i].partition));
-      },
-      [eng, d, ok, cb = std::move(cb)]() mutable {
-        eng->cpu()->Submit(d.cluster->costs().op_logic,
-                           [ok, cb = std::move(cb)]() { cb(*ok); });
-      },
-      eng->cpu());
+/// The initiator's half of a fetch: runs op `i`'s closures on the fetched
+/// image when the store step succeeded and found a record.
+void FinishFetch(Transaction* t, size_t i, bool apply_inline, bool ok) {
+  if (ok && !t->accesses[i].missing) RunClosures(t, i, apply_inline);
 }
 
-void ValidateRead(const Deps& d, Transaction* t, size_t i, Engine* eng,
-                  sim::Fn<void(bool)> cb) {
-  Access& acc = t->accesses[i];
-  CHILLER_CHECK(acc.alias_of < 0);
-  auto check = [d, t, i]() -> bool {
-    Access& acc = t->accesses[i];
-    if (MigrationBlocked(d, t, i)) return false;
-    storage::PartitionStore* store = StoreOf(d, acc.partition);
-    // Version must match and no concurrent writer may hold the bucket —
-    // our own validation lock on a colliding key does not count.
-    storage::Table* table = store->table(acc.rid.table);
-    const uint64_t w = table->BucketFor(acc.rid.key)->lock_word();
-    if (storage::LockWord::Version(w) != acc.observed_version) return false;
-    if (!storage::LockWord::IsExclusive(w)) return true;
-    return FindBucketHolder(store, *t, i) >= 0;
-  };
-  if (acc.partition == eng->id()) {
-    eng->cpu()->Submit(
-        d.cluster->costs().op_local,
-        [check, cb = std::move(cb)]() { cb(check()); });
-    return;
+/// Makes op `i` an alias of the earlier access `holder` on the same record:
+/// a miss if the holder missed, else the closures run on its buffered copy.
+void AliasTo(Transaction* t, size_t i, int holder, bool apply_inline) {
+  t->accesses[i].alias_of = holder;
+  if (t->accesses[static_cast<size_t>(holder)].missing) {
+    MarkMissing(t, i);
+  } else {
+    RunClosures(t, i, apply_inline);
   }
-  auto ok = std::make_shared<bool>(false);
-  const NodeId src = d.cluster->topology().NodeOfEngine(eng->id());
-  const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
-  d.cluster->rdma()->OneSided(
-      src, dst, 32, kLockRespBase, [check, ok]() { *ok = check(); },
-      [eng, d, ok, cb = std::move(cb)]() mutable {
-        eng->cpu()->Submit(d.cluster->costs().op_logic,
-                           [ok, cb = std::move(cb)]() { cb(*ok); });
-      },
-      eng->cpu());
 }
 
-std::vector<size_t> HeldIndices(const Transaction& t) {
-  std::vector<size_t> held;
-  for (size_t i = 0; i < t.accesses.size(); ++i) {
-    if (t.accesses[i].lock_held || t.accesses[i].bucket_piggyback) {
-      held.push_back(i);
+/// The store half of commit (`apply`) or abort for one held access: writes
+/// its buffered image back when applying a write, then releases the lock it
+/// holds — a piggybacked access holds none; its holder unlocks later.
+void FinishAtStore(const Deps& d, Transaction* t, size_t i, bool apply) {
+  const Operation& op = t->ops[i];
+  Access& acc = t->accesses[i];
+  storage::PartitionStore* store = StoreOf(d, acc.partition);
+  const bool write = apply && acc.wrote;
+  if (write) {
+    if (op.type == OpType::kInsert) {
+      CHILLER_CHECK(store->Insert(acc.rid, acc.local_copy).ok())
+          << "insert conflict on " << acc.rid.ToString();
+    } else if (op.type == OpType::kErase) {
+      CHILLER_CHECK(store->Erase(acc.rid).ok());
+    } else {
+      storage::Record* rec = store->Find(acc.rid);
+      CHILLER_CHECK(rec != nullptr);
+      *rec = acc.local_copy;
     }
   }
-  return held;
+  if (acc.lock_held) {
+    // A write always took the exclusive mode; otherwise release the mode
+    // the op took.
+    store->Unlock(acc.rid, write ? LockMode::kExclusive : op.mode,
+                  /*modified=*/write);
+    acc.lock_held = false;
+  }
 }
-
-namespace {
 
 /// Shared fan-in: apply-or-release every index, local ones batched into one
 /// CPU slice, remote ones as one one-sided WRITE each; cb when all settle.
@@ -601,46 +359,116 @@ void FinishLocks(const Deps& d, Transaction* t,
   const ExecCosts& costs = d.cluster->costs();
   if (!local.empty()) {
     const SimTime cost = costs.op_commit * local.size();
-    eng->cpu()->Submit(
-        cost, [d, t, local = std::move(local), apply, arrive]() {
-          for (size_t i : local) {
-            Access& acc = t->accesses[i];
-            storage::PartitionStore* store = StoreOf(d, acc.partition);
-            if (acc.bucket_piggyback) {
-              ApplyPiggybackAtStore(store, t->ops[i], &acc);
-            } else if (apply) {
-              ApplyOneAtStore(store, t->ops[i], &acc);
-            } else {
-              ReleaseOneAtStore(store, t->ops[i], &acc);
-            }
-          }
-          arrive();
-        });
+    eng->cpu()->Submit(cost,
+                       [d, t, local = std::move(local), apply, arrive]() {
+                         for (size_t i : local) FinishAtStore(d, t, i, apply);
+                         arrive();
+                       });
   }
   const NodeId src = d.cluster->topology().NodeOfEngine(eng->id());
   for (size_t i : remote) {
     Access& acc = t->accesses[i];
     const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
     const size_t req =
-        32 + (apply && acc.wrote ? acc.local_copy.wire_bytes() : 0);
+        kReadReq + (apply && acc.wrote ? acc.local_copy.wire_bytes() : 0);
     d.cluster->rdma()->OneSided(
         src, dst, req, kWriteUnlockRespBase,
-        [d, t, i, apply]() {
-          Access& acc = t->accesses[i];
-          storage::PartitionStore* store = StoreOf(d, acc.partition);
-          if (acc.bucket_piggyback) {
-            ApplyPiggybackAtStore(store, t->ops[i], &acc);
-          } else if (apply) {
-            ApplyOneAtStore(store, t->ops[i], &acc);
-          } else {
-            ReleaseOneAtStore(store, t->ops[i], &acc);
-          }
-        },
+        [d, t, i, apply]() { FinishAtStore(d, t, i, apply); },
         [arrive]() { arrive(); }, eng->cpu());
   }
 }
 
 }  // namespace
+
+PartitionId ResolvePartition(const Deps& d, const Transaction& t, size_t i) {
+  if (t.ops[i].access_local_replica) {
+    CHILLER_CHECK(!t.ops[i].IsWrite())
+        << "replicated tables are read-only (op " << i << ")";
+    return t.home;
+  }
+  return d.partitioner->PartitionOf(t.accesses[i].rid);
+}
+
+void LockAndFetch(const Deps& d, Transaction* t, size_t i, Engine* eng,
+                  bool apply_inline, sim::Fn<void(bool)> cb) {
+  const Operation& op = t->ops[i];
+  const Access& acc = t->accesses[i];
+  CHILLER_CHECK(acc.key_resolved && acc.partition != kInvalidPartition);
+
+  // Repeated access to a record this transaction already locked.
+  const int holder = FindHolder(*t, i);
+  if (holder >= 0) {
+    const Access& held = t->accesses[static_cast<size_t>(holder)];
+    if (!held.missing && (op.IsWrite() || op.mode == LockMode::kExclusive)) {
+      CHILLER_CHECK(t->ops[static_cast<size_t>(holder)].mode ==
+                    LockMode::kExclusive)
+          << "lock upgrade not supported: first access must take the "
+             "strongest mode (Figure 4 read_with_wl)";
+    }
+    AliasTo(t, i, holder, apply_inline);
+    cb(true);
+    return;
+  }
+
+  // Remote: one-sided CAS on the bucket lock word + READ of the record,
+  // modeled as a single combined round trip (doorbell batching).
+  const size_t resp_bytes =
+      kLockRespBase + (op.type == OpType::kInsert ? 0 : kImageBytes);
+  AtStore(d, t, i, eng, kLockReadReq, resp_bytes, &LockAndFetchAtStore,
+          [t, i, apply_inline, cb = std::move(cb)](bool ok) mutable {
+            FinishFetch(t, i, apply_inline, ok);
+            cb(ok);
+          });
+}
+
+void FetchVersioned(const Deps& d, Transaction* t, size_t i, Engine* eng,
+                    sim::Task cb) {
+  const Access& acc = t->accesses[i];
+  CHILLER_CHECK(acc.key_resolved && acc.partition != kInvalidPartition);
+
+  // OCC has no locks during execution; alias on a prior fetch of the same
+  // record for read-own-writes.
+  for (size_t j = 0; j < i; ++j) {
+    const Access& prev = t->accesses[j];
+    if (prev.fetched && prev.alias_of < 0 && prev.key_resolved &&
+        prev.rid == acc.rid) {
+      AliasTo(t, i, static_cast<int>(j), /*apply_inline=*/true);
+      cb();
+      return;
+    }
+  }
+
+  AtStore(d, t, i, eng, kReadReq, kLockRespBase + kImageBytes,
+          &FetchVersionedAtStore,
+          [t, i, cb = std::move(cb)](bool ok) mutable {
+            FinishFetch(t, i, /*apply_inline=*/true, ok);
+            cb();
+          });
+}
+
+void ValidateLockWrite(const Deps& d, Transaction* t, size_t i, Engine* eng,
+                       sim::Fn<void(bool)> cb) {
+  CHILLER_CHECK(t->accesses[i].alias_of < 0);
+  AtStore(d, t, i, eng, kLockReadReq, kLockRespBase,
+          &ValidateLockWriteAtStore, std::move(cb));
+}
+
+void ValidateRead(const Deps& d, Transaction* t, size_t i, Engine* eng,
+                  sim::Fn<void(bool)> cb) {
+  CHILLER_CHECK(t->accesses[i].alias_of < 0);
+  AtStore(d, t, i, eng, kReadReq, kLockRespBase, &ValidateReadAtStore,
+          std::move(cb));
+}
+
+std::vector<size_t> HeldIndices(const Transaction& t) {
+  std::vector<size_t> held;
+  for (size_t i = 0; i < t.accesses.size(); ++i) {
+    if (t.accesses[i].lock_held || t.accesses[i].bucket_piggyback) {
+      held.push_back(i);
+    }
+  }
+  return held;
+}
 
 void ApplyAndUnlock(const Deps& d, Transaction* t,
                     const std::vector<size_t>& indices, Engine* eng,
@@ -653,9 +481,9 @@ void Release(const Deps& d, Transaction* t, const std::vector<size_t>& indices,
   FinishLocks(d, t, indices, eng, /*apply=*/false, std::move(cb));
 }
 
-std::map<PartitionId, std::vector<ReplUpdate>> CollectWrites(
-    const Transaction& t, const std::vector<size_t>& indices) {
-  std::map<PartitionId, std::vector<ReplUpdate>> by_partition;
+WritesByPartition CollectWrites(const Transaction& t,
+                                const std::vector<size_t>& indices) {
+  WritesByPartition by_partition;
   for (size_t i : indices) {
     const Access& acc = t.accesses[i];
     if (!acc.wrote) continue;
@@ -667,19 +495,52 @@ std::map<PartitionId, std::vector<ReplUpdate>> CollectWrites(
       u.kind = ReplUpdate::Kind::kPut;
       u.image = acc.local_copy;
     }
-    by_partition[acc.partition].push_back(std::move(u));
+    auto it = std::find_if(by_partition.begin(), by_partition.end(),
+                           [&](const auto& e) { return e.first == acc.partition; });
+    if (it == by_partition.end()) {
+      by_partition.emplace_back(acc.partition, std::vector<ReplUpdate>{});
+      it = by_partition.end() - 1;
+    }
+    it->second.push_back(std::move(u));
   }
+  std::sort(by_partition.begin(), by_partition.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return by_partition;
 }
 
+void ReplicateWrites(ReplicationManager* repl, const Transaction& t,
+                     const std::vector<size_t>& indices, EngineId eng,
+                     sim::Task then,
+                     const std::function<void(PartitionId)>& on_round) {
+  WritesByPartition writes = CollectWrites(t, indices);
+  if (writes.empty()) {
+    then();
+    return;
+  }
+  struct Join {
+    size_t pending;
+    sim::Task then;
+  };
+  auto join = std::make_shared<Join>(Join{writes.size(), std::move(then)});
+  for (auto& [p, updates] : writes) {
+    if (on_round) on_round(p);
+    repl->Replicate(eng, p, std::move(updates), eng, [join]() {
+      if (--join->pending == 0) join->then();
+    });
+  }
+}
+
 bool IsDistributed(const txn::Transaction& t) {
-  std::set<PartitionId> parts;
+  PartitionId first = kInvalidPartition;
   for (const Access& acc : t.accesses) {
-    if (acc.key_resolved && acc.partition != kInvalidPartition) {
-      parts.insert(acc.partition);
+    if (!acc.key_resolved || acc.partition == kInvalidPartition) continue;
+    if (first == kInvalidPartition) {
+      first = acc.partition;
+    } else if (acc.partition != first) {
+      return true;
     }
   }
-  return parts.size() > 1;
+  return false;
 }
 
 /// Applies Chiller's deferred outer-phase-2 closures (exposed for the

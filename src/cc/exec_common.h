@@ -1,10 +1,30 @@
 // Shared execution primitives used by 2PL, OCC and Chiller's two-region
 // protocol: NO_WAIT lock acquisition + record fetch (local or via one-sided
-// RDMA), buffered-write apply + unlock, and abort release.
+// RDMA), buffered-write apply + unlock, abort release, and the commit's
+// replicate-then-apply fan-in.
+//
+// Store steps. Each primitive that touches a record (LockAndFetch,
+// FetchVersioned, ValidateLockWrite, ValidateRead) is one store step plus
+// one finish step, each written once. The store step runs where the record
+// lives and writes its outcome into the access (lock_held, bucket_piggyback,
+// the buffered image, missing, observed_version). When the record is on the
+// acting engine's own partition, store and finish steps run back to back in
+// one op_local CPU slice. Otherwise the store step is the remote_op of one
+// one-sided RDMA verb, and the finish step runs in an op_logic slice at the
+// initiator once the response lands. Local and remote accesses therefore
+// leave identical access and lock state; only their timing differs.
+//
+// Held set. HeldIndices is the one definition of what a commit or an abort
+// must visit: every access with `lock_held`, and every `bucket_piggyback`
+// access (a different key in a bucket an earlier access of the same
+// transaction already locked). A piggybacked write must be applied in the
+// same ApplyAndUnlock as its holder's unlock, never after it: once the
+// bucket is unlocked, another transaction may overwrite the record.
 #ifndef CHILLER_CC_EXEC_COMMON_H_
 #define CHILLER_CC_EXEC_COMMON_H_
 
-#include <map>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "cc/cluster.h"
@@ -57,9 +77,10 @@ void ValidateLockWrite(const Deps& d, txn::Transaction* t, size_t i,
 void ValidateRead(const Deps& d, txn::Transaction* t, size_t i, Engine* eng,
                   sim::Fn<void(bool)> cb);
 
-/// Applies buffered effects and releases locks for the lock-holding
-/// accesses in `indices`; cb() after every completion (local and remote)
-/// lands. Locks of read-only holders are released without a version bump.
+/// Applies buffered effects and releases locks for the held accesses in
+/// `indices` (see "Held set" above); cb() after every completion (local and
+/// remote) lands. Locks of read-only holders are released without a version
+/// bump.
 void ApplyAndUnlock(const Deps& d, txn::Transaction* t,
                     const std::vector<size_t>& indices, Engine* eng,
                     sim::Task cb);
@@ -69,13 +90,27 @@ void Release(const Deps& d, txn::Transaction* t,
              const std::vector<size_t>& indices, Engine* eng,
              sim::Task cb);
 
-/// Indices of accesses currently holding locks.
+/// Indices of the held accesses (see "Held set" above).
 std::vector<size_t> HeldIndices(const txn::Transaction& t);
 
-/// Replication payloads for the written holders among `indices`, grouped by
-/// partition.
-std::map<PartitionId, std::vector<ReplUpdate>> CollectWrites(
-    const txn::Transaction& t, const std::vector<size_t>& indices);
+/// Replication payloads grouped by partition, in ascending partition order;
+/// each partition's updates keep access order.
+using WritesByPartition =
+    std::vector<std::pair<PartitionId, std::vector<ReplUpdate>>>;
+
+/// Replication payloads for the written holders among `indices`.
+WritesByPartition CollectWrites(const txn::Transaction& t,
+                                const std::vector<size_t>& indices);
+
+/// The commit fan-in of 2PL, OCC and Chiller's outer phase 2: replicates
+/// the writes among `indices` from engine `eng`, one round per written
+/// partition in ascending partition order with every ack back at `eng`, and
+/// runs `then` once every round acked — inline when nothing was written.
+/// `on_round(p)`, when set, runs just before partition p's round is sent.
+void ReplicateWrites(ReplicationManager* repl, const txn::Transaction& t,
+                     const std::vector<size_t>& indices, EngineId eng,
+                     sim::Task then,
+                     const std::function<void(PartitionId)>& on_round = {});
 
 /// True if the committed transaction touched more than one partition.
 bool IsDistributed(const txn::Transaction& t);

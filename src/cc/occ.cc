@@ -118,19 +118,9 @@ class OccRun : public std::enable_shared_from_this<OccRun> {
   }
 
   void BeginCommit() {
-    auto writes = exec::CollectWrites(*t_, exec::HeldIndices(*t_));
     auto self = shared_from_this();
-    if (writes.empty()) {
-      ApplyPhase();
-      return;
-    }
-    auto pending = std::make_shared<size_t>(writes.size());
-    for (auto& [p, updates] : writes) {
-      repl_->Replicate(eng_->id(), p, std::move(updates), eng_->id(),
-                       [self, pending]() {
-                         if (--*pending == 0) self->ApplyPhase();
-                       });
-    }
+    exec::ReplicateWrites(repl_, *t_, exec::HeldIndices(*t_), eng_->id(),
+                          [self]() { self->ApplyPhase(); });
   }
 
   void ApplyPhase() {

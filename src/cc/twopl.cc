@@ -74,29 +74,20 @@ class TwoPlRun : public std::enable_shared_from_this<TwoPlRun> {
   void BeginCommit() {
     // Replicate the write set before making anything visible ("changes to
     // the replicas have to be applied before committing", Section 5).
-    auto held = exec::HeldIndices(*t_);
-    auto writes = exec::CollectWrites(*t_, held);
     auto self = shared_from_this();
     commit_start_ = deps_.cluster->sim()->now();
-    if (writes.empty()) {
-      ApplyPhase();
-      return;
-    }
-    auto pending = std::make_shared<size_t>(writes.size());
-    for (auto& [p, updates] : writes) {
-      if (t_->traced) {
-        // The 2PC fan-out: one replication round per written partition,
-        // all in flight before the apply phase may start.
-        deps_.cluster->trace()->Instant(eng_->id(), commit_start_,
-                                        "2pc_replicate", t_->logical_id,
-                                        t_->attempt, /*reason=*/nullptr,
-                                        "partition", p);
-      }
-      repl_->Replicate(eng_->id(), p, std::move(updates), eng_->id(),
-                       [self, pending]() {
-                         if (--*pending == 0) self->ApplyPhase();
-                       });
-    }
+    exec::ReplicateWrites(
+        repl_, *t_, exec::HeldIndices(*t_), eng_->id(),
+        [self]() { self->ApplyPhase(); },
+        [this](PartitionId p) {
+          if (!t_->traced) return;
+          // The 2PC fan-out: one replication round per written partition,
+          // all in flight before the apply phase may start.
+          deps_.cluster->trace()->Instant(eng_->id(), commit_start_,
+                                          "2pc_replicate", t_->logical_id,
+                                          t_->attempt, /*reason=*/nullptr,
+                                          "partition", p);
+        });
   }
 
   void ApplyPhase() {

@@ -228,7 +228,7 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
             // Fire-and-continue: the inner host does NOT wait for acks.
             self->proto_->replication()->Replicate(
                 self->inner_eng_->id(), self->plan_.inner_host,
-                std::move(writes.begin()->second), self->coord_->id(),
+                std::move(writes.front().second), self->coord_->id(),
                 [self]() { self->OnInnerReplicaAcks(); });
           }
           reply();
@@ -296,20 +296,9 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
                          std::max<size_t>(1, plan_.deferred_apply.size());
     coord_->cpu()->Submit(cost, [self]() {
       exec::ApplyDeferred(self->t_.get(), self->plan_.deferred_apply);
-      const auto held = exec::HeldIndices(*self->t_);
-      auto writes = exec::CollectWrites(*self->t_, held);
-      if (writes.empty()) {
-        self->OuterApply();
-        return;
-      }
-      auto pending = std::make_shared<size_t>(writes.size());
-      for (auto& [p, updates] : writes) {
-        self->proto_->replication()->Replicate(
-            self->coord_->id(), p, std::move(updates), self->coord_->id(),
-            [self, pending]() {
-              if (--*pending == 0) self->OuterApply();
-            });
-      }
+      exec::ReplicateWrites(self->proto_->replication(), *self->t_,
+                            exec::HeldIndices(*self->t_), self->coord_->id(),
+                            [self]() { self->OuterApply(); });
     });
   }
 

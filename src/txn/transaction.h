@@ -45,6 +45,9 @@ struct Access {
   /// write — the commit phase writes these back and replicates them.
   bool wrote = false;
   uint64_t observed_version = 0;  ///< OCC validation stamp
+  /// Verdict of this access's last store step (cc/exec_common.h), carried
+  /// from a remote store back to the initiator with the verb's response.
+  bool store_ok = false;
   storage::Record local_copy;
 };
 
