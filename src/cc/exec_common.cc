@@ -291,9 +291,14 @@ void AliasTo(Transaction* t, size_t i, int holder, bool apply_inline) {
   }
 }
 
+bool IsHeld(const Access& acc) {
+  return acc.lock_held || acc.bucket_piggyback;
+}
+
 /// The store half of commit (`apply`) or abort for one held access: writes
 /// its buffered image back when applying a write, then releases the lock it
-/// holds — a piggybacked access holds none; its holder unlocks later.
+/// holds — a piggybacked access holds none; its holder unlocks later. Once
+/// written back, a piggybacked access is no longer held.
 void FinishAtStore(const Deps& d, Transaction* t, size_t i, bool apply) {
   const Operation& op = t->ops[i];
   Access& acc = t->accesses[i];
@@ -310,6 +315,7 @@ void FinishAtStore(const Deps& d, Transaction* t, size_t i, bool apply) {
       CHILLER_CHECK(rec != nullptr);
       *rec = acc.local_copy;
     }
+    acc.bucket_piggyback = false;
   }
   if (acc.lock_held) {
     // A write always took the exclusive mode; otherwise release the mode
@@ -463,8 +469,17 @@ void ValidateRead(const Deps& d, Transaction* t, size_t i, Engine* eng,
 std::vector<size_t> HeldIndices(const Transaction& t) {
   std::vector<size_t> held;
   for (size_t i = 0; i < t.accesses.size(); ++i) {
-    if (t.accesses[i].lock_held || t.accesses[i].bucket_piggyback) {
-      held.push_back(i);
+    if (IsHeld(t.accesses[i])) held.push_back(i);
+  }
+  return held;
+}
+
+std::vector<size_t> HeldIndices(const Transaction& t,
+                                const std::vector<int>& ops) {
+  std::vector<size_t> held;
+  for (int i : ops) {
+    if (IsHeld(t.accesses[static_cast<size_t>(i)])) {
+      held.push_back(static_cast<size_t>(i));
     }
   }
   return held;

@@ -20,6 +20,10 @@
 // transaction already locked). A piggybacked write must be applied in the
 // same ApplyAndUnlock as its holder's unlock, never after it: once the
 // bucket is unlocked, another transaction may overwrite the record.
+// Applying a piggybacked write clears its flag, so a later commit step of
+// the same transaction neither applies nor replicates it again. Chiller
+// relies on both rules: its inner region commits HeldIndices(t, inner_ops)
+// on the inner host, before the outer phase 2 commits the rest.
 #ifndef CHILLER_CC_EXEC_COMMON_H_
 #define CHILLER_CC_EXEC_COMMON_H_
 
@@ -92,6 +96,10 @@ void Release(const Deps& d, txn::Transaction* t,
 
 /// Indices of the held accesses (see "Held set" above).
 std::vector<size_t> HeldIndices(const txn::Transaction& t);
+
+/// The held accesses among `ops`, in `ops` order.
+std::vector<size_t> HeldIndices(const txn::Transaction& t,
+                                const std::vector<int>& ops);
 
 /// Replication payloads grouped by partition, in ascending partition order;
 /// each partition's updates keep access order.

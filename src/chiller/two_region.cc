@@ -191,23 +191,13 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
         });
   }
 
-  std::vector<size_t> InnerHeld() const {
-    std::vector<size_t> held;
-    for (int i : plan_.inner_ops) {
-      if (t_->accesses[static_cast<size_t>(i)].lock_held) {
-        held.push_back(static_cast<size_t>(i));
-      }
-    }
-    return held;
-  }
-
   /// "The inner region commits upon completion" — apply, unlock, stream to
   /// replicas, reply. All local to the host; the hot records' contention
   /// span ends here.
   void InnerCommit(std::shared_ptr<InnerResult> result,
                    sim::Task reply) {
     auto self = shared_from_this();
-    const auto held = InnerHeld();
+    const auto held = exec::HeldIndices(*t_, plan_.inner_ops);
     auto writes = exec::CollectWrites(*t_, held);
     CHILLER_CHECK(writes.size() <= 1) << "inner writes span partitions";
     result->status = Outcome::kCommitted;
@@ -241,7 +231,8 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
     result->status = why;
     auto self = shared_from_this();
     // Roll back is lock release only: primaries were untouched.
-    exec::Release(deps_, t_.get(), InnerHeld(), inner_eng_,
+    exec::Release(deps_, t_.get(), exec::HeldIndices(*t_, plan_.inner_ops),
+                  inner_eng_,
                   [self, reply = std::move(reply)]() {
                     if (self->t_->traced) {
                       self->deps_.cluster->trace()->Span(

@@ -9,6 +9,7 @@
 #include "cc/occ.h"
 #include "cc/twopl.h"
 #include "chiller/two_region.h"
+#include "partition/hot_decorator.h"
 #include "partition/lookup_table.h"
 #include "txn/transaction.h"
 
@@ -135,6 +136,85 @@ TEST_P(BucketCollisionTest, AbortReleasesEverything) {
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, BucketCollisionTest,
                          ::testing::Values("2pl", "occ", "chiller"));
+
+// Chiller's inner region commits on its own host, before the coordinator's
+// outer phase 2, and that early unlock is what shortens the hot records'
+// contention span. Two hot keys share one bucket, so the second inner
+// access piggybacks on the first one's lock. Its write must land in the
+// inner commit, before the bucket unlocks. A second transaction that
+// increments both keys right after the inner commit must then see it, and
+// its own increments must survive the first transaction's outer phase 2,
+// on the primary and on the replica.
+TEST(ChillerInnerRegionTest, PiggybackedHotWriteLandsBeforeTheInnerUnlock) {
+  constexpr TableId kCold = 0, kHot = 1;
+  cc::ClusterConfig cfg;
+  cfg.topology = net::Topology{.num_nodes = 2,
+                               .engines_per_node = 1,
+                               .replication_degree = 2};
+  cfg.schema = {storage::TableSpec{.name = "cold", .id = kCold,
+                                   .num_fields = 1},
+                storage::TableSpec{.name = "hot", .id = kHot, .num_fields = 1,
+                                   .buckets_per_partition = 1}};
+  cc::Cluster cluster(cfg);
+  // Cold records on partition 0 (the coordinator's), hot ones on 1.
+  partition::HashPartitioner placement(2, [](const RecordId& rid, uint32_t) {
+    return PartitionId{rid.table == 1 ? 1u : 0u};
+  });
+  partition::HotDecorator partitioner(&placement,
+                                      {RecordId{kHot, 1}, RecordId{kHot, 2}});
+  for (const RecordId rid : {RecordId{kCold, 1}, RecordId{kHot, 1},
+                             RecordId{kHot, 2}}) {
+    Record r(1);
+    r.Set(0, 100);
+    cluster.LoadRecord(rid, r, partitioner);
+  }
+  cc::ReplicationManager repl(&cluster);
+  core::ChillerProtocol chiller(&cluster, &partitioner, &repl);
+
+  auto MakeTxn = [](PartitionId home, std::vector<Operation> ops) {
+    auto t = std::make_shared<Transaction>();
+    t->ops = std::move(ops);
+    t->home = home;
+    t->InitAccesses();
+    return t;
+  };
+  auto UpdateIn = [](TableId table, Key k, int64_t delta) {
+    Operation op = UpdateKey(k, delta);
+    op.table = table;
+    return op;
+  };
+  auto first = MakeTxn(0, {UpdateIn(kCold, 1, 1), UpdateIn(kHot, 1, 5),
+                           UpdateIn(kHot, 2, 7)});
+  auto second = MakeTxn(1, {UpdateIn(kHot, 1, 10), UpdateIn(kHot, 2, 20)});
+  int done = 0;
+  chiller.Execute(first, [&] { ++done; });
+
+  // Run until the inner host has committed the first transaction (its
+  // write to hot key 1 is in, the hot bucket unlocked) and start the
+  // second one there, before the first one's outer phase 2.
+  storage::PartitionStore* hot = cluster.primary(1);
+  sim::Scheduler* sim = cluster.sim();
+  while (hot->Find({kHot, 1})->Get(0) != 105 || hot->locks_held() != 0) {
+    ASSERT_FALSE(sim->idle()) << "the first transaction never committed";
+    sim->RunUntil(sim->now() + 10);
+  }
+  ASSERT_EQ(done, 0) << "the outer region already finished";
+  chiller.Execute(second, [&] { ++done; });
+  sim->Run();
+
+  ASSERT_EQ(done, 2);
+  EXPECT_EQ(first->outcome, Outcome::kCommitted);
+  EXPECT_EQ(second->outcome, Outcome::kCommitted);
+  EXPECT_GE(chiller.counters().two_region_txns, 1u);
+  EXPECT_EQ(chiller.counters().inner_aborts, 0u);
+  for (storage::PartitionStore* store : {hot, cluster.replica(1, 1)}) {
+    EXPECT_EQ(store->Find({kHot, 1})->Get(0), 115);
+    EXPECT_EQ(store->Find({kHot, 2})->Get(0), 127);
+    EXPECT_EQ(store->locks_held(), 0u);
+  }
+  EXPECT_EQ(cluster.primary(0)->Find({kCold, 1})->Get(0), 101);
+  EXPECT_EQ(cluster.replica(0, 1)->Find({kCold, 1})->Get(0), 101);
+}
 
 }  // namespace
 }  // namespace chiller
