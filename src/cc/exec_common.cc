@@ -291,6 +291,8 @@ void AliasTo(Transaction* t, size_t i, int holder, bool apply_inline) {
   }
 }
 
+/// Whether a commit or abort must visit the access (exec_common.h, "Held
+/// set").
 bool IsHeld(const Access& acc) {
   return acc.lock_held || acc.bucket_piggyback;
 }
@@ -416,8 +418,8 @@ void LockAndFetch(const Deps& d, Transaction* t, size_t i, Engine* eng,
     return;
   }
 
-  // Remote: one-sided CAS on the bucket lock word + READ of the record,
-  // modeled as a single combined round trip (doorbell batching).
+  // A remote access is a one-sided CAS on the bucket lock word + READ of the
+  // record, modeled as a single combined round trip (doorbell batching).
   const size_t resp_bytes =
       kLockRespBase + (op.type == OpType::kInsert ? 0 : kImageBytes);
   AtStore(d, t, i, eng, kLockReadReq, resp_bytes, &LockAndFetchAtStore,

@@ -16,7 +16,6 @@ namespace exec = ::chiller::cc::exec;
 namespace {
 
 using cc::Engine;
-using cc::ReplUpdate;
 using txn::Outcome;
 using txn::Transaction;
 using txn::TwoRegionPlan;

@@ -40,6 +40,7 @@ struct Access {
   /// same transaction on a *different* key (hash collision): it fetched
   /// and buffers its own record but holds no lock itself — its write-back
   /// rides on the holder's bucket lock and must land before the unlock.
+  /// Cleared once that write-back has landed.
   bool bucket_piggyback = false;
   /// Set on the lock-holding access when it, or any alias of it, buffered a
   /// write — the commit phase writes these back and replicates them.

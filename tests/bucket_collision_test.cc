@@ -144,7 +144,8 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, BucketCollisionTest,
 // inner commit, before the bucket unlocks. A second transaction that
 // increments both keys right after the inner commit must then see it, and
 // its own increments must survive the first transaction's outer phase 2,
-// on the primary and on the replica.
+// on the primary and on the replica. Outer phase 2 must not apply or
+// replicate the inner writes a second time.
 TEST(ChillerInnerRegionTest, PiggybackedHotWriteLandsBeforeTheInnerUnlock) {
   constexpr TableId kCold = 0, kHot = 1;
   cc::ClusterConfig cfg;
@@ -214,6 +215,10 @@ TEST(ChillerInnerRegionTest, PiggybackedHotWriteLandsBeforeTheInnerUnlock) {
   }
   EXPECT_EQ(cluster.primary(0)->Find({kCold, 1})->Get(0), 101);
   EXPECT_EQ(cluster.replica(0, 1)->Find({kCold, 1})->Get(0), 101);
+  // One replication round per transaction and written partition: the
+  // first one's inner round (hot) and outer round (cold), and the
+  // second's. Outer phase 2 does not ship the inner writes again.
+  EXPECT_EQ(repl.batches_sent(), 3u);
 }
 
 }  // namespace
