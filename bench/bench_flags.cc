@@ -77,19 +77,15 @@ std::string UsageString(const std::string& bench_name,
         "  --duration-ms=F     simulated measurement window, ms (default %g)\n"
         "  --theta=F           Zipf skew where applicable (default %g)\n"
         "  --seed=N            base RNG seed (default %llu)\n"
-        "  --load-model=NAME   closed | open | batched (default %s)\n"
+        "  --load-model=NAME   closed | open (default %s)\n"
         "  --offered-tps=F     open loop: cluster-wide offered load, txns/sec"
         " (default %g)\n"
         "  --arrival=NAME      open loop: poisson | uniform (default %s)\n"
         "  --queue-cap=N       open loop: per-engine admission queue bound"
         " (default %u)\n"
-        "  --batch-size=N      batched: admissions per engine batch"
-        " (default %u)\n"
         "  --scheduler=NAME    admission scheduler: %s (default %s)\n"
         "  --sched-classes=N   conflict-class universe, 0 = auto"
         " (default %u)\n"
-        "  --shed-policy=NAME  scheduled-queue overflow: drop-new |"
-        " drop-cold | drop-hot (default %s)\n"
         "  --jobs=N            sweep worker threads, 0 = all hardware threads"
         " (default %u)\n"
         "  --shards=N          simulator shards per scenario; results are"
@@ -105,14 +101,13 @@ std::string UsageString(const std::string& bench_name,
         "  --list-protocols    print registered protocols and exit\n"
         "  --list-workloads    print registered workloads and exit\n"
         "  --list-schedulers   print registered schedulers and exit\n"
-        "  --list-shed-policies  print shed policies and exit\n"
         "  --help              show this message\n",
         bench_name.c_str(), protocols.c_str(), d.protocol.c_str(), d.nodes,
         d.engines, d.concurrency, d.warmup_ms, d.duration_ms, d.theta,
         static_cast<unsigned long long>(d.seed), d.load_model.c_str(),
-        d.offered_tps, d.arrival.c_str(), d.queue_cap, d.batch_size,
+        d.offered_tps, d.arrival.c_str(), d.queue_cap,
         schedulers.c_str(), d.scheduler.c_str(), d.sched_classes,
-        d.shed_policy.c_str(), d.jobs, d.shards,
+        d.jobs, d.shards,
         static_cast<unsigned long long>(d.mem_budget_mb),
         d.trace_sample_every, bench_name.c_str());
   };
@@ -140,8 +135,6 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
       out->list_workloads = true;
     } else if (name == "list-schedulers") {
       out->list_schedulers = true;
-    } else if (name == "list-shed-policies") {
-      out->list_shed_policies = true;
     } else if (name == "no-json") {
       out->emit_json = false;
     } else if (name == "protocol") {
@@ -182,8 +175,6 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
       out->arrival = value;
     } else if (name == "queue-cap") {
       st = ParseNumber(name, value, &out->queue_cap);
-    } else if (name == "batch-size") {
-      st = ParseNumber(name, value, &out->batch_size);
     } else if (name == "scheduler") {
       if (value.empty()) {
         return Status::InvalidArgument("--scheduler requires a value");
@@ -191,11 +182,6 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
       out->scheduler = value;
     } else if (name == "sched-classes") {
       st = ParseNumber(name, value, &out->sched_classes);
-    } else if (name == "shed-policy") {
-      if (value.empty()) {
-        return Status::InvalidArgument("--shed-policy requires a value");
-      }
-      out->shed_policy = value;
     } else if (name == "jobs") {
       st = ParseNumber(name, value, &out->jobs);
     } else if (name == "shards") {
@@ -255,7 +241,7 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
   // Names only: benches may pin the load model per grid point (fig9 forces
   // "open" for its latency axis), so scheduler/model compatibility is the
   // runner's per-scenario check, not a flag-time one.
-  return schedule::ValidateSchedulerNames(out->scheduler, out->shed_policy);
+  return schedule::ValidateSchedulerNames(out->scheduler);
 }
 
 BenchFlags ParseBenchFlagsOrExit(int argc, const char* const* argv,
@@ -273,8 +259,7 @@ BenchFlags ParseBenchFlagsOrExit(int argc, const char* const* argv,
     std::fputs(UsageString(bench_name, defaults).c_str(), stdout);
     std::exit(0);
   }
-  if (flags.list_protocols || flags.list_workloads || flags.list_schedulers ||
-      flags.list_shed_policies) {
+  if (flags.list_protocols || flags.list_workloads || flags.list_schedulers) {
     if (flags.list_protocols) {
       for (const auto& n : runner::ProtocolRegistry::Global().Names()) {
         std::printf("%s\n", n.c_str());
@@ -288,15 +273,6 @@ BenchFlags ParseBenchFlagsOrExit(int argc, const char* const* argv,
     if (flags.list_schedulers) {
       for (const auto& n : schedule::SchedulerRegistry::Global().Names()) {
         std::printf("%s\n", n.c_str());
-      }
-    }
-    if (flags.list_shed_policies) {
-      // ShedPolicy is a closed enum, not a registry; enumerate it here so
-      // the flag keeps parity with the registry-backed --list-* flags.
-      for (const auto policy :
-           {schedule::ShedPolicy::kDropNew, schedule::ShedPolicy::kDropCold,
-            schedule::ShedPolicy::kDropHot}) {
-        std::printf("%s\n", schedule::ShedPolicyName(policy));
       }
     }
     std::exit(0);

@@ -11,15 +11,12 @@
 //   --duration-ms=N       simulated measurement window
 //   --theta=F             Zipf skew for workloads that take one
 //   --seed=N              base RNG seed
-//   --load-model=NAME     closed | open | batched (see cc/load_model.h)
+//   --load-model=NAME     closed | open (see cc/load_model.h)
 //   --offered-tps=F       open loop: cluster-wide offered load, txns/sec
 //   --arrival=NAME        open loop: poisson | uniform interarrivals
 //   --queue-cap=N         open loop: per-engine admission queue bound
-//   --batch-size=N        batched: transactions admitted per engine batch
 //   --scheduler=NAME      admission scheduler (see --list-schedulers)
 //   --sched-classes=N     conflict-class universe size (0 = auto)
-//   --shed-policy=NAME    scheduled-queue overflow: drop-new | drop-cold |
-//                         drop-hot
 //   --jobs=N              sweep worker threads (0 = all hardware threads)
 //   --shards=N            simulator shards per scenario (threads inside one
 //                         simulation; results byte-identical for any N)
@@ -35,7 +32,6 @@
 //   --list-protocols      print the protocol registry, one per line, exit 0
 //   --list-workloads      print the workload registry, one per line, exit 0
 //   --list-schedulers     print the scheduler registry, one per line, exit 0
-//   --list-shed-policies  print the shed policies, one per line, exit 0
 //   --help                print usage and exit 0
 //
 // Benches sweep their own x-axis (concurrency, partitions, % distributed);
@@ -71,15 +67,12 @@ struct BenchFlags {
   double offered_tps = 0.0;       ///< open loop: cluster-wide offered load
   std::string arrival = "poisson";  ///< open loop: poisson | uniform
   uint32_t queue_cap = 64;        ///< open loop: admission queue per engine
-  uint32_t batch_size = 8;        ///< batched: admissions per engine batch
   /// Admission scheduler for every scenario the bench sweeps (the default
   /// fifo admits in arrival order and draws at launch: byte-identical to
   /// the pre-scheduler code).
   /// See schedule/scheduler.h and --list-schedulers.
   std::string scheduler = "fifo";
   uint32_t sched_classes = 0;     ///< conflict-class universe (0 = auto)
-  /// Admission-queue overflow policy: drop-new | drop-cold | drop-hot.
-  std::string shed_policy = "drop-new";
   /// Sweep worker threads; 0 = one per hardware thread. Results are
   /// byte-identical for every value (see runner::SweepExecutor).
   uint32_t jobs = 1;
@@ -112,7 +105,6 @@ struct BenchFlags {
   bool list_protocols = false;  ///< print registry + exit (handled by OrExit)
   bool list_workloads = false;  ///< print registry + exit (handled by OrExit)
   bool list_schedulers = false; ///< print registry + exit (handled by OrExit)
-  bool list_shed_policies = false;  ///< print policies + exit (via OrExit)
 
   /// The --json override, or the default path for `bench_name`.
   std::string JsonPathFor(const std::string& bench_name) const {
@@ -121,8 +113,8 @@ struct BenchFlags {
 };
 
 /// Copies the shared load-model flags onto one scenario spec. Benches call
-/// this per grid point so any sweep can be re-run under open-loop or
-/// batched admission without touching the bench; the "closed" default
+/// this per grid point so any sweep can be re-run under open-loop
+/// admission without touching the bench; the "closed" default
 /// leaves historical runs byte-identical.
 inline void ApplyLoadModelFlags(const BenchFlags& flags,
                                 runner::ScenarioSpec* spec) {
@@ -130,12 +122,10 @@ inline void ApplyLoadModelFlags(const BenchFlags& flags,
   spec->offered_tps = flags.offered_tps;
   spec->arrival = flags.arrival;
   spec->queue_cap = flags.queue_cap;
-  spec->batch_size = flags.batch_size;
   // The admission-scheduler knobs ride along: they shape the same
   // arrival-to-engine stage the load model owns.
   spec->scheduler = flags.scheduler;
   spec->sched_classes = flags.sched_classes;
-  spec->shed_policy = flags.shed_policy;
 }
 
 /// Guard for benches that never drive transactions through a load model
@@ -148,17 +138,15 @@ inline void RejectLoadModelFlags(const BenchFlags& flags,
       flags.offered_tps == defaults.offered_tps &&
       flags.arrival == defaults.arrival &&
       flags.queue_cap == defaults.queue_cap &&
-      flags.batch_size == defaults.batch_size &&
       flags.scheduler == defaults.scheduler &&
-      flags.sched_classes == defaults.sched_classes &&
-      flags.shed_policy == defaults.shed_policy) {
+      flags.sched_classes == defaults.sched_classes) {
     return;
   }
   std::fprintf(stderr,
                "%s: this bench does not drive transactions through a load "
                "model; --load-model / --offered-tps / --arrival / "
-               "--queue-cap / --batch-size / --scheduler / --sched-classes "
-               "/ --shed-policy have no effect here\n",
+               "--queue-cap / --scheduler / --sched-classes have no effect "
+               "here\n",
                bench_name.c_str());
   std::exit(1);
 }

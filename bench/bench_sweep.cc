@@ -21,8 +21,6 @@ std::string Describe(const runner::ScenarioSpec& spec) {
   if (spec.load_model == "open") {
     std::snprintf(buf, sizeof(buf), " open offered=%.0f", spec.offered_tps);
     out += buf;
-  } else if (spec.load_model != "closed") {
-    out += " " + spec.load_model;
   }
   if (spec.scheduler != "fifo") out += " " + spec.scheduler;
   const std::string options = spec.options.ToString();

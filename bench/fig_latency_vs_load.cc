@@ -58,13 +58,12 @@ void Main(const BenchFlags& flags) {
   // closed-loop capacity probe and stage 2 always the open-loop fraction
   // grid. Refuse the shared flags that would otherwise be silently
   // ignored; --arrival and --queue-cap still shape the open loop.
-  if (flags.load_model != "closed" || flags.offered_tps != 0.0 ||
-      flags.batch_size != BenchFlags{}.batch_size) {
+  if (flags.load_model != "closed" || flags.offered_tps != 0.0) {
     std::fprintf(stderr,
                  "latency: this bench sweeps the load model itself — "
-                 "--load-model, --offered-tps, and --batch-size are fixed "
-                 "by the sweep (use --arrival / --queue-cap / "
-                 "--concurrency to shape it)\n");
+                 "--load-model and --offered-tps are fixed by the sweep "
+                 "(use --arrival / --queue-cap / --concurrency to shape "
+                 "it)\n");
     std::exit(1);
   }
   // Shared flag parsing validated against the default closed model; check

@@ -109,16 +109,6 @@ void Driver::NoteQueueDelay(EngineId e, SimTime delay) {
   if (measuring_) per_engine_[e].stats.queue_delay.Add(delay);
 }
 
-void Driver::NoteShedEvicted(EngineId e, bool counted_admitted) {
-  m_shed_->Add(e);  // lifetime, independent of the measuring toggle
-  EngineState& es = per_engine_[e];
-  // The admission is taken back only if this window counted it (the entry
-  // records that at enqueue time); the underflow guard covers an entry
-  // counted before a ResetStats() that its flag cannot see.
-  if (counted_admitted && es.stats.admitted > 0) --es.stats.admitted;
-  if (measuring_) ++es.stats.shed;
-}
-
 void Driver::OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t) {
   const bool committed = t->outcome == txn::Outcome::kCommitted;
   if (observer_ && committed) observer_(*t);

@@ -1,5 +1,5 @@
 // Workload driver: transaction slots, retries, measurement, with the load
-// model (closed loop, open loop, batched) injected as policy.
+// model (closed loop or open loop) injected as policy.
 #ifndef CHILLER_CC_DRIVER_H_
 #define CHILLER_CC_DRIVER_H_
 
@@ -189,16 +189,6 @@ class Driver {
   void NoteAdmitted(EngineId e);
   void NoteShed(EngineId e);
   void NoteQueueDelay(EngineId e, SimTime delay);
-  /// A queued request on engine `e` was evicted by a shed policy in favor
-  /// of a new arrival: counts a shed and, when the victim's admission was
-  /// counted in the current window (`counted_admitted`), takes that
-  /// admission back — per-engine `admitted` stays "requests that entered
-  /// service or still wait", consistent with `shed`.
-  void NoteShedEvicted(EngineId e, bool counted_admitted);
-  /// True while finished work counts into stats() (admission queues
-  /// record it per entry to keep eviction accounting exact across
-  /// warmup/measure boundaries).
-  bool measuring() const { return measuring_; }
   /// Per-engine accounting reads, control-plane only (tests assert that
   /// sheds land on the engine a request was routed *to*).
   uint64_t engine_admitted(EngineId e) const {

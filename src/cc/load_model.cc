@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -68,7 +67,6 @@ void ClosedLoop::OnSlotFree(EngineId e, const txn::Transaction& t) {
 OpenLoop::OpenLoop(const LoadModelParams& params) : params_(params) {
   const Status st = ValidateLoadModelParams("open", params_);
   CHILLER_CHECK(st.ok()) << st.ToString();
-  shed_policy_ = schedule::ParseShedPolicy(params_.shed_policy).value();
 }
 
 void OpenLoop::OnBind() {
@@ -179,9 +177,7 @@ void OpenLoop::Arrive(EngineId e) {
 }
 
 bool OpenLoop::ClassAdmissible(const EngineState& s, uint32_t cls) const {
-  if (cls == schedule::kColdClass) return true;
-  if (!driver_->scheduler().SerializeClasses()) return true;
-  return !s.inflight_classes.contains(cls);
+  return cls == schedule::kColdClass || !s.inflight_classes.contains(cls);
 }
 
 void OpenLoop::Admit(EngineId e, std::shared_ptr<txn::Transaction> t) {
@@ -195,35 +191,16 @@ void OpenLoop::Admit(EngineId e, std::shared_ptr<txn::Transaction> t) {
   const SimTime now = driver_->cluster()->sim()->now();
   if (s.queue.size() < params_.queue_cap) {
     driver_->NoteAdmitted(e);
-    s.queue.push_back({std::move(t), cls, now, driver_->measuring()});
+    s.queue.push_back({std::move(t), cls, now});
     m_queue_depth_->Add(e, 1);
     return;
   }
-  // Queue full: the shed policy chooses between the arrival and a queued
-  // victim of the opposite temperature.
-  std::vector<bool> hot(s.queue.size());
-  for (size_t i = 0; i < s.queue.size(); ++i) {
-    hot[i] = s.queue[i].cls != schedule::kColdClass;
+  // Queue full: the arrival is shed.
+  if (t && t->traced) {
+    driver_->cluster()->trace()->Instant(e, now, "shed", t->logical_id,
+                                         t->attempt, "shed");
   }
-  const int victim =
-      schedule::PickVictim(hot, cls != schedule::kColdClass, shed_policy_);
-  obs::TraceRecorder* trace = driver_->cluster()->trace();
-  if (victim < 0) {
-    if (t && t->traced) {
-      trace->Instant(e, now, "shed", t->logical_id, t->attempt, "shed");
-    }
-    driver_->NoteShed(e);
-    return;
-  }
-  const Request& evicted = s.queue[static_cast<size_t>(victim)];
-  if (evicted.txn && evicted.txn->traced) {
-    trace->Instant(e, now, "shed_evicted", evicted.txn->logical_id,
-                   evicted.txn->attempt, "shed");
-  }
-  driver_->NoteShedEvicted(e, evicted.counted);
-  s.queue.erase(s.queue.begin() + victim);
-  driver_->NoteAdmitted(e);
-  s.queue.push_back({std::move(t), cls, now, driver_->measuring()});
+  driver_->NoteShed(e);
 }
 
 void OpenLoop::TryAdmit(EngineId e) {
@@ -249,10 +226,7 @@ void OpenLoop::LaunchInSlot(EngineId e, std::shared_ptr<txn::Transaction> t,
                             uint32_t cls, SimTime waited) {
   EngineState& s = engines_[e];
   --s.free_slots;
-  if (cls != schedule::kColdClass &&
-      driver_->scheduler().SerializeClasses()) {
-    ++s.inflight_classes[cls];
-  }
+  if (cls != schedule::kColdClass) ++s.inflight_classes[cls];
   if (t == nullptr) t = driver_->Draw(e);  // the deferred draw
   t->admission_delay = waited;
   driver_->Launch(e, std::move(t));
@@ -276,79 +250,6 @@ void OpenLoop::OnSlotFree(EngineId e, const txn::Transaction& t) {
     }
   }
   TryAdmit(e);
-}
-
-// ---------------------------------------------------------------------------
-// Batched
-// ---------------------------------------------------------------------------
-
-Batched::Batched(uint32_t batch_size) : batch_(batch_size) {
-  CHILLER_CHECK(batch_ >= 1);
-}
-
-void Batched::StartEngine(EngineId e) {
-  if (engines_.empty()) engines_.resize(driver_->cluster()->num_engines());
-  engines_[e].outstanding = 0;
-  LaunchBatch(e);
-}
-
-void Batched::LaunchBatch(EngineId e) {
-  const schedule::Scheduler& sched = driver_->scheduler();
-  EngineState& s = engines_[e];
-  std::vector<std::shared_ptr<txn::Transaction>> batch;
-  std::unordered_set<uint32_t> used;
-  const auto admissible = [&](uint32_t cls) {
-    return cls == schedule::kColdClass || !used.contains(cls);
-  };
-  const auto take = [&](std::shared_ptr<txn::Transaction> t) {
-    if (t->sched_class != schedule::kColdClass) used.insert(t->sched_class);
-    batch.push_back(std::move(t));
-  };
-  // Deferred work first, oldest first: a draw parked by an earlier batch's
-  // class collision must not starve behind fresh draws.
-  for (auto it = s.deferred.begin();
-       it != s.deferred.end() && batch.size() < batch_;) {
-    if (admissible((*it)->sched_class)) {
-      take(std::move(*it));
-      it = s.deferred.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Fresh draws fill the rest. Collisions are deferred up to a bounded
-  // backlog; past the cap the collision is admitted anyway (the batch
-  // degrades toward unpacked formation instead of deferring unboundedly),
-  // and the draw bound keeps batch formation O(batch) per refill.
-  const size_t defer_cap = static_cast<size_t>(batch_) * 4;
-  for (uint32_t draws = 0; batch.size() < batch_ && draws < batch_ * 4;
-       ++draws) {
-    std::shared_ptr<txn::Transaction> t = driver_->Draw(e);
-    t->sched_class = sched.Classify(*t);
-    if (admissible(t->sched_class)) {
-      take(std::move(t));
-    } else if (s.deferred.size() < defer_cap) {
-      s.deferred.push_back(std::move(t));
-    } else {
-      take(std::move(t));
-    }
-  }
-  // Progress is structural: an empty `used` set admits any first draw (or
-  // any first deferred entry), so a batch is never empty.
-  CHILLER_CHECK(!batch.empty());
-  s.outstanding = static_cast<uint32_t>(batch.size());
-  for (std::shared_ptr<txn::Transaction>& t : batch) {
-    driver_->Launch(e, std::move(t));
-  }
-}
-
-void Batched::OnSlotFree(EngineId e, const txn::Transaction& t) {
-  if (t.outcome == txn::Outcome::kAbortConflict) {
-    RetryAfterBackoff(e, t);  // the retry stays a member of its batch
-    return;
-  }
-  EngineState& s = engines_[e];
-  CHILLER_DCHECK(s.outstanding > 0);
-  if (--s.outstanding == 0) LaunchBatch(e);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,17 +277,10 @@ Status ValidateLoadModelParams(const std::string& name,
                                      params.arrival +
                                      "' (known: poisson, uniform)");
     }
-    return schedule::ParseShedPolicy(params.shed_policy).status();
-  }
-  if (name == "batched") {
-    if (params.batch_size == 0) {
-      return Status::InvalidArgument(
-          "batched load model needs batch_size >= 1");
-    }
     return Status::OK();
   }
   return Status::InvalidArgument("unknown load model '" + name +
-                                 "' (known: closed, open, batched)");
+                                 "' (known: closed, open)");
 }
 
 StatusOr<std::unique_ptr<LoadModel>> MakeLoadModel(
@@ -397,11 +291,7 @@ StatusOr<std::unique_ptr<LoadModel>> MakeLoadModel(
     return std::unique_ptr<LoadModel>(
         std::make_unique<ClosedLoop>(params.slots_per_engine));
   }
-  if (name == "open") {
-    return std::unique_ptr<LoadModel>(std::make_unique<OpenLoop>(params));
-  }
-  return std::unique_ptr<LoadModel>(
-      std::make_unique<Batched>(params.batch_size));
+  return std::unique_ptr<LoadModel>(std::make_unique<OpenLoop>(params));
 }
 
 }  // namespace chiller::cc

@@ -16,12 +16,8 @@
 //               counted. Queueing delay is measured separately from
 //               execution latency, which makes latency-vs-throughput knees
 //               observable (the closed loop can never show one).
-//   Batched     group-commit style admission: each engine runs transactions
-//               in fixed-size batches and refills only when the whole batch
-//               has settled, amortizing slot refill (the ROADMAP's
-//               batch/async driver mode).
 //
-// All three share the Driver's conflict-retry policy (jittered exponential
+// Both share the Driver's conflict-retry policy (jittered exponential
 // backoff, the retried attempt keeps its slot), so protocol comparisons
 // stay apples-to-apples across load models.
 #ifndef CHILLER_CC_LOAD_MODEL_H_
@@ -52,7 +48,7 @@ class LoadModel {
 
   virtual const char* name() const = 0;
 
-  /// Arms engine `e`: launches the initial work (closed/batched) or the
+  /// Arms engine `e`: launches the initial work (closed) or the
   /// arrival clock (open). Called once per engine by Driver::Start() and
   /// again by Resume() after a Quiesce() drained everything in flight.
   virtual void StartEngine(EngineId e) = 0;
@@ -111,11 +107,9 @@ struct LoadModelParams {
   /// "poisson": exponential interarrivals; "uniform": uniform in
   /// [0, 2*mean), the same rate with bounded burstiness.
   std::string arrival = "poisson";
+  /// open: admission-queue depth per engine; an arrival that finds the
+  /// queue full is shed.
   uint32_t queue_cap = 64;
-  uint32_t batch_size = 8;
-  /// open: overflow policy of a full admission queue ("drop-new",
-  /// "drop-cold", "drop-hot"; see schedule::ShedPolicy).
-  std::string shed_policy = "drop-new";
   /// Seeds the open loop's per-engine arrival clocks, independently of the
   /// workload RNG.
   uint64_t seed = 1;
@@ -139,8 +133,8 @@ struct LoadModelParams {
 /// the draw is deferred to launch, so a shed arrival draws nothing.
 class OpenLoop final : public LoadModel {
  public:
-  /// Reads slots_per_engine, offered_tps, arrival, queue_cap, shed_policy,
-  /// and seed; CHECK-fails on parameters ValidateLoadModelParams rejects.
+  /// Reads slots_per_engine, offered_tps, arrival, queue_cap, and seed;
+  /// CHECK-fails on parameters ValidateLoadModelParams rejects.
   explicit OpenLoop(const LoadModelParams& params);
 
   const char* name() const override { return "open"; }
@@ -151,14 +145,11 @@ class OpenLoop final : public LoadModel {
  private:
   /// One waiting request. `txn` is null when the draw is deferred to
   /// launch (a scheduler that does not classify); `cls` is its conflict
-  /// class either way, which is what the shed policy reads. `counted`
-  /// remembers whether this admission landed in the current stats window,
-  /// so a later shed-policy eviction can take exactly that admission back.
+  /// class either way, which is what class-serialized admission reads.
   struct Request {
     std::shared_ptr<txn::Transaction> txn;
     uint32_t cls = schedule::kColdClass;
     SimTime enqueued = 0;
-    bool counted = false;
   };
 
   struct EngineState {
@@ -166,7 +157,8 @@ class OpenLoop final : public LoadModel {
     uint32_t free_slots = 0;
     std::deque<Request> queue;   ///< admitted, waiting for a slot
     /// In-flight count per non-cold conflict class (class-serialized
-    /// admission under a SerializeClasses scheduler). A retry keeps its
+    /// admission: at most one logical transaction of a class runs on an
+    /// engine at a time). A retry keeps its
     /// slot and its class; release happens when the logical transaction
     /// settles.
     std::unordered_map<uint32_t, uint32_t> inflight_classes;
@@ -180,9 +172,9 @@ class OpenLoop final : public LoadModel {
   /// schedulers only), route, and admit on the target engine.
   void Arrive(EngineId e);
   /// Admits a request on engine `e`: launch if a slot is free and its
-  /// class is admissible, else queue, else run the shed policy. `t` is
-  /// null for a deferred draw. Runs in e's event domain (steered arrivals
-  /// get here through the fabric).
+  /// class is admissible, else queue, else shed it. `t` is null for a
+  /// deferred draw. Runs in e's event domain (steered arrivals get here
+  /// through the fabric).
   void Admit(EngineId e, std::shared_ptr<txn::Transaction> t);
   /// Launches queued requests whose class is admissible while slots are
   /// free (first-admissible order, not strict FIFO: a blocked hot class
@@ -196,7 +188,6 @@ class OpenLoop final : public LoadModel {
   bool ClassAdmissible(const EngineState& s, uint32_t cls) const;
 
   LoadModelParams params_;
-  schedule::ShedPolicy shed_policy_;
   SimTime mean_interarrival_ = 0;  ///< per engine, ns
   /// Live admission-queue depth, one cell per engine; snapshotted onto the
   /// trace timeline each slice.
@@ -206,47 +197,16 @@ class OpenLoop final : public LoadModel {
   std::vector<EngineState> engines_;
 };
 
-/// Batched admission: each engine launches `batch_size` transactions at
-/// once and refills only when all of them (including their conflict
-/// retries) have settled. Batch formation asks the driver's scheduler for
-/// each draw's class and never puts two members of one non-cold class in
-/// a batch; fifo classes everything cold, so its batches are plain.
-class Batched final : public LoadModel {
- public:
-  explicit Batched(uint32_t batch_size);
-
-  const char* name() const override { return "batched"; }
-  void StartEngine(EngineId e) override;
-  void OnSlotFree(EngineId e, const txn::Transaction& t) override;
-
- private:
-  struct EngineState {
-    uint32_t outstanding = 0;
-    /// batch-pack: draws whose conflict class already appears in the batch
-    /// under formation wait here for a later batch (oldest first).
-    std::deque<std::shared_ptr<txn::Transaction>> deferred;
-  };
-
-  /// Conflict-free batch formation: oldest deferred transactions first,
-  /// then fresh draws, never two members of the same non-cold class per
-  /// batch.
-  void LaunchBatch(EngineId e);
-
-  uint32_t batch_;
-  std::vector<EngineState> engines_;
-};
-
 /// The single source of truth for load-model parameter validity, shared by
 /// MakeLoadModel, ScenarioRunner::Validate, and bench flag parsing:
 /// InvalidArgument on an unknown name or parameters degenerate for the
-/// chosen model (open needs a finite offered_tps > 0, queue_cap >= 1, a
-/// known arrival process, and a known shed policy; batched needs
-/// batch_size >= 1).
+/// chosen model (open needs a finite offered_tps > 0, queue_cap >= 1, and
+/// a known arrival process).
 Status ValidateLoadModelParams(const std::string& name,
                                const LoadModelParams& params);
 
-/// Builds a load model by registry-style name: "closed", "open", or
-/// "batched", after ValidateLoadModelParams.
+/// Builds a load model by registry-style name: "closed" or "open", after
+/// ValidateLoadModelParams.
 StatusOr<std::unique_ptr<LoadModel>> MakeLoadModel(
     const std::string& name, const LoadModelParams& params);
 

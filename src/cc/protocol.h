@@ -49,7 +49,7 @@ struct RunStats {
   SimTime window = 0;  ///< measurement window length, ns
 
   // Open-loop load-model accounting (see cc/load_model.h). All zero under
-  // the closed-loop and batched models, which have no admission queue.
+  // the closed-loop model, which has no admission queue.
   /// True when the run was driven through an admission queue (the driver
   /// marks it from LoadModel::UsesAdmissionQueue); reports key the queue
   /// fields off this, not off the counters, so a window with no arrivals

@@ -156,10 +156,10 @@ Status ScenarioRunner::Validate(const ScenarioSpec& spec) {
                                              spec.MakeLoadModelParams());
   if (!lm_st.ok()) return lm_st;
   // Same single-source rule for the admission scheduler: an unknown
-  // scheduler or shed policy, or a scheduler/load-model mismatch, fails
-  // here with an actionable message instead of falling through.
-  Status sched_st = schedule::ValidateSchedulerParams(
-      spec.scheduler, spec.shed_policy, spec.load_model);
+  // scheduler, or a scheduler/load-model mismatch, fails here with an
+  // actionable message instead of falling through.
+  Status sched_st =
+      schedule::ValidateSchedulerParams(spec.scheduler, spec.load_model);
   if (!sched_st.ok()) return sched_st;
   if (spec.relayout_buckets == 0) {
     return Status::InvalidArgument("relayout_buckets must be >= 1");

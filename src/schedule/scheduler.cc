@@ -65,15 +65,18 @@ class FifoScheduler final : public Scheduler {
 };
 
 // ---------------------------------------------------------------------------
-// Heat-classified policies
+// hash-affinity — heat classification, owner steering
 // ---------------------------------------------------------------------------
 
-/// Shared classification for the contention-aware policies: class = hash
-/// of the transaction's first hot record (writes preferred), cold when it
-/// touches none.
-class HeatScheduler : public Scheduler {
+/// Class = hash of the transaction's first hot written record, cold when it
+/// writes none. A hot transaction goes to the engine that owns its hot
+/// record (partitions map 1:1 onto engines), which makes the contended
+/// access local *and* gives that engine a complete view of the record's
+/// conflict class for serialized admission. Cold transactions stay on their
+/// arrival engine — steering them would only add a forwarding hop.
+class HashAffinityScheduler final : public Scheduler {
  public:
-  explicit HeatScheduler(const SchedulerContext& ctx)
+  explicit HashAffinityScheduler(const SchedulerContext& ctx)
       : num_engines_(ctx.num_engines),
         classes_(ctx.EffectiveClasses()),
         partitioner_(ctx.partitioner) {
@@ -81,30 +84,13 @@ class HeatScheduler : public Scheduler {
     CHILLER_CHECK(num_engines_ >= 1);
   }
 
+  const char* name() const override { return "hash-affinity"; }
+
   uint32_t Classify(const txn::Transaction& t) const override {
     RecordId hot;
     if (!FirstHotRecord(t, *partitioner_, &hot)) return kColdClass;
     return ClassOfRecord(hot, classes_);
   }
-
- protected:
-  uint32_t num_engines_;
-  uint32_t classes_;
-  const partition::RecordPartitioner* partitioner_;
-};
-
-/// Open-model steering: a hot transaction goes to the engine that owns
-/// its hot record (partitions map 1:1 onto engines), which makes the
-/// contended access local *and* gives that engine a complete view of the
-/// record's conflict class for serialized admission. Cold transactions
-/// stay on their arrival engine — steering them would only add a
-/// forwarding hop.
-class HashAffinityScheduler final : public HeatScheduler {
- public:
-  using HeatScheduler::HeatScheduler;
-
-  const char* name() const override { return "hash-affinity"; }
-  bool SerializeClasses() const override { return true; }
 
   EngineId Route(const txn::Transaction& t, uint32_t cls,
                  EngineId arrival) const override {
@@ -114,61 +100,14 @@ class HashAffinityScheduler final : public HeatScheduler {
     return static_cast<EngineId>(partitioner_->PartitionOf(hot) %
                                  num_engines_);
   }
-};
 
-/// Batched-model policy: classification only — the batched load model
-/// forms conflict-free batches from the classes; there is no cross-engine
-/// steering (a batch belongs to its engine).
-class BatchPackScheduler final : public HeatScheduler {
- public:
-  using HeatScheduler::HeatScheduler;
-
-  const char* name() const override { return "batch-pack"; }
-
-  EngineId Route(const txn::Transaction&, uint32_t,
-                 EngineId arrival) const override {
-    return arrival;
-  }
+ private:
+  uint32_t num_engines_;
+  uint32_t classes_;
+  const partition::RecordPartitioner* partitioner_;
 };
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Shed policy
-// ---------------------------------------------------------------------------
-
-StatusOr<ShedPolicy> ParseShedPolicy(const std::string& name) {
-  if (name == "drop-new") return ShedPolicy::kDropNew;
-  if (name == "drop-cold") return ShedPolicy::kDropCold;
-  if (name == "drop-hot") return ShedPolicy::kDropHot;
-  return Status::InvalidArgument("unknown shed policy '" + name +
-                                 "' (known: drop-new, drop-cold, drop-hot)");
-}
-
-const char* ShedPolicyName(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kDropNew:
-      return "drop-new";
-    case ShedPolicy::kDropCold:
-      return "drop-cold";
-    case ShedPolicy::kDropHot:
-      return "drop-hot";
-  }
-  return "?";
-}
-
-int PickVictim(const std::vector<bool>& queued_is_hot, bool arriving_is_hot,
-               ShedPolicy policy) {
-  if (policy == ShedPolicy::kDropNew) return -1;
-  const bool evict_hot = policy == ShedPolicy::kDropHot;
-  // The arrival only displaces the *other* temperature; same-temperature
-  // contests keep the queue order (shed the arrival).
-  if (arriving_is_hot == evict_hot) return -1;
-  for (size_t i = queued_is_hot.size(); i > 0; --i) {
-    if (queued_is_hot[i - 1] == evict_hot) return static_cast<int>(i - 1);
-  }
-  return -1;
-}
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -199,17 +138,6 @@ SchedulerRegistry& SchedulerRegistry::Global() {
           }
           return std::unique_ptr<Scheduler>(
               std::make_unique<HashAffinityScheduler>(ctx));
-        }));
-    must(r->Register(
-        "batch-pack",
-        [](const SchedulerContext& ctx)
-            -> StatusOr<std::unique_ptr<Scheduler>> {
-          if (ctx.partitioner == nullptr) {
-            return Status::InvalidArgument(
-                "batch-pack needs a partitioner (the heat source)");
-          }
-          return std::unique_ptr<Scheduler>(
-              std::make_unique<BatchPackScheduler>(ctx));
         }));
     return r;
   }();
@@ -264,40 +192,24 @@ std::vector<std::string> SchedulerRegistry::NamesLocked() const {
 // Validation
 // ---------------------------------------------------------------------------
 
-Status ValidateSchedulerNames(const std::string& scheduler,
-                              const std::string& shed_policy) {
+Status ValidateSchedulerNames(const std::string& scheduler) {
   if (!SchedulerRegistry::Global().Has(scheduler)) {
     return Status::InvalidArgument(
         "unknown scheduler '" + scheduler +
         "' (known: " + JoinNames(SchedulerRegistry::Global().Names()) + ")");
   }
-  auto policy = ParseShedPolicy(shed_policy);
-  if (!policy.ok()) return policy.status();
-  if (policy.value() != ShedPolicy::kDropNew && scheduler == "fifo") {
-    return Status::InvalidArgument(
-        "shed policy '" + shed_policy +
-        "' needs a classifying scheduler to tell hot from cold; fifo never "
-        "classifies (use --scheduler=hash-affinity)");
-  }
   return Status::OK();
 }
 
 Status ValidateSchedulerParams(const std::string& scheduler,
-                               const std::string& shed_policy,
                                const std::string& load_model) {
-  Status st = ValidateSchedulerNames(scheduler, shed_policy);
+  Status st = ValidateSchedulerNames(scheduler);
   if (!st.ok()) return st;
   if (scheduler == "hash-affinity" && load_model != "open") {
     return Status::InvalidArgument(
         "scheduler 'hash-affinity' steers an admission queue and needs the "
         "open load model (got '" + load_model +
         "'); use --load-model=open with --offered-tps");
-  }
-  if (scheduler == "batch-pack" && load_model != "batched") {
-    return Status::InvalidArgument(
-        "scheduler 'batch-pack' forms conflict-free batches and needs the "
-        "batched load model (got '" + load_model +
-        "'); use --load-model=batched");
   }
   return Status::OK();
 }

@@ -11,9 +11,9 @@
 // layouts), then steers same-class transactions to the same engine or
 // window so probable aborts become orderly queueing (Prasaad et al.,
 // "Improving High Contention OLTP Performance via Transaction
-// Scheduling"; NEMO-style batch formation for the batched model).
+// Scheduling").
 //
-// Three built-in policies behind a string-keyed registry:
+// Two built-in policies behind a string-keyed registry:
 //
 //   fifo           no classification, no steering: arrivals are admitted
 //                  in order on their own engine. It is installed like any
@@ -27,10 +27,6 @@
 //                  NO_WAIT abort storm on a contended record turns into
 //                  admission-queue waiting. Hot reads stay cold: shared
 //                  locks cannot storm.
-//   batch-pack     batched model: deterministic conflict-free batch
-//                  formation — a batch never contains two transactions of
-//                  the same hot class; colliding draws are deferred to a
-//                  later batch.
 //
 // The scheduler is pure policy: it never mutates engine state itself. The
 // load models own admission, and cross-engine steering travels through
@@ -100,8 +96,11 @@ class Scheduler {
   virtual bool Classifies() const { return true; }
 
   /// Predicted conflict class of `t`, or kColdClass when no conflict is
-  /// expected. Requires t.accesses initialized with ready keys resolved
-  /// (Driver::Draw does both). Must be deterministic and stable across
+  /// expected. The open loop serializes every non-cold class: it never
+  /// runs two in-flight transactions of one class on one engine, so
+  /// predicted conflicts become queueing instead of aborts. Requires
+  /// t.accesses initialized with ready keys resolved (Driver::Draw does
+  /// both). Must be deterministic and stable across
   /// retries of the same logical transaction.
   virtual uint32_t Classify(const txn::Transaction& t) const = 0;
 
@@ -110,43 +109,7 @@ class Scheduler {
   /// steering; anything else is forwarded through the fabric.
   virtual EngineId Route(const txn::Transaction& t, uint32_t cls,
                          EngineId arrival) const = 0;
-
-  /// True when the open loop must never run two in-flight transactions of
-  /// the same non-cold class concurrently on one engine (conflicts become
-  /// queueing instead of aborts).
-  virtual bool SerializeClasses() const { return false; }
 };
-
-// ---------------------------------------------------------------------------
-// Shed policy: who is dropped when an admission queue overflows
-// ---------------------------------------------------------------------------
-
-/// Overload behavior of a full admission queue. drop-new (the default)
-/// sheds the arrival. The temperature-aware policies trade
-/// work classes against each other: drop-cold sheds uncontended work to
-/// keep the hot requests the scheduler can serialize efficiently;
-/// drop-hot sheds the contended work whose serialized service time is the
-/// bottleneck, protecting cold throughput.
-enum class ShedPolicy : uint8_t { kDropNew, kDropCold, kDropHot };
-
-StatusOr<ShedPolicy> ParseShedPolicy(const std::string& name);
-const char* ShedPolicyName(ShedPolicy policy);
-
-/// The shed decision for one overflowing arrival, as a pure function so
-/// the ordering semantics are unit-testable: given the queued requests'
-/// temperatures (hot = classified non-cold) and the arrival's, returns
-/// the index of the queued request to evict in the arrival's favor, or -1
-/// when the arrival itself should be shed.
-///
-///   drop-new   always -1.
-///   drop-cold  a hot arrival evicts the *newest* cold queued request
-///              (oldest cold work has waited longest and is next in line
-///              — evicting the newest loses the least invested waiting);
-///              a cold arrival, or a queue with no cold entry, sheds the
-///              arrival.
-///   drop-hot   symmetric: a cold arrival evicts the newest hot entry.
-int PickVictim(const std::vector<bool>& queued_is_hot, bool arriving_is_hot,
-               ShedPolicy policy);
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -163,7 +126,7 @@ const Scheduler& Fifo();
 /// String-keyed scheduler registry, mirroring WorkloadRegistry /
 /// ProtocolRegistry: benches resolve --scheduler by name and
 /// --list-schedulers prints what a build supports. Global() comes
-/// pre-loaded with fifo, hash-affinity, and batch-pack.
+/// pre-loaded with fifo and hash-affinity.
 class SchedulerRegistry {
  public:
   static SchedulerRegistry& Global();
@@ -189,20 +152,17 @@ class SchedulerRegistry {
 // Validation
 // ---------------------------------------------------------------------------
 
-/// Name-level checks shared by bench flag parsing: the scheduler must be
-/// registered, the shed policy must parse, and a non-default shed policy
-/// needs a classifying (non-fifo) scheduler to tell hot from cold.
-Status ValidateSchedulerNames(const std::string& scheduler,
-                              const std::string& shed_policy);
+/// The name-level check shared by bench flag parsing: the scheduler must
+/// be registered.
+Status ValidateSchedulerNames(const std::string& scheduler);
 
 /// Full validity, the scheduler analogue of cc::ValidateLoadModelParams
 /// and the single check behind ScenarioRunner::Validate: name-level
-/// checks plus model compatibility (hash-affinity steers an admission
-/// queue, so it needs the open model; batch-pack forms batches, so it
-/// needs the batched model). Out-of-tree registered schedulers skip the
-/// compatibility check — the registry cannot know their requirements.
+/// check plus model compatibility (hash-affinity steers an admission
+/// queue, so it needs the open model). Out-of-tree registered schedulers
+/// skip the compatibility check — the registry cannot know their
+/// requirements.
 Status ValidateSchedulerParams(const std::string& scheduler,
-                               const std::string& shed_policy,
                                const std::string& load_model);
 
 }  // namespace chiller::schedule

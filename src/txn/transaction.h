@@ -91,9 +91,9 @@ class Transaction {
   uint32_t attempt = 0;
   SimTime start_time = 0;
   SimTime end_time = 0;
-  /// Open-loop load models: how long this request waited in the admission
+  /// Open-loop load model: how long this request waited in the admission
   /// queue before its first attempt launched (carried across retries). 0
-  /// under closed-loop and batched admission.
+  /// under closed-loop admission.
   SimTime admission_delay = 0;
   /// Predicted conflict class assigned by the admission scheduler
   /// (schedule::Scheduler), or the cold sentinel when no conflict is

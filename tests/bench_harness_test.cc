@@ -132,7 +132,7 @@ TEST(BenchFlagsTest, UsageMentionsEveryFlag) {
   for (const char* flag :
        {"--protocol", "--nodes", "--engines", "--concurrency", "--warmup-ms",
         "--duration-ms", "--theta", "--seed", "--load-model", "--offered-tps",
-        "--arrival", "--queue-cap", "--batch-size", "--jobs", "--json",
+        "--arrival", "--queue-cap", "--jobs", "--json",
         "--no-json", "--list-protocols", "--list-workloads", "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
@@ -141,15 +141,13 @@ TEST(BenchFlagsTest, UsageMentionsEveryFlag) {
 TEST(BenchFlagsTest, LoadModelFlagsParseAndApply) {
   BenchFlags f;
   ASSERT_TRUE(Parse({"--load-model=open", "--offered-tps=250000",
-                     "--arrival=uniform", "--queue-cap=16",
-                     "--batch-size=32"},
+                     "--arrival=uniform", "--queue-cap=16"},
                     &f)
                   .ok());
   EXPECT_EQ(f.load_model, "open");
   EXPECT_DOUBLE_EQ(f.offered_tps, 250000.0);
   EXPECT_EQ(f.arrival, "uniform");
   EXPECT_EQ(f.queue_cap, 16u);
-  EXPECT_EQ(f.batch_size, 32u);
 
   runner::ScenarioSpec spec;
   ApplyLoadModelFlags(f, &spec);
@@ -157,7 +155,6 @@ TEST(BenchFlagsTest, LoadModelFlagsParseAndApply) {
   EXPECT_DOUBLE_EQ(spec.offered_tps, 250000.0);
   EXPECT_EQ(spec.arrival, "uniform");
   EXPECT_EQ(spec.queue_cap, 16u);
-  EXPECT_EQ(spec.batch_size, 32u);
 }
 
 TEST(BenchFlagsTest, LoadModelFlagsAreValidated) {
@@ -168,6 +165,14 @@ TEST(BenchFlagsTest, LoadModelFlagsAreValidated) {
   EXPECT_TRUE(Parse({"--load-model=open"}, &f).IsInvalidArgument());
   f = BenchFlags{};
   EXPECT_TRUE(Parse({"--offered-tps=banana"}, &f).IsInvalidArgument());
+  // Flags of removed admission features are unknown flags, not no-ops.
+  for (const char* gone : {"--batch-size=4", "--shed-policy=drop-new"}) {
+    f = BenchFlags{};
+    const Status st = Parse({gone}, &f);
+    ASSERT_TRUE(st.IsInvalidArgument()) << gone;
+    EXPECT_NE(st.message().find("unknown flag"), std::string::npos)
+        << st.message();
+  }
   // The default closed model never needs an offered rate.
   f = BenchFlags{};
   EXPECT_TRUE(Parse({}, &f).ok());

@@ -425,21 +425,9 @@ TEST(LoadModelTest, ClassifyingSchedulerDrawsEveryArrival) {
   EXPECT_EQ(next, admitted + shed);
 }
 
-TEST(LoadModelTest, BatchedAdmitsInBatches) {
-  Env env = MakeEnv("2pl", 2, /*concurrency=*/2);
-  UseModel(&env, std::make_unique<cc::Batched>(/*batch_size=*/8));
-  auto stats = env.driver->Run(kMillisecond, 8 * kMillisecond);
-  env.driver->Quiesce();
-  EXPECT_GT(stats.TotalCommits(), 0u);
-  // Batched admission has no queue either.
-  EXPECT_EQ(stats.admitted, 0u);
-  EXPECT_EQ(stats.queue_delay.count(), 0u);
-}
-
 TEST(LoadModelTest, FactoryValidatesParams) {
   cc::LoadModelParams p;
   EXPECT_TRUE(cc::MakeLoadModel("closed", p).ok());
-  EXPECT_TRUE(cc::MakeLoadModel("batched", p).ok());
   EXPECT_TRUE(cc::MakeLoadModel("nope", p).status().IsInvalidArgument());
 
   // Open needs a positive offered rate and a non-degenerate queue.
@@ -453,8 +441,6 @@ TEST(LoadModelTest, FactoryValidatesParams) {
   EXPECT_TRUE(cc::MakeLoadModel("open", p).status().IsInvalidArgument());
   p.arrival = "uniform";
   EXPECT_TRUE(cc::MakeLoadModel("open", p).ok());
-  p.batch_size = 0;
-  EXPECT_TRUE(cc::MakeLoadModel("batched", p).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -168,12 +168,13 @@ TEST(ScenarioRunnerTest, ValidateChecksLoadModelKnobs) {
   spec.arrival = "bursty";
   EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
 
+  // A removed model is an unknown name: a Status listing what ships.
   spec = SmallYcsb();
   spec.load_model = "batched";
-  spec.batch_size = 0;
-  EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
-  spec.batch_size = 4;
-  EXPECT_TRUE(ScenarioRunner::Validate(spec).ok());
+  const Status st = ScenarioRunner::Validate(spec);
+  ASSERT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find("closed, open"), std::string::npos)
+      << st.message();
 }
 
 TEST(ScenarioRunnerTest, WireExposesUsableEnv) {
@@ -530,16 +531,6 @@ TEST(LoadModelScenarioTest, OpenLoopOverloadShedsAndBoundsTheQueue) {
   // Delivered throughput is capacity-bound, far under the offered rate.
   EXPECT_LT(stats.Throughput(), spec.offered_tps * 0.5);
   EXPECT_GT(stats.TotalCommits(), 0u);
-}
-
-TEST(LoadModelScenarioTest, BatchedModelRunsThroughTheRunner) {
-  ScenarioSpec spec = SmallYcsb();
-  spec.load_model = "batched";
-  spec.batch_size = 4;
-  auto result = ScenarioRunner::Run(spec);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->stats.TotalCommits(), 0u);
-  EXPECT_EQ(result->stats.admitted, 0u);  // no admission queue
 }
 
 TEST(LoadModelScenarioTest, OpenLoopSurvivesQuiesceAndMigrate) {

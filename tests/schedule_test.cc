@@ -1,14 +1,18 @@
 // Tests for the admission-scheduling stage (schedule/scheduler.h): the
-// registry, classification and routing of the built-in policies, the shed
-// victim rule, validation plumbing, and the end-to-end behavior of
-// scheduled admission under the open and batched load models.
+// registry, classification and routing of the built-in policies,
+// validation plumbing, and the end-to-end behavior of scheduled admission
+// under the open load model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "runner/runner.h"
 #include "schedule/scheduler.h"
 #include "workload/ycsb.h"
@@ -64,7 +68,7 @@ std::unique_ptr<Scheduler> MustMake(const std::string& name,
 
 TEST(SchedulerRegistryTest, BuiltinsAreRegistered) {
   auto& registry = SchedulerRegistry::Global();
-  for (const char* name : {"fifo", "hash-affinity", "batch-pack"}) {
+  for (const char* name : {"fifo", "hash-affinity"}) {
     EXPECT_TRUE(registry.Has(name)) << name;
   }
 }
@@ -77,6 +81,14 @@ TEST(SchedulerRegistryTest, UnknownNameListsAlternatives) {
   EXPECT_NE(sched.status().message().find("fifo"), std::string::npos);
   EXPECT_NE(sched.status().message().find("hash-affinity"),
             std::string::npos);
+  // A removed built-in is just an unknown name: a Status, not a CHECK.
+  auto removed =
+      SchedulerRegistry::Global().Make("batch-pack", SchedulerContext{});
+  ASSERT_FALSE(removed.ok());
+  EXPECT_TRUE(removed.status().IsInvalidArgument());
+  EXPECT_NE(removed.status().message().find("fifo"), std::string::npos);
+  EXPECT_NE(removed.status().message().find("hash-affinity"),
+            std::string::npos);
 }
 
 TEST(SchedulerRegistryTest, FifoNeedsNoPartitioner) {
@@ -86,15 +98,13 @@ TEST(SchedulerRegistryTest, FifoNeedsNoPartitioner) {
   EXPECT_FALSE(sched.value()->Classifies());
   EXPECT_STREQ(Fifo().name(), "fifo");
   EXPECT_FALSE(Fifo().Classifies());
-  EXPECT_FALSE(sched.value()->SerializeClasses());
 }
 
 TEST(SchedulerRegistryTest, HeatPoliciesRequireAPartitioner) {
-  for (const char* name : {"hash-affinity", "batch-pack"}) {
-    auto sched = SchedulerRegistry::Global().Make(name, SchedulerContext{});
-    ASSERT_FALSE(sched.ok()) << name;
-    EXPECT_TRUE(sched.status().IsInvalidArgument()) << name;
-  }
+  auto sched =
+      SchedulerRegistry::Global().Make("hash-affinity", SchedulerContext{});
+  ASSERT_FALSE(sched.ok());
+  EXPECT_TRUE(sched.status().IsInvalidArgument());
 }
 
 TEST(SchedulerRegistryTest, DuplicateRegistrationIsRejected) {
@@ -174,7 +184,6 @@ TEST_F(ClassifyTest, ClassUniverseIsConfigurable) {
 
 TEST_F(ClassifyTest, HashAffinityRoutesHotWorkToTheOwnerEngine) {
   auto sched = MustMake("hash-affinity", TestContext(&part_));
-  EXPECT_TRUE(sched->SerializeClasses());
   for (Key hot : {Key{0}, Key{100}, Key{201}, Key{300}}) {
     const txn::Transaction t = MakeTxn({{hot, true}, {50, false}});
     const uint32_t cls = sched->Classify(t);
@@ -195,87 +204,21 @@ TEST_F(ClassifyTest, ColdWorkStaysOnItsArrivalEngine) {
   }
 }
 
-TEST_F(ClassifyTest, BatchPackClassifiesButNeverSteers) {
-  auto sched = MustMake("batch-pack", TestContext(&part_));
-  EXPECT_FALSE(sched->SerializeClasses());
-  const txn::Transaction hot = MakeTxn({{200, true}});
-  EXPECT_NE(sched->Classify(hot), kColdClass);
-  for (EngineId arrival = 0; arrival < 4; ++arrival) {
-    EXPECT_EQ(sched->Route(hot, sched->Classify(hot), arrival), arrival);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Shed policy
-// ---------------------------------------------------------------------------
-
-TEST(ShedPolicyTest, ParseAndName) {
-  EXPECT_EQ(ParseShedPolicy("drop-new").value(), ShedPolicy::kDropNew);
-  EXPECT_EQ(ParseShedPolicy("drop-cold").value(), ShedPolicy::kDropCold);
-  EXPECT_EQ(ParseShedPolicy("drop-hot").value(), ShedPolicy::kDropHot);
-  EXPECT_STREQ(ShedPolicyName(ShedPolicy::kDropCold), "drop-cold");
-  auto bad = ParseShedPolicy("drop-everything");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("drop-cold"), std::string::npos);
-}
-
-TEST(ShedPolicyTest, DropNewAlwaysShedsTheArrival) {
-  EXPECT_EQ(PickVictim({false, true, false}, true, ShedPolicy::kDropNew), -1);
-  EXPECT_EQ(PickVictim({false, true, false}, false, ShedPolicy::kDropNew),
-            -1);
-  EXPECT_EQ(PickVictim({}, true, ShedPolicy::kDropNew), -1);
-}
-
-TEST(ShedPolicyTest, DropColdEvictsTheNewestColdForAHotArrival) {
-  // queue (oldest..newest): cold hot cold — the newest cold entry goes.
-  EXPECT_EQ(PickVictim({false, true, false}, true, ShedPolicy::kDropCold), 2);
-  EXPECT_EQ(PickVictim({false, true, true}, true, ShedPolicy::kDropCold), 0);
-  // A cold arrival never displaces anyone under drop-cold.
-  EXPECT_EQ(PickVictim({false, true, false}, false, ShedPolicy::kDropCold),
-            -1);
-  // No cold entry to evict: the hot arrival is shed.
-  EXPECT_EQ(PickVictim({true, true}, true, ShedPolicy::kDropCold), -1);
-}
-
-TEST(ShedPolicyTest, DropHotIsTheMirrorImage) {
-  EXPECT_EQ(PickVictim({true, false, true}, false, ShedPolicy::kDropHot), 2);
-  EXPECT_EQ(PickVictim({true, false, true}, true, ShedPolicy::kDropHot), -1);
-  EXPECT_EQ(PickVictim({false, false}, false, ShedPolicy::kDropHot), -1);
-}
-
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerValidationTest, UnknownSchedulerNamesAlternatives) {
-  const Status st = ValidateSchedulerNames("not-a-scheduler", "drop-new");
+  const Status st = ValidateSchedulerNames("not-a-scheduler");
   ASSERT_TRUE(st.IsInvalidArgument());
   EXPECT_NE(st.message().find("fifo"), std::string::npos);
 }
 
-TEST(SchedulerValidationTest, UnknownShedPolicyNamesAlternatives) {
-  const Status st = ValidateSchedulerNames("hash-affinity", "drop-all");
-  ASSERT_TRUE(st.IsInvalidArgument());
-  EXPECT_NE(st.message().find("drop-cold"), std::string::npos);
-}
-
-TEST(SchedulerValidationTest, TemperatureShedPoliciesNeedAClassifier) {
-  const Status st = ValidateSchedulerNames("fifo", "drop-cold");
-  ASSERT_TRUE(st.IsInvalidArgument());
-  EXPECT_NE(st.message().find("hash-affinity"), std::string::npos);
-}
-
 TEST(SchedulerValidationTest, ModelCompatibility) {
+  EXPECT_TRUE(ValidateSchedulerParams("fifo", "closed").ok());
+  EXPECT_TRUE(ValidateSchedulerParams("hash-affinity", "open").ok());
   EXPECT_TRUE(
-      ValidateSchedulerParams("fifo", "drop-new", "closed").ok());
-  EXPECT_TRUE(
-      ValidateSchedulerParams("hash-affinity", "drop-cold", "open").ok());
-  EXPECT_TRUE(
-      ValidateSchedulerParams("batch-pack", "drop-new", "batched").ok());
-  EXPECT_TRUE(ValidateSchedulerParams("hash-affinity", "drop-new", "closed")
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ValidateSchedulerParams("batch-pack", "drop-new", "open")
-                  .IsInvalidArgument());
+      ValidateSchedulerParams("hash-affinity", "closed").IsInvalidArgument());
 }
 
 TEST(SchedulerValidationTest, RunnerValidateRejectsBadSchedulerSpecs) {
@@ -284,10 +227,6 @@ TEST(SchedulerValidationTest, RunnerValidateRejectsBadSchedulerSpecs) {
   Status st = runner::ScenarioRunner::Validate(spec);
   ASSERT_TRUE(st.IsInvalidArgument());
   EXPECT_NE(st.message().find("fifo"), std::string::npos);
-
-  spec = runner::ScenarioSpec{};
-  spec.shed_policy = "drop-everything";
-  EXPECT_TRUE(runner::ScenarioRunner::Validate(spec).IsInvalidArgument());
 
   // hash-affinity on the default closed model: rejected with a pointer to
   // the open model.
@@ -329,69 +268,93 @@ TEST(ScheduledAdmissionTest, HashAffinityCommitsUnderTheOpenModel) {
   EXPECT_GT(result->stats.admitted, 0u);
 }
 
+/// One traced attempt: its [start, end] span in simulated ns.
+struct AttemptSpan {
+  SimTime start;
+  SimTime end;
+  uint64_t txn;
+};
+
+/// A trace timestamp (microseconds with a 3-digit ns fraction) in ns,
+/// exact: integer compares avoid float rounding on start == end ties.
+SimTime TraceNs(const Json& us) {
+  return static_cast<SimTime>(std::llround(us.AsDouble() * 1000.0));
+}
+
+TEST(ScheduledAdmissionTest, HashAffinityNeverOverlapsTwoAttemptsOfAClass) {
+  runner::ScenarioSpec spec = OpenYcsb(/*offered_tps=*/1e6);
+  spec.scheduler = "hash-affinity";
+  spec.options.Set("theta", 0.99);
+  spec.trace_sample_every = 1;
+  auto result = runner::ScenarioRunner::Run(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto doc = Json::Parse(result->trace->DumpJson());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+
+  // The class is classified on the arrival engine (sched_classify) and
+  // held on the engine the request was routed to, where its attempts run:
+  // join the two by logical transaction id.
+  std::map<uint64_t, uint32_t> class_of_txn;
+  std::vector<const Json*> attempts;
+  for (const Json& ev : doc->Get("traceEvents")->AsArray()) {
+    const Json* name = ev.Get("name");
+    if (name == nullptr || ev.Get("ph")->AsString() == "M") continue;
+    const Json& args = *ev.Get("args");
+    if (name->AsString() == "sched_classify") {
+      class_of_txn[static_cast<uint64_t>(args.Get("txn")->AsDouble())] =
+          static_cast<uint32_t>(args.Get("class")->AsDouble());
+    } else if (name->AsString() == "attempt") {
+      attempts.push_back(&ev);
+    }
+  }
+  // (pid, tid) names the engine; spans grouped per engine and class.
+  std::map<std::pair<uint64_t, uint64_t>,
+           std::map<uint32_t, std::vector<AttemptSpan>>>
+      spans;
+  for (const Json* ev : attempts) {
+    const uint64_t txn =
+        static_cast<uint64_t>(ev->Get("args")->Get("txn")->AsDouble());
+    auto cls = class_of_txn.find(txn);
+    ASSERT_NE(cls, class_of_txn.end()) << "attempt of unclassified " << txn;
+    if (cls->second == kColdClass) continue;
+    const SimTime start = TraceNs(*ev->Get("ts"));
+    spans[{static_cast<uint64_t>(ev->Get("pid")->AsDouble()),
+           static_cast<uint64_t>(ev->Get("tid")->AsDouble())}][cls->second]
+        .push_back({start, start + TraceNs(*ev->Get("dur")), txn});
+  }
+
+  bool class_recurs = false;
+  for (auto& [engine, classes] : spans) {
+    for (auto& [cls, list] : classes) {
+      std::sort(list.begin(), list.end(),
+                [](const AttemptSpan& a, const AttemptSpan& b) {
+                  return a.start < b.start;
+                });
+      for (size_t i = 1; i < list.size(); ++i) {
+        if (list[i].txn != list[0].txn) class_recurs = true;
+        // Serialized admission: the next attempt of the class starts no
+        // earlier than the previous one ended (a retry of the same
+        // transaction holds the class, so it cannot overlap either).
+        EXPECT_GE(list[i].start, list[i - 1].end)
+            << "class " << cls << " on pid " << engine.first << " tid "
+            << engine.second << ": txn " << list[i].txn << " overlaps txn "
+            << list[i - 1].txn;
+      }
+    }
+  }
+  // The check above is vacuous unless some class ran more than one
+  // transaction on one engine.
+  EXPECT_TRUE(class_recurs);
+}
+
 TEST(ScheduledAdmissionTest, OverloadShedsAndStillCommits) {
   runner::ScenarioSpec spec = OpenYcsb(/*offered_tps=*/5e6);
   spec.scheduler = "hash-affinity";
-  spec.shed_policy = "drop-cold";
   spec.queue_cap = 4;
   auto result = runner::ScenarioRunner::Run(spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->stats.TotalCommits(), 0u);
   EXPECT_GT(result->stats.shed, 0u);
-}
-
-TEST(ScheduledAdmissionTest, DropColdAndDropHotDiverge) {
-  runner::ScenarioSpec cold = OpenYcsb(/*offered_tps=*/5e6);
-  cold.scheduler = "hash-affinity";
-  cold.shed_policy = "drop-cold";
-  cold.queue_cap = 4;
-  runner::ScenarioSpec hot = cold;
-  hot.shed_policy = "drop-hot";
-  auto cold_result = runner::ScenarioRunner::Run(cold);
-  auto hot_result = runner::ScenarioRunner::Run(hot);
-  ASSERT_TRUE(cold_result.ok()) << cold_result.status().ToString();
-  ASSERT_TRUE(hot_result.ok()) << hot_result.status().ToString();
-  EXPECT_GT(cold_result->stats.shed, 0u);
-  EXPECT_GT(hot_result->stats.shed, 0u);
-  // The policies keep opposite halves of the offered mix, so the committed
-  // mix must differ (both runs share every other knob and the seed).
-  EXPECT_NE(cold_result->stats.TotalCommits(),
-            hot_result->stats.TotalCommits());
-}
-
-TEST(ScheduledAdmissionTest, BatchPackLowersConflictAbortsAtHighSkew) {
-  runner::ScenarioSpec spec;
-  spec.workload = "ycsb";
-  spec.protocol = "2pl";
-  spec.nodes = 2;
-  spec.engines_per_node = 2;
-  spec.concurrency = 4;
-  spec.seed = 5;
-  spec.warmup = kMillisecond;
-  spec.measure = 6 * kMillisecond;
-  spec.load_model = "batched";
-  spec.batch_size = 8;
-  spec.options.Set("keys_per_partition", 1000);
-  spec.options.Set("theta", 0.99);
-  spec.options.Set("distributed_ratio", 0.0);
-  // Single-write transactions make the predicted class *exactly* the
-  // conflict: every write-write collision inside a fifo batch is one
-  // batch-pack provably defers (multi-op transactions can still conflict
-  // through their second-hottest record, which the single-class predictor
-  // deliberately ignores).
-  spec.options.Set("ops_per_txn", 1);
-  spec.options.Set("read_ratio", 0.0);
-
-  auto fifo = runner::ScenarioRunner::Run(spec);
-  spec.scheduler = "batch-pack";
-  auto packed = runner::ScenarioRunner::Run(spec);
-  ASSERT_TRUE(fifo.ok()) << fifo.status().ToString();
-  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  EXPECT_GT(packed->stats.TotalCommits(), 0u);
-  EXPECT_GT(fifo->stats.TotalConflictAborts(), 0u);
-  // Conflict-free batch formation must show a strict drop at this skew.
-  EXPECT_LT(packed->stats.TotalConflictAborts(),
-            fifo->stats.TotalConflictAborts());
 }
 
 // ---------------------------------------------------------------------------
