@@ -84,14 +84,10 @@ std::string UsageString(const std::string& bench_name,
         "  --queue-cap=N       open loop: per-engine admission queue bound"
         " (default %u)\n"
         "  --scheduler=NAME    admission scheduler: %s (default %s)\n"
-        "  --sched-classes=N   conflict-class universe, 0 = auto"
-        " (default %u)\n"
         "  --jobs=N            sweep worker threads, 0 = all hardware threads"
         " (default %u)\n"
         "  --shards=N          simulator shards per scenario; results are"
         " byte-identical for any N (default %u)\n"
-        "  --mem-budget-mb=N   cap summed footprint of concurrently-loaded"
-        " scenarios, 0 = unlimited (default %llu)\n"
         "  --trace-out=FILE    write a Chrome trace-event JSON of the"
         " sampled transactions (Perfetto-loadable)\n"
         "  --trace-sample-every=N  trace every Nth logical transaction per"
@@ -106,9 +102,7 @@ std::string UsageString(const std::string& bench_name,
         d.engines, d.concurrency, d.warmup_ms, d.duration_ms, d.theta,
         static_cast<unsigned long long>(d.seed), d.load_model.c_str(),
         d.offered_tps, d.arrival.c_str(), d.queue_cap,
-        schedulers.c_str(), d.scheduler.c_str(), d.sched_classes,
-        d.jobs, d.shards,
-        static_cast<unsigned long long>(d.mem_budget_mb),
+        schedulers.c_str(), d.scheduler.c_str(), d.jobs, d.shards,
         d.trace_sample_every, bench_name.c_str());
   };
   const int needed = format(nullptr, 0);
@@ -180,14 +174,10 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
         return Status::InvalidArgument("--scheduler requires a value");
       }
       out->scheduler = value;
-    } else if (name == "sched-classes") {
-      st = ParseNumber(name, value, &out->sched_classes);
     } else if (name == "jobs") {
       st = ParseNumber(name, value, &out->jobs);
     } else if (name == "shards") {
       st = ParseNumber(name, value, &out->shards);
-    } else if (name == "mem-budget-mb") {
-      st = ParseNumber(name, value, &out->mem_budget_mb);
     } else if (name == "trace-out") {
       if (value.empty()) {
         return Status::InvalidArgument("--trace-out requires a value");
@@ -218,9 +208,6 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
   }
   if (out->shards == 0) {
     return Status::InvalidArgument("--shards must be >= 1");
-  }
-  if (out->mem_budget_mb > (UINT64_MAX >> 20)) {
-    return Status::InvalidArgument("--mem-budget-mb overflows 64-bit bytes");
   }
   if (!out->trace_out.empty() && out->trace_sample_every == 0) {
     // --trace-out alone means "trace everything": an empty trace from a

@@ -16,12 +16,9 @@
 //   --arrival=NAME        open loop: poisson | uniform interarrivals
 //   --queue-cap=N         open loop: per-engine admission queue bound
 //   --scheduler=NAME      admission scheduler (see --list-schedulers)
-//   --sched-classes=N     conflict-class universe size (0 = auto)
 //   --jobs=N              sweep worker threads (0 = all hardware threads)
 //   --shards=N            simulator shards per scenario (threads inside one
 //                         simulation; results byte-identical for any N)
-//   --mem-budget-mb=N     cap summed footprint of concurrently-loaded
-//                         scenarios (0 = unlimited)
 //   --trace-out=FILE      write a Chrome trace-event JSON of the sampled
 //                         transactions (load in Perfetto / chrome://tracing)
 //   --trace-sample-every=N trace every Nth logical transaction per engine
@@ -72,7 +69,6 @@ struct BenchFlags {
   /// the pre-scheduler code).
   /// See schedule/scheduler.h and --list-schedulers.
   std::string scheduler = "fifo";
-  uint32_t sched_classes = 0;     ///< conflict-class universe (0 = auto)
   /// Sweep worker threads; 0 = one per hardware thread. Results are
   /// byte-identical for every value (see runner::SweepExecutor).
   uint32_t jobs = 1;
@@ -81,11 +77,6 @@ struct BenchFlags {
   /// to --jobs (threads across scenarios); results are byte-identical for
   /// every value, only wall-clock changes.
   uint32_t shards = 1;
-  /// Memory budget for concurrently-loaded scenarios, MB; 0 = unlimited.
-  /// High --jobs multiplies peak RSS (one loaded cluster per worker); the
-  /// sweep keeps the summed footprint estimates of the scenarios in flight
-  /// under this cap.
-  uint64_t mem_budget_mb = 0;
   /// Chrome trace-event output: path of the merged trace across every
   /// scenario the bench sweeps (empty = no trace). Tracing replays the
   /// same domain events the stats come from, so enabling it never changes
@@ -96,9 +87,6 @@ struct BenchFlags {
   /// transaction an engine issues is traced (0 = tracing off). When
   /// --trace-out is given and this is 0, it defaults to 1 (trace all).
   uint32_t trace_sample_every = 0;
-
-  /// mem_budget_mb in bytes (what SweepExecutor consumes).
-  uint64_t MemBudgetBytes() const { return mem_budget_mb * (1ull << 20); }
   std::string json_path;  ///< empty = BENCH_<bench name>.json
   bool emit_json = true;
   bool help = false;      ///< --help was given; caller prints usage, exits 0
@@ -122,10 +110,9 @@ inline void ApplyLoadModelFlags(const BenchFlags& flags,
   spec->offered_tps = flags.offered_tps;
   spec->arrival = flags.arrival;
   spec->queue_cap = flags.queue_cap;
-  // The admission-scheduler knobs ride along: they shape the same
+  // The admission scheduler rides along: it shapes the same
   // arrival-to-engine stage the load model owns.
   spec->scheduler = flags.scheduler;
-  spec->sched_classes = flags.sched_classes;
 }
 
 /// Guard for benches that never drive transactions through a load model
@@ -138,15 +125,13 @@ inline void RejectLoadModelFlags(const BenchFlags& flags,
       flags.offered_tps == defaults.offered_tps &&
       flags.arrival == defaults.arrival &&
       flags.queue_cap == defaults.queue_cap &&
-      flags.scheduler == defaults.scheduler &&
-      flags.sched_classes == defaults.sched_classes) {
+      flags.scheduler == defaults.scheduler) {
     return;
   }
   std::fprintf(stderr,
                "%s: this bench does not drive transactions through a load "
                "model; --load-model / --offered-tps / --arrival / "
-               "--queue-cap / --scheduler / --sched-classes have no effect "
-               "here\n",
+               "--queue-cap / --scheduler have no effect here\n",
                bench_name.c_str());
   std::exit(1);
 }

@@ -36,7 +36,6 @@ Sweep::Sweep(const BenchFlags& flags, std::string bench_name)
       shards_(flags.shards),
       trace_sample_every_(flags.trace_sample_every),
       start_(std::chrono::steady_clock::now()) {
-  executor_.set_mem_budget_bytes(flags.MemBudgetBytes());
   executor_.set_trace_out(flags.trace_out);
 }
 

@@ -16,8 +16,8 @@ namespace chiller::bench {
 
 class Sweep {
  public:
-  /// Builds the executor from --jobs, --mem-budget-mb and --trace-out and
-  /// starts the wall clock. `bench_name` prefixes progress and errors.
+  /// Builds the executor from --jobs and --trace-out and starts the wall
+  /// clock. `bench_name` prefixes progress and errors.
   Sweep(const BenchFlags& flags, std::string bench_name);
 
   /// Runs every spec (in parallel, per --jobs) and returns the results in

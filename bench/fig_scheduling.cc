@@ -76,16 +76,15 @@ runner::ScenarioSpec BaseSpec(const BenchFlags& flags,
 void Main(const BenchFlags& flags) {
   // The scheduler and load-model axes ARE this bench's sweep: stage 1 is
   // always the closed-loop capacity probe and stage 2 always the open-loop
-  // scheduler grid. Refuse the shared flags the sweep fixes; --arrival,
-  // --queue-cap, and --sched-classes still shape the open loop.
+  // scheduler grid. Refuse the shared flags the sweep fixes; --arrival
+  // and --queue-cap still shape the open loop.
   if (flags.load_model != "closed" || flags.offered_tps != 0.0 ||
       flags.scheduler != BenchFlags{}.scheduler) {
     std::fprintf(stderr,
                  "scheduling: this bench sweeps the scheduler and load "
                  "model itself — --load-model, --offered-tps, and "
                  "--scheduler are fixed by the sweep (use --arrival / "
-                 "--queue-cap / --sched-classes / --concurrency to shape "
-                 "it)\n");
+                 "--queue-cap / --concurrency to shape it)\n");
     std::exit(1);
   }
   {
@@ -120,7 +119,6 @@ void Main(const BenchFlags& flags) {
   report.SetConfig("concurrency", flags.concurrency);
   report.SetConfig("arrival", flags.arrival);
   report.SetConfig("queue_cap", flags.queue_cap);
-  report.SetConfig("sched_classes", flags.sched_classes);
   report.SetConfig("warmup_ms", flags.warmup_ms);
   report.SetConfig("duration_ms", flags.duration_ms);
   report.SetConfig("seed", flags.seed);
@@ -173,7 +171,6 @@ void Main(const BenchFlags& flags) {
         spec.arrival = flags.arrival;
         spec.queue_cap = flags.queue_cap;
         spec.scheduler = sched;
-        spec.sched_classes = flags.sched_classes;
         specs.push_back(std::move(spec));
       }
     }

@@ -8,6 +8,9 @@
 // run bundles on concurrent workers, so factories never share state.
 #include "runner/registry.h"
 
+#include <string>
+#include <utility>
+
 #include "common/random.h"
 #include "workload/flight.h"
 #include "workload/instacart.h"
@@ -41,6 +44,9 @@ StatusOr<tpcc::TpccWorkload::Options> ParseTpccOptions(
   // The paper's setup: exactly one warehouse per engine/partition.
   w.num_warehouses = static_cast<uint32_t>(
       o.GetInt("num_warehouses", spec.partitions()));
+  if (w.num_warehouses == 0) {
+    return Status::InvalidArgument("tpcc num_warehouses must be >= 1");
+  }
   w.remote_new_order_prob =
       o.GetDouble("remote_new_order_prob", w.remote_new_order_prob);
   w.remote_payment_prob =
@@ -63,6 +69,17 @@ StatusOr<tpcc::TpccWorkload::Options> ParseTpccOptions(
           w.pct_stock_level !=
       100) {
     return Status::InvalidArgument("tpcc mix percentages must sum to 100");
+  }
+  const std::pair<const char*, double> probs[] = {
+      {"remote_new_order_prob", w.remote_new_order_prob},
+      {"remote_payment_prob", w.remote_payment_prob},
+      {"invalid_item_prob", w.invalid_item_prob},
+  };
+  for (const auto& [name, p] : probs) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return Status::InvalidArgument(std::string("tpcc ") + name +
+                                     " must be in [0, 1]");
+    }
   }
   return w;
 }
@@ -154,6 +171,9 @@ StatusOr<std::unique_ptr<WorkloadBundle>> MakeInstacart(
   w.num_products = o.GetInt("num_products", w.num_products);
   w.num_customers = o.GetInt("num_customers", w.num_customers);
   w.tail_theta = o.GetDouble("tail_theta", w.tail_theta);
+  if (w.num_products <= 100) {
+    return Status::InvalidArgument("instacart num_products must be > 100");
+  }
 
   const std::string layout = o.GetString("layout", "chiller");
   if (layout != "chiller" && layout != "schism" && layout != "hash") {
@@ -229,6 +249,30 @@ StatusOr<std::unique_ptr<WorkloadBundle>> MakeFlight(
       static_cast<int64_t>(o.GetInt("initial_seats", w.initial_seats));
   w.initial_balance =
       static_cast<int64_t>(o.GetInt("initial_balance", w.initial_balance));
+  // Next() draws Uniform over the hot set, the cold remainder, customers
+  // and states, so none of them may be empty.
+  if (w.num_flights == 0) {
+    return Status::InvalidArgument("flight num_flights must be >= 1");
+  }
+  if (w.hot_flights == 0 || w.hot_flights >= w.num_flights) {
+    return Status::InvalidArgument(
+        "flight hot_flights must be in [1, num_flights)");
+  }
+  if (w.num_customers == 0) {
+    return Status::InvalidArgument("flight num_customers must be >= 1");
+  }
+  if (w.num_states == 0) {
+    return Status::InvalidArgument("flight num_states must be >= 1");
+  }
+  if (!(w.hot_fraction >= 0.0 && w.hot_fraction <= 1.0)) {
+    return Status::InvalidArgument("flight hot_fraction must be in [0, 1]");
+  }
+  constexpr Key kSeatStride = flight::FlightSchema::kSeatStride;
+  if (w.initial_seats >= static_cast<int64_t>(kSeatStride)) {
+    return Status::InvalidArgument(
+        "flight initial_seats must be < " + std::to_string(kSeatStride) +
+        " (seat ids would collide across flights)");
+  }
   return std::unique_ptr<WorkloadBundle>(
       std::make_unique<FlightBundle>(w, spec.partitions()));
 }
@@ -281,6 +325,9 @@ StatusOr<ycsb::YcsbWorkload::Options> ParseYcsbOptions(
   w.shift_every =
       static_cast<SimTime>(o.GetInt("shift_every_us", 0)) * kMicrosecond;
   w.shift_stride = static_cast<uint64_t>(o.GetInt("shift_stride", 0));
+  if (w.keys_per_partition == 0) {
+    return Status::InvalidArgument("ycsb keys_per_partition must be >= 1");
+  }
   if ((w.shift_every > 0) != (w.shift_stride > 0)) {
     return Status::InvalidArgument(
         "shift_every_us and shift_stride enable the shifting hot set "

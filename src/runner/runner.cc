@@ -273,7 +273,6 @@ StatusOr<ScenarioEnv> ScenarioRunner::Wire(const ScenarioSpec& spec) {
 
   schedule::SchedulerContext sctx;
   sctx.num_engines = env.cluster->num_engines();
-  sctx.classes = spec.sched_classes;
   sctx.partitioner = env.bundle->partitioner();
   sctx.seed = spec.seed;
   auto sched = schedule::SchedulerRegistry::Global().Make(spec.scheduler,

@@ -112,9 +112,6 @@ struct ScenarioSpec {
   /// Registry key: "fifo" (default: arrival order, no classification),
   /// "hash-affinity" (open model).
   std::string scheduler = "fifo";
-  /// Conflict-class universe size for classifying schedulers; 0 = a
-  /// default large enough that distinct hot records rarely share a class.
-  uint32_t sched_classes = 0;
 
   /// Base RNG seed: the whole scenario is a pure function of the spec.
   uint64_t seed = 1;

@@ -76,15 +76,6 @@ class SweepExecutor {
   void set_trace_out(std::string path) { trace_out_ = std::move(path); }
   const std::string& trace_out() const { return trace_out_; }
 
-  /// Caps the summed EstimateFootprint() of concurrently-running scenarios
-  /// (N concurrent TPC-C clusters multiply peak RSS). 0 = unlimited. A
-  /// worker whose next spec would exceed the budget waits for in-flight
-  /// scenarios to finish; a single spec over budget still runs, alone.
-  /// Specs estimated at 0 (unknown workload) are never gated. Results are
-  /// unaffected — each scenario stays a pure function of its spec.
-  void set_mem_budget_bytes(uint64_t bytes) { mem_budget_bytes_ = bytes; }
-  uint64_t mem_budget_bytes() const { return mem_budget_bytes_; }
-
   /// Called after each scenario completes (any thread, serialized by the
   /// executor): the spec index and its result. Completion order follows
   /// scheduling; the returned vector always follows spec order.
@@ -106,28 +97,12 @@ class SweepExecutor {
 
  private:
   uint32_t jobs_;
-  uint64_t mem_budget_bytes_ = 0;
   std::string trace_out_;
   // Cumulative trace state across Run calls (traces merge in spec order
   // on the bench thread after the parallel barrier, so no lock is needed).
   mutable std::string trace_events_;
   mutable uint32_t trace_pid_base_ = 0;
 };
-
-/// Rough resident bytes one wired and loaded scenario adds (primary +
-/// replica stores, all tables): what the memory-budget gate charges per
-/// spec. Derived from the workload schema's bucket counts and initial row
-/// counts and the storage layer's per-bucket and per-record sizes;
-/// deliberately coarse — the budget gate needs relative magnitudes, not an
-/// allocator audit.
-/// Returns 0 (unknown) for unrecognized workload keys.
-uint64_t EstimateFootprint(const ScenarioSpec& spec);
-
-/// This process's current resident set in bytes, read from
-/// /proc/self/statm. Returns 0 where the probe is unavailable (non-Linux
-/// builds, restricted /proc). The footprint tests measure
-/// EstimateFootprint against it.
-uint64_t CurrentRssBytes();
 
 }  // namespace chiller::runner
 

@@ -116,15 +116,13 @@ TEST(BenchFlagsTest, RejectsUnknownFlagAndBadValues) {
     EXPECT_TRUE(st.IsInvalidArgument()) << arg;
     EXPECT_NE(st.message().find("bad value"), std::string::npos) << arg;
   }
-  // --mem-budget-mb is converted to bytes: reject what would wrap.
-  const std::string max_mb =
-      "--mem-budget-mb=" + std::to_string(UINT64_MAX >> 20);
-  const std::string over_mb =
-      "--mem-budget-mb=" + std::to_string((UINT64_MAX >> 20) + 1);
-  f = BenchFlags{};
-  ASSERT_TRUE(Parse({max_mb.c_str()}, &f).ok());
-  EXPECT_EQ(f.MemBudgetBytes() >> 20, UINT64_MAX >> 20);
-  EXPECT_TRUE(Parse({over_mb.c_str()}, &f).IsInvalidArgument());
+  // Removed flags are unknown, not silently accepted.
+  for (const char* arg : {"--mem-budget-mb=64", "--sched-classes=4"}) {
+    f = BenchFlags{};
+    const Status st = Parse({arg}, &f);
+    EXPECT_TRUE(st.IsInvalidArgument()) << arg;
+    EXPECT_NE(st.message().find("unknown flag"), std::string::npos) << arg;
+  }
 }
 
 TEST(BenchFlagsTest, UsageMentionsEveryFlag) {
@@ -358,7 +356,6 @@ runner::ScenarioSpec TinyYcsb(uint64_t seed) {
 TEST(BenchSweepTest, ReturnsUnwrappedResultsInSpecOrder) {
   BenchFlags flags;
   flags.jobs = 2;
-  flags.mem_budget_mb = 1;  // below one spec: scenarios run alone
   Sweep sweep(flags, "test");
   const std::vector<runner::ScenarioSpec> specs = {TinyYcsb(5), TinyYcsb(2),
                                                    TinyYcsb(9)};

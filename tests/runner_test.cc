@@ -266,6 +266,48 @@ TEST(YcsbTest, InvalidKnobsAreRejected) {
   EXPECT_TRUE(ScenarioRunner::Run(spec).status().IsInvalidArgument());
 }
 
+// Each option value below would otherwise kill the process inside the
+// workload (a modulo or Uniform draw by zero, or a CHECK at load time) or
+// silently run a meaningless mix; the factories refuse it with a Status
+// naming the option before anything is loaded.
+TEST(WorkloadOptionsTest, InvalidOptionsFailWiringWithTheirName) {
+  struct Case {
+    const char* workload;
+    const char* option;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"tpcc", "num_warehouses", "0"},
+      {"tpcc", "remote_new_order_prob", "-0.1"},
+      {"tpcc", "remote_payment_prob", "2"},
+      {"tpcc", "invalid_item_prob", "1.5"},
+      {"flight", "num_flights", "0"},
+      {"flight", "hot_flights", "0"},
+      {"flight", "hot_flights", "1000"},  // == the default num_flights
+      {"flight", "num_customers", "0"},
+      {"flight", "num_states", "0"},
+      {"flight", "hot_fraction", "1.5"},
+      {"flight", "initial_seats", "100000"},
+      {"instacart", "num_products", "100"},
+      {"ycsb", "keys_per_partition", "0"},
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec spec;
+    spec.workload = c.workload;
+    spec.protocol = "2pl";
+    spec.nodes = 2;
+    spec.engines_per_node = 1;
+    spec.options.Set(c.option, c.value);
+    const std::string what =
+        std::string(c.workload) + " " + c.option + "=" + c.value;
+    const Status st = ScenarioRunner::Wire(spec).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << what;
+    EXPECT_NE(st.message().find(std::string(c.option) + " must"),
+              std::string::npos)
+        << what << ": " << st.ToString();
+  }
+}
+
 TEST(YcsbTest, PartitionerPlacesAndFlagsHotKeys) {
   workload::ycsb::YcsbPartitioner part(/*num_partitions=*/4,
                                        /*keys_per_partition=*/100,
@@ -565,84 +607,6 @@ TEST(LoadModelScenarioTest, OpenLoopSurvivesQuiesceAndMigrate) {
   EXPECT_GT(result->adaptive.migration.moved_records, 0u);
   EXPECT_GT(result->stats.TotalCommits(), 0u);
   EXPECT_GT(result->stats.admitted, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Memory budget
-// ---------------------------------------------------------------------------
-
-TEST(FootprintTest, EstimatesScaleWithTopologyAndKnobs) {
-  ScenarioSpec spec = SmallYcsb();
-  const uint64_t small = EstimateFootprint(spec);
-  EXPECT_GT(small, 0u);
-  spec.options.Set("keys_per_partition", 20000);
-  EXPECT_GT(EstimateFootprint(spec), small);
-
-  ScenarioSpec tpcc;
-  tpcc.workload = "tpcc";
-  const uint64_t one_per_engine = EstimateFootprint(tpcc);
-  EXPECT_GT(one_per_engine, 0u);
-  tpcc.options.Set("num_warehouses", 80);
-  EXPECT_GT(EstimateFootprint(tpcc), one_per_engine);
-
-  ScenarioSpec unknown;
-  unknown.workload = "not-a-workload";
-  EXPECT_EQ(EstimateFootprint(unknown), 0u);
-}
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CHILLER_SANITIZED_HEAP 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define CHILLER_SANITIZED_HEAP 1
-#endif
-#endif
-
-TEST(FootprintTest, TpccEstimateTracksLoadedRss) {
-#ifdef CHILLER_SANITIZED_HEAP
-  GTEST_SKIP() << "sanitizer allocators pad every allocation";
-#endif
-  // The benchmark's TPC-C spec: 16 warehouses on 8x2 engines, 2 copies.
-  ScenarioSpec spec;
-  spec.workload = "tpcc";
-  spec.protocol = "chiller";
-  spec.nodes = 8;
-  spec.engines_per_node = 2;
-  spec.options.Set("num_warehouses", 16);
-  const uint64_t before = CurrentRssBytes();
-  if (before == 0) GTEST_SKIP() << "no RSS probe on this platform";
-  auto env = ScenarioRunner::Wire(spec);
-  ASSERT_TRUE(env.ok()) << env.status().ToString();
-  const double growth = static_cast<double>(CurrentRssBytes() - before);
-  const double estimate = static_cast<double>(EstimateFootprint(spec));
-  EXPECT_GT(estimate, growth / 2);
-  EXPECT_LT(estimate, growth * 2);
-}
-
-TEST(SweepExecutorTest, MemBudgetStillRunsEverySpecIdentically) {
-  std::vector<ScenarioSpec> specs;
-  for (uint64_t seed : {31, 7, 19, 3}) {
-    ScenarioSpec spec = SmallYcsb();
-    spec.seed = seed;
-    spec.measure = 2 * kMillisecond;
-    EXPECT_GT(EstimateFootprint(spec), 0u);
-    specs.push_back(std::move(spec));
-  }
-  SweepExecutor unbounded(4);
-  // A budget below a single spec's estimate forces scenarios to run alone
-  // (the progress guarantee) without changing any result.
-  SweepExecutor starved(4);
-  starved.set_mem_budget_bytes(1);
-  auto a = unbounded.Run(specs);
-  auto b = starved.Run(specs);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].ok());
-    ASSERT_TRUE(b[i].ok());
-    EXPECT_EQ(a[i]->stats.TotalCommits(), b[i]->stats.TotalCommits());
-    EXPECT_EQ(a[i]->stats.TotalConflictAborts(),
-              b[i]->stats.TotalConflictAborts());
-  }
 }
 
 // ---------------------------------------------------------------------------
