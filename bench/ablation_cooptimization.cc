@@ -33,7 +33,6 @@ void Main(const BenchFlags& flags) {
 
   instacart::InstacartWorkload::Options wopts;
   wopts.num_products = 20000;
-  wopts.num_customers = 50000;
   wopts.tail_theta = flags.theta;
   instacart::InstacartWorkload wl(wopts);
   // flags.seed + 30/31 keeps the default (seed=1) identical to the

@@ -53,7 +53,6 @@ void Main(const BenchFlags& flags) {
       spec.measure = static_cast<SimTime>(flags.duration_ms * kMillisecond);
       ApplyLoadModelFlags(flags, &spec);
       spec.options.Set("num_products", 20000);
-      spec.options.Set("num_customers", 50000);
       spec.options.Set("tail_theta", flags.theta);
       spec.options.Set("layout", layout);
       spec.options.Set("trace_txns", 8000);

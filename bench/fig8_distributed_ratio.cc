@@ -41,7 +41,6 @@ void Main(const BenchFlags& flags) {
 
   instacart::InstacartWorkload::Options wopts;
   wopts.num_products = 20000;
-  wopts.num_customers = 50000;
   wopts.tail_theta = flags.theta;
 
   const std::vector<double> ks = {2, 3, 4, 5, 6, 7, 8};

@@ -2,6 +2,10 @@
 // Section 4.1 claim that contention likelihoods for ~1M records compute in
 // seconds.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -18,6 +22,7 @@
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "storage/lock_word.h"
+#include "storage/partition_store.h"
 #include "txn/dependency_graph.h"
 
 namespace chiller {
@@ -247,6 +252,60 @@ void BM_BucketLockProbe(benchmark::State& state) {
   locks.EndEpoch();
 }
 BENCHMARK(BM_BucketLockProbe);
+
+/// Evicts the host caches between timed batches, as hyrise's micro
+/// benchmark fixture does (`_clear_cache`, SNIPPETS.md snippet 2): it
+/// writes a buffer the size of the last-level cache, so the next batch
+/// starts cold.
+void ClearCache() {
+  static std::vector<uint64_t> buffer = [] {
+    const long llc = sysconf(_SC_LEVEL3_CACHE_SIZE);
+    const size_t bytes = llc > 0 ? static_cast<size_t>(llc) : size_t{32} << 20;
+    return std::vector<uint64_t>(bytes / sizeof(uint64_t));
+  }();
+  for (uint64_t& w : buffer) ++w;
+  benchmark::ClobberMemory();
+}
+
+/// The record probe every simulated access makes at its store: NO_WAIT
+/// lock the bucket, find the record, copy it out, unlock. Random keys over
+/// the primaries of the benchmark's TPC-C cluster (16 warehouses on 8x2
+/// engines, as benchmark/main.cc wires it), with the caches cleared before
+/// each batch of probes, so every probe pays the memory stalls a run does.
+void BM_StoreProbe(benchmark::State& state) {
+  runner::ScenarioSpec spec;
+  spec.workload = "tpcc";
+  spec.protocol = "chiller";
+  spec.nodes = 8;
+  spec.engines_per_node = 2;
+  spec.options.Set("num_warehouses", 16);
+  auto env = runner::ScenarioRunner::Wire(spec);
+  CHILLER_CHECK(env.ok()) << env.status().ToString();
+  std::vector<std::pair<storage::PartitionStore*, RecordId>> all;
+  for (PartitionId p = 0; p < spec.partitions(); ++p) {
+    storage::PartitionStore* store = env->cluster->primary(p);
+    store->ForEach([&](const RecordId& rid, const storage::Record&) {
+      all.emplace_back(store, rid);
+    });
+  }
+  Rng rng(29);
+  constexpr size_t kBatch = 4096;
+  std::vector<std::pair<storage::PartitionStore*, RecordId>> probes(kBatch);
+  for (auto& probe : probes) probe = all[rng.Uniform(all.size())];
+  for (auto _ : state) {
+    state.PauseTiming();
+    ClearCache();
+    state.ResumeTiming();
+    for (const auto& [store, rid] : probes) {
+      CHILLER_CHECK(store->TryLock(rid, storage::LockMode::kExclusive).ok());
+      storage::Record copy = *store->Find(rid);
+      benchmark::DoNotOptimize(copy);
+      store->Unlock(rid, storage::LockMode::kExclusive, /*modified=*/false);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_StoreProbe)->Unit(benchmark::kMicrosecond);
 
 void BM_MultilevelPartition(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));

@@ -36,7 +36,6 @@ void Main(const BenchFlags& flags) {
 
   instacart::InstacartWorkload::Options wopts;
   wopts.num_products = 30000;
-  wopts.num_customers = 100000;
   wopts.tail_theta = flags.theta;
 
   const uint32_t k = 8;

@@ -15,7 +15,6 @@ namespace instacart = workload::instacart;
 int main() {
   instacart::InstacartWorkload::Options wopts;
   wopts.num_products = 20000;
-  wopts.num_customers = 50000;
   instacart::InstacartWorkload workload(wopts);
 
   // 1. Capture a workload trace and build all three layouts for 8

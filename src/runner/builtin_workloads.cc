@@ -162,14 +162,12 @@ class InstacartBundle : public WorkloadBundle {
 StatusOr<std::unique_ptr<WorkloadBundle>> MakeInstacart(
     const ScenarioSpec& spec) {
   const OptionMap& o = spec.options;
-  Status st = o.ExpectOnly({"num_products", "num_customers", "tail_theta",
-                            "layout", "trace_txns", "layout_seed",
-                            "hot_threshold"});
+  Status st = o.ExpectOnly({"num_products", "tail_theta", "layout",
+                            "trace_txns", "layout_seed", "hot_threshold"});
   if (!st.ok()) return st;
 
   instacart::InstacartWorkload::Options w;
   w.num_products = o.GetInt("num_products", w.num_products);
-  w.num_customers = o.GetInt("num_customers", w.num_customers);
   w.tail_theta = o.GetDouble("tail_theta", w.tail_theta);
   if (w.num_products <= 100) {
     return Status::InvalidArgument("instacart num_products must be > 100");

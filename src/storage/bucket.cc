@@ -5,19 +5,21 @@
 
 namespace chiller::storage {
 
-Bucket::Block* Bucket::Allocate(uint32_t cap) {
-  void* mem = ::operator new(sizeof(Block) + cap * sizeof(Entry));
+Bucket::Block* Bucket::Allocate(BlockArena* arena, uint32_t cap) {
+  void* mem = arena->Allocate(BlockBytes(cap));
   return new (mem) Block{.size = 0, .cap = cap};
 }
 
-void Bucket::Free(Block* block) {
+void Bucket::Free(BlockArena* arena, Block* block) {
   Entry* e = block->entries();
   for (uint32_t i = 0; i < block->size; ++i) e[i].~Entry();
-  ::operator delete(block);
+  arena->Free(block, BlockBytes(block->cap));
 }
 
-Bucket::~Bucket() {
-  if (block_ != nullptr) Free(block_);
+void Bucket::Clear(BlockArena* arena) {
+  if (block_ == nullptr) return;
+  Free(arena, block_);
+  block_ = nullptr;
 }
 
 Record* Bucket::Find(Key key) {
@@ -38,19 +40,19 @@ std::optional<uint32_t> Bucket::SlotOf(Key key) const {
   return std::nullopt;
 }
 
-bool Bucket::Insert(Key key, Record record) {
+bool Bucket::Insert(BlockArena* arena, Key key, Record record) {
   if (Find(key) != nullptr) return false;
   if (block_ == nullptr) {
-    block_ = Allocate(1);
+    block_ = Allocate(arena, 1);
   } else if (block_->size == block_->cap) {
-    Block* grown = Allocate(2 * block_->cap);
+    Block* grown = Allocate(arena, 2 * block_->cap);
     Entry* from = block_->entries();
     Entry* to = grown->entries();
     for (uint32_t i = 0; i < block_->size; ++i) {
       new (&to[i]) Entry(std::move(from[i]));
     }
     grown->size = block_->size;
-    Free(block_);
+    Free(arena, block_);
     block_ = grown;
   }
   new (&block_->entries()[block_->size]) Entry{key, std::move(record)};
@@ -58,7 +60,7 @@ bool Bucket::Insert(Key key, Record record) {
   return true;
 }
 
-bool Bucket::Erase(Key key) {
+bool Bucket::Erase(BlockArena* arena, Key key) {
   if (block_ == nullptr) return false;
   Entry* e = block_->entries();
   const uint32_t last = block_->size - 1;
@@ -66,10 +68,7 @@ bool Bucket::Erase(Key key) {
     if (e[i].key != key) continue;
     if (i != last) e[i] = std::move(e[last]);
     e[last].~Entry();
-    if (--block_->size == 0) {
-      Free(block_);
-      block_ = nullptr;
-    }
+    if (--block_->size == 0) Clear(arena);
     return true;
   }
   return false;

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <optional>
 
+#include "common/logging.h"
 #include "common/types.h"
+#include "storage/block_arena.h"
 #include "storage/lock_word.h"
 #include "storage/record.h"
 
@@ -15,11 +17,15 @@ namespace chiller::storage {
 /// "Buckets are locked when any of their records are being accessed, and the
 /// lock remains until the transaction commits or aborts" (Section 6).
 ///
-/// Layout (16 bytes): the lock word plus a pointer to a heap block holding
-/// the entry count, its capacity and the (key, record) entries. The pointer
-/// is null while the bucket is empty; the block doubles when full. Overflow
+/// Layout (16 bytes): the lock word plus a pointer to a block holding the
+/// entry count, its capacity and the (key, record) entries. The pointer is
+/// null while the bucket is empty; the block doubles when full. Overflow
 /// past the first entry models an overflow bucket chained off the primary,
-/// sharing its lock.
+/// sharing its lock. Blocks come from the owning store's BlockArena, which
+/// the caller passes to every call that allocates or frees one: a
+/// one-entry block is one cache line, so a probe of a one-record bucket
+/// reads the lock word's line and one more. A bucket does not free its
+/// block on destruction; its owner (Table) calls Clear first.
 ///
 /// Order invariant: Insert appends, and Erase moves the last entry into the
 /// hole. ForEach visits entries in that order, which migration planning
@@ -34,7 +40,7 @@ class Bucket {
   Bucket(const Bucket&) = delete;
   Bucket& operator=(const Bucket&) = delete;
   Bucket& operator=(Bucket&&) = delete;
-  ~Bucket();
+  ~Bucket() { CHILLER_DCHECK(block_ == nullptr) << "bucket not cleared"; }
 
   /// The raw lock word; remote engines CAS this via one-sided RDMA.
   uint64_t lock_word() const { return lock_; }
@@ -56,11 +62,19 @@ class Bucket {
   std::optional<uint32_t> SlotOf(Key key) const;
 
   /// Appends a new record; returns false if the key already exists.
-  bool Insert(Key key, Record record);
+  bool Insert(BlockArena* arena, Key key, Record record);
 
   /// Removes `key`, moving the last entry into its slot; returns true if it
   /// was present.
-  bool Erase(Key key);
+  bool Erase(BlockArena* arena, Key key);
+
+  /// Destroys every entry and returns the block to `arena`.
+  void Clear(BlockArena* arena);
+
+  /// Bytes a block of `cap` entries needs before the arena rounds it up.
+  static constexpr size_t BlockBytes(uint32_t cap) {
+    return sizeof(Block) + cap * sizeof(Entry);
+  }
 
   size_t num_records() const { return block_ == nullptr ? 0 : block_->size; }
 
@@ -77,7 +91,7 @@ class Bucket {
     Key key;
     Record record;
   };
-  /// Heap header; `cap` entries follow it in the same allocation.
+  /// Block header; `cap` entries follow it in the same allocation.
   struct Block {
     uint32_t size;
     uint32_t cap;
@@ -89,9 +103,9 @@ class Bucket {
   static_assert(sizeof(Block) % alignof(Entry) == 0,
                 "entries must start aligned right after the header");
 
-  static Block* Allocate(uint32_t cap);
+  static Block* Allocate(BlockArena* arena, uint32_t cap);
   /// Destroys the block's entries and frees it.
-  static void Free(Block* block);
+  static void Free(BlockArena* arena, Block* block);
 
   uint64_t lock_;
   Block* block_ = nullptr;

@@ -14,7 +14,7 @@ PartitionStore::PartitionStore(PartitionId id,
   tables_.resize(max_id + 1);
   for (const auto& spec : schema) {
     CHILLER_CHECK(tables_[spec.id] == nullptr) << "duplicate table id";
-    tables_[spec.id] = std::make_unique<Table>(spec);
+    tables_[spec.id] = std::make_unique<Table>(spec, &arena_);
   }
 }
 

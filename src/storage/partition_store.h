@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "storage/block_arena.h"
 #include "storage/table.h"
 
 namespace chiller::storage {
@@ -86,6 +87,9 @@ class PartitionStore {
 
  private:
   PartitionId id_;
+  /// Allocates every table's bucket blocks; declared first so it outlives
+  /// the tables, which return their blocks to it as they die.
+  BlockArena arena_;
   std::vector<std::unique_ptr<Table>> tables_;
   size_t locks_held_ = 0;
 };

@@ -19,9 +19,15 @@ size_t HashKey(Key key) {
 }
 }  // namespace
 
-Table::Table(TableSpec spec) : spec_(std::move(spec)) {
+Table::Table(TableSpec spec, BlockArena* arena)
+    : spec_(std::move(spec)), arena_(arena) {
   CHILLER_CHECK(spec_.buckets_per_partition > 0);
+  CHILLER_CHECK(arena_ != nullptr);
   buckets_.resize(spec_.buckets_per_partition);
+}
+
+Table::~Table() {
+  for (Bucket& b : buckets_) b.Clear(arena_);
 }
 
 size_t Table::BucketIndex(Key key) const {
@@ -42,7 +48,7 @@ Bucket* Table::BucketAt(size_t index) {
 Record* Table::Find(Key key) { return BucketFor(key)->Find(key); }
 
 Status Table::Insert(Key key, Record record) {
-  if (!BucketFor(key)->Insert(key, std::move(record))) {
+  if (!BucketFor(key)->Insert(arena_, key, std::move(record))) {
     return Status::FailedPrecondition("duplicate key");
   }
   ++num_records_;
@@ -50,7 +56,7 @@ Status Table::Insert(Key key, Record record) {
 }
 
 Status Table::Erase(Key key) {
-  if (!BucketFor(key)->Erase(key)) return Status::NotFound();
+  if (!BucketFor(key)->Erase(arena_, key)) return Status::NotFound();
   --num_records_;
   return Status::OK();
 }

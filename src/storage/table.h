@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "storage/block_arena.h"
 #include "storage/bucket.h"
 #include "storage/record.h"
 
@@ -15,10 +16,15 @@ namespace chiller::storage {
 /// 16-byte buckets; the bucket's embedded lock word is the locking granule,
 /// so two keys colliding into one bucket contend (as in the real system —
 /// size buckets_per_partition accordingly). An empty bucket costs its 16
-/// bytes and nothing more; records live in per-bucket heap blocks.
+/// bytes and nothing more; records live in per-bucket blocks carved from
+/// `arena`, the owning store's BlockArena, which must outlive the table.
+/// The table returns every block to it on destruction.
 class Table {
  public:
-  explicit Table(TableSpec spec);
+  Table(TableSpec spec, BlockArena* arena);
+  Table(const Table&) = delete;
+  Table& operator=(const Table&) = delete;
+  ~Table();
 
   const TableSpec& spec() const { return spec_; }
 
@@ -52,6 +58,7 @@ class Table {
 
  private:
   TableSpec spec_;
+  BlockArena* arena_;
   std::vector<Bucket> buckets_;
   size_t num_records_ = 0;
 };

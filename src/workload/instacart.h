@@ -64,7 +64,6 @@ class InstacartWorkload : public cc::WorkloadSource {
  public:
   struct Options {
     uint64_t num_products = 49688;  // catalog size of the real dataset
-    uint64_t num_customers = 200000;
     uint32_t num_aisles = 134;
     double mean_basket = 10.0;
     /// Inclusion probabilities of the two headline items (15% / 8%).

@@ -203,7 +203,6 @@ TEST(ScenarioRunnerTest, RunsEveryWorkloadUnderEveryProtocol) {
       if (workload == "instacart") {
         // Keep the layout build cheap: a small catalog and trace.
         spec.options.Set("num_products", 2000);
-        spec.options.Set("num_customers", 5000);
         spec.options.Set("trace_txns", 500);
       }
       if (workload == "ycsb") spec.options.Set("keys_per_partition", 1000);
@@ -269,12 +268,14 @@ TEST(YcsbTest, InvalidKnobsAreRejected) {
 // Each option value below would otherwise kill the process inside the
 // workload (a modulo or Uniform draw by zero, or a CHECK at load time) or
 // silently run a meaningless mix; the factories refuse it with a Status
-// naming the option before anything is loaded.
+// naming the option before anything is loaded. A knob the workload does not
+// have (`unknown`) is refused the same way rather than ignored.
 TEST(WorkloadOptionsTest, InvalidOptionsFailWiringWithTheirName) {
   struct Case {
     const char* workload;
     const char* option;
     const char* value;
+    bool unknown = false;
   };
   const Case cases[] = {
       {"tpcc", "num_warehouses", "0"},
@@ -289,6 +290,7 @@ TEST(WorkloadOptionsTest, InvalidOptionsFailWiringWithTheirName) {
       {"flight", "hot_fraction", "1.5"},
       {"flight", "initial_seats", "100000"},
       {"instacart", "num_products", "100"},
+      {"instacart", "num_customers", "5000", /*unknown=*/true},
       {"ycsb", "keys_per_partition", "0"},
   };
   for (const Case& c : cases) {
@@ -302,8 +304,10 @@ TEST(WorkloadOptionsTest, InvalidOptionsFailWiringWithTheirName) {
         std::string(c.workload) + " " + c.option + "=" + c.value;
     const Status st = ScenarioRunner::Wire(spec).status();
     EXPECT_TRUE(st.IsInvalidArgument()) << what;
-    EXPECT_NE(st.message().find(std::string(c.option) + " must"),
-              std::string::npos)
+    const std::string says =
+        c.unknown ? "unknown option '" + std::string(c.option) + "'"
+                  : std::string(c.option) + " must";
+    EXPECT_NE(st.message().find(says), std::string::npos)
         << what << ": " << st.ToString();
   }
 }

@@ -1,9 +1,13 @@
 // Unit tests for the storage substrate: lock words, buckets, tables, stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "storage/block_arena.h"
 #include "storage/bucket.h"
 #include "storage/lock_word.h"
 #include "storage/partition_store.h"
@@ -170,63 +174,99 @@ std::vector<Key> KeysInOrder(const Bucket& b) {
   return keys;
 }
 
+/// A standalone bucket and the arena its blocks come from; returns the
+/// block on destruction, as Table does for its buckets.
+struct ArenaBucket {
+  BlockArena arena;
+  Bucket b;
+  ~ArenaBucket() { b.Clear(&arena); }
+  bool Insert(Key k, Record r) { return b.Insert(&arena, k, std::move(r)); }
+  bool Erase(Key k) { return b.Erase(&arena, k); }
+};
+
 TEST(BucketTest, OrderMatchesAppendAndSwapWithLastErase) {
   // The order a std::vector gives with push_back and erase-by-moving-the-
   // last-entry-into-the-hole; migration batches depend on it.
-  Bucket b;
+  ArenaBucket ab;
   for (Key k = 1; k <= 6; ++k) {  // grows past 4 entries
-    ASSERT_TRUE(b.Insert(k, Numbered(2, static_cast<int64_t>(k) * 10)));
+    ASSERT_TRUE(ab.Insert(k, Numbered(2, static_cast<int64_t>(k) * 10)));
   }
-  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{1, 2, 3, 4, 5, 6}));
-  ASSERT_TRUE(b.Erase(3));  // middle: the last entry fills the hole
-  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{1, 2, 6, 4, 5}));
-  ASSERT_TRUE(b.Erase(5));  // last: nothing moves
-  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{1, 2, 6, 4}));
-  ASSERT_TRUE(b.Insert(7, Numbered(2, 70)));
-  EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{1, 2, 6, 4, 7}));
+  EXPECT_EQ(KeysInOrder(ab.b), (std::vector<Key>{1, 2, 3, 4, 5, 6}));
+  ASSERT_TRUE(ab.Erase(3));  // middle: the last entry fills the hole
+  EXPECT_EQ(KeysInOrder(ab.b), (std::vector<Key>{1, 2, 6, 4, 5}));
+  ASSERT_TRUE(ab.Erase(5));  // last: nothing moves
+  EXPECT_EQ(KeysInOrder(ab.b), (std::vector<Key>{1, 2, 6, 4}));
+  ASSERT_TRUE(ab.Insert(7, Numbered(2, 70)));
+  EXPECT_EQ(KeysInOrder(ab.b), (std::vector<Key>{1, 2, 6, 4, 7}));
   // Records travel with their keys through growth and erases.
-  b.ForEach([](Key k, const Record& r) {
+  ab.b.ForEach([](Key k, const Record& r) {
     EXPECT_EQ(r, Numbered(2, static_cast<int64_t>(k) * 10)) << k;
   });
 }
 
+TEST(BucketTest, GrowthThroughEveryClassKeepsOrder) {
+  // 1 -> 2 -> 4 -> ... -> 64 entries: each doubling moves the entries into
+  // a block of the next size class, in order; erases then shrink it.
+  ArenaBucket ab;
+  std::vector<Key> expected;
+  for (Key k = 100; k < 140; ++k) {
+    ASSERT_TRUE(ab.Insert(k, Numbered(k % 2 == 0 ? 8 : 3,
+                                      static_cast<int64_t>(k))));
+    expected.push_back(k);
+    ASSERT_EQ(KeysInOrder(ab.b), expected) << k;
+  }
+  for (Key k : {Key{100}, Key{139}, Key{120}}) {
+    ASSERT_TRUE(ab.Erase(k));
+    auto it = std::find(expected.begin(), expected.end(), k);
+    *it = expected.back();
+    expected.pop_back();
+    ASSERT_EQ(KeysInOrder(ab.b), expected) << k;
+  }
+  ab.b.ForEach([](Key k, const Record& r) {
+    EXPECT_EQ(r, Numbered(k % 2 == 0 ? 8 : 3, static_cast<int64_t>(k))) << k;
+  });
+}
+
 TEST(BucketTest, EmptiesAndRefills) {
-  Bucket b;
-  EXPECT_EQ(b.num_records(), 0u);
-  EXPECT_EQ(b.Find(1), nullptr);
-  EXPECT_FALSE(b.Erase(1));
-  ASSERT_TRUE(b.Insert(1, Numbered(8, 1)));
-  ASSERT_TRUE(b.Insert(2, Numbered(8, 2)));
-  ASSERT_TRUE(b.Erase(1));
-  ASSERT_TRUE(b.Erase(2));
-  EXPECT_EQ(b.num_records(), 0u);
-  EXPECT_TRUE(KeysInOrder(b).empty());
-  ASSERT_TRUE(b.Insert(3, Numbered(8, 3)));
-  ASSERT_NE(b.Find(3), nullptr);
-  EXPECT_EQ(*b.Find(3), Numbered(8, 3));
+  ArenaBucket ab;
+  EXPECT_EQ(ab.b.num_records(), 0u);
+  EXPECT_EQ(ab.b.Find(1), nullptr);
+  EXPECT_FALSE(ab.Erase(1));
+  ASSERT_TRUE(ab.Insert(1, Numbered(8, 1)));
+  ASSERT_TRUE(ab.Insert(2, Numbered(8, 2)));
+  ASSERT_TRUE(ab.Erase(1));
+  ASSERT_TRUE(ab.Erase(2));
+  EXPECT_EQ(ab.b.num_records(), 0u);
+  EXPECT_TRUE(KeysInOrder(ab.b).empty());
+  ASSERT_TRUE(ab.Insert(3, Numbered(8, 3)));
+  ASSERT_NE(ab.b.Find(3), nullptr);
+  EXPECT_EQ(*ab.b.Find(3), Numbered(8, 3));
 }
 
 TEST(BucketTest, MoveKeepsLockAndEntries) {
+  BlockArena arena;
   Bucket a;
   ASSERT_TRUE(a.TryLockExclusive());
   a.UnlockExclusive(/*modified=*/true);
-  ASSERT_TRUE(a.Insert(9, Numbered(8, 9)));
+  ASSERT_TRUE(a.Insert(&arena, 9, Numbered(8, 9)));
   Bucket b(std::move(a));
   EXPECT_EQ(b.version(), 1u);
   EXPECT_EQ(KeysInOrder(b), (std::vector<Key>{9}));
   EXPECT_EQ(a.num_records(), 0u);  // NOLINT(bugprone-use-after-move)
+  b.Clear(&arena);
+  EXPECT_EQ(b.num_records(), 0u);
 }
 
 TEST(BucketTest, InsertFindErase) {
-  Bucket b;
-  EXPECT_TRUE(b.Insert(1, Record(2)));
-  EXPECT_TRUE(b.Insert(2, Record(2)));
-  EXPECT_FALSE(b.Insert(1, Record(2)));  // duplicate
-  ASSERT_NE(b.Find(1), nullptr);
-  EXPECT_EQ(b.Find(3), nullptr);
-  EXPECT_TRUE(b.Erase(1));
-  EXPECT_FALSE(b.Erase(1));
-  EXPECT_EQ(b.num_records(), 1u);
+  ArenaBucket ab;
+  EXPECT_TRUE(ab.Insert(1, Record(2)));
+  EXPECT_TRUE(ab.Insert(2, Record(2)));
+  EXPECT_FALSE(ab.Insert(1, Record(2)));  // duplicate
+  ASSERT_NE(ab.b.Find(1), nullptr);
+  EXPECT_EQ(ab.b.Find(3), nullptr);
+  EXPECT_TRUE(ab.Erase(1));
+  EXPECT_FALSE(ab.Erase(1));
+  EXPECT_EQ(ab.b.num_records(), 1u);
 }
 
 TEST(BucketTest, LockInterface) {
@@ -239,9 +279,132 @@ TEST(BucketTest, LockInterface) {
   b.UnlockShared();
 }
 
+// ---------------------------------------------------------------------------
+// BlockArena
+// ---------------------------------------------------------------------------
+
+// The point of the arena: a one-entry block (header plus one entry) is one
+// cache line, and the next two capacities take two and four.
+static_assert(Bucket::BlockBytes(1) <= BlockArena::kLineBytes);
+static_assert(BlockArena::ClassBytes(Bucket::BlockBytes(1)) == 64);
+static_assert(BlockArena::ClassBytes(Bucket::BlockBytes(2)) == 128);
+static_assert(BlockArena::ClassBytes(Bucket::BlockBytes(4)) == 256);
+
+bool LineAligned(const void* p) {
+  return reinterpret_cast<uintptr_t>(p) % BlockArena::kLineBytes == 0;
+}
+
+TEST(BlockArenaTest, EveryBlockIsLineAligned) {
+  BlockArena arena;
+  std::vector<std::pair<void*, size_t>> blocks;
+  // Enough blocks to span several chunks of the small classes, plus
+  // classes larger than a chunk.
+  for (size_t i = 0; i < 3000; ++i) {
+    const size_t bytes = 1 + (i * 37) % 700;
+    blocks.emplace_back(arena.Allocate(bytes), bytes);
+  }
+  for (size_t bytes : {BlockArena::kChunkBytes, 3 * BlockArena::kChunkBytes}) {
+    blocks.emplace_back(arena.Allocate(bytes), bytes);
+  }
+  for (const auto& [p, bytes] : blocks) {
+    EXPECT_TRUE(LineAligned(p)) << p << " (" << bytes << " B)";
+  }
+  for (const auto& [p, bytes] : blocks) arena.Free(p, bytes);
+}
+
+TEST(BlockArenaTest, OneRecordBucketSitsInOneLine) {
+  BlockArena arena;
+  Table t(TableSpec{.name = "x", .id = 0, .num_fields = 4,
+                    .buckets_per_partition = 4096},
+          &arena);
+  for (Key k = 0; k < 500; ++k) ASSERT_TRUE(t.Insert(k, Record(4)).ok());
+  size_t checked = 0;
+  for (Key k = 0; k < 500; ++k) {
+    if (t.BucketFor(k)->num_records() != 1) continue;
+    const auto first = reinterpret_cast<uintptr_t>(t.Find(k));
+    const uintptr_t last = first + sizeof(Record) - 1;
+    EXPECT_EQ(first / BlockArena::kLineBytes, last / BlockArena::kLineBytes)
+        << k;
+    ++checked;
+  }
+  EXPECT_GT(checked, 400u);
+}
+
+TEST(BlockArenaTest, FreedBlockIsReusedByItsSizeClass) {
+  BlockArena arena;
+  void* one_line = arena.Allocate(Bucket::BlockBytes(1));
+  void* two_lines = arena.Allocate(Bucket::BlockBytes(2));
+  arena.Free(one_line, Bucket::BlockBytes(1));
+  // Another class does not take the freed line...
+  void* four_lines = arena.Allocate(Bucket::BlockBytes(4));
+  EXPECT_NE(four_lines, one_line);
+  // ...a request of the same class does, whatever its exact size.
+  void* reused = arena.Allocate(40);
+  EXPECT_EQ(reused, one_line);
+  EXPECT_NE(arena.Allocate(Bucket::BlockBytes(1)), one_line);
+  arena.Free(two_lines, Bucket::BlockBytes(2));
+  EXPECT_EQ(arena.Allocate(Bucket::BlockBytes(2)), two_lines);
+}
+
+TEST(BlockArenaTest, BucketGrowthReturnsTheOldBlock) {
+  BlockArena arena;
+  Bucket b;
+  ASSERT_TRUE(b.Insert(&arena, 1, Record(2)));
+  const auto* line = reinterpret_cast<const char*>(b.Find(1));
+  ASSERT_TRUE(b.Insert(&arena, 2, Record(2)));  // moves to a 2-entry block
+  ASSERT_NE(reinterpret_cast<const char*>(b.Find(1)), line);
+  Bucket other;
+  ASSERT_TRUE(other.Insert(&arena, 3, Record(2)));  // takes the freed line
+  EXPECT_EQ(reinterpret_cast<const char*>(other.Find(3)), line);
+  b.Clear(&arena);
+  other.Clear(&arena);
+}
+
+// Tearing a store down destroys every record (spilled field arrays
+// included) through its tables before the arena releases its chunks; the
+// asan build's leak check fails this test if anything is left behind.
+TEST(BlockArenaTest, StoreTeardownReleasesEverything) {
+  std::vector<TableSpec> schema = {
+      TableSpec{.name = "wide", .id = 0, .num_fields = 8,
+                .buckets_per_partition = 8},
+      TableSpec{.name = "narrow", .id = 1, .num_fields = 2,
+                .buckets_per_partition = 64}};
+  auto store = std::make_unique<PartitionStore>(0, schema);
+  for (Key k = 0; k < 200; ++k) {
+    ASSERT_TRUE(store->Insert(RecordId{0, k}, Numbered(8, 1)).ok());
+    ASSERT_TRUE(store->Insert(RecordId{1, k}, Numbered(2, 1)).ok());
+  }
+  for (Key k = 0; k < 200; k += 3) {
+    ASSERT_TRUE(store->Erase(RecordId{0, k}).ok());
+  }
+  EXPECT_EQ(store->num_records(), 200u + 200u - 67u);
+  store.reset();
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// A Record* stays valid only until the next Insert or Erase on its bucket.
+// Reading through one after its key is erased lands in a poisoned block.
+void ReadAfterErase() {
+  PartitionStore store(0, {TableSpec{.name = "a", .id = 0, .num_fields = 2,
+                                     .buckets_per_partition = 64}});
+  const RecordId rid{0, 7};
+  CHILLER_CHECK(store.Insert(rid, Numbered(2, 5)).ok());
+  const Record* stale = store.Find(rid);
+  CHILLER_CHECK(store.Erase(rid).ok());
+  volatile int64_t v = stale->Get(0);
+  (void)v;
+}
+
+TEST(BlockArenaDeathTest, ReadThroughStaleRecordIsReported) {
+  EXPECT_DEATH(ReadAfterErase(), "use-after-poison");
+}
+#endif
+
 TEST(TableTest, BucketStableForKey) {
+  BlockArena arena;
   Table t(TableSpec{.name = "x", .id = 0, .num_fields = 1,
-                    .buckets_per_partition = 64});
+                    .buckets_per_partition = 64},
+          &arena);
   for (Key k = 0; k < 100; ++k) {
     EXPECT_EQ(t.BucketIndex(k), t.BucketIndex(k));
     EXPECT_LT(t.BucketIndex(k), 64u);
@@ -249,8 +412,10 @@ TEST(TableTest, BucketStableForKey) {
 }
 
 TEST(TableTest, InsertAndFind) {
+  BlockArena arena;
   Table t(TableSpec{.name = "x", .id = 0, .num_fields = 2,
-                    .buckets_per_partition = 16});
+                    .buckets_per_partition = 16},
+          &arena);
   for (Key k = 0; k < 100; ++k) {
     Record r(2);
     r.Set(0, static_cast<int64_t>(k) * 10);
@@ -271,8 +436,10 @@ TEST(TableTest, InsertAndFind) {
 TEST(TableTest, OverflowSharesBucketLock) {
   // Two keys in the same bucket share one lock: locking one blocks the other
   // (bucket-granularity locking, Section 6).
+  BlockArena arena;
   Table t(TableSpec{.name = "x", .id = 0, .num_fields = 1,
-                    .buckets_per_partition = 1});
+                    .buckets_per_partition = 1},
+          &arena);
   ASSERT_TRUE(t.Insert(1, Record(1)).ok());
   ASSERT_TRUE(t.Insert(2, Record(1)).ok());
   EXPECT_EQ(t.BucketFor(1), t.BucketFor(2));
@@ -349,6 +516,38 @@ TEST(PartitionStoreTest, ExtractInstallRoundtrip) {
   ASSERT_NE(moved, nullptr);
   EXPECT_EQ(moved->Get(0), 11);
   EXPECT_EQ(moved->Get(1), 22);
+}
+
+// Moving every record to a same-shaped store, in scan order, reproduces
+// the scan order there: both stores' blocks come from their own arenas,
+// and the records (spilled ones included) arrive intact.
+TEST(PartitionStoreTest, ExtractInstallInScanOrderKeepsScanOrder) {
+  std::vector<TableSpec> schema = {TableSpec{
+      .name = "a", .id = 0, .num_fields = 8, .buckets_per_partition = 16}};
+  PartitionStore from(0, schema);
+  PartitionStore to(1, schema);
+  for (Key k = 0; k < 100; ++k) {
+    ASSERT_TRUE(
+        from.Insert(RecordId{0, k}, Numbered(8, static_cast<int64_t>(k)))
+            .ok());
+  }
+  for (Key k = 0; k < 100; k += 7) ASSERT_TRUE(from.Erase({0, k}).ok());
+  std::vector<RecordId> order;
+  from.ForEach([&](const RecordId& rid, const Record&) {
+    order.push_back(rid);
+  });
+  for (const RecordId& rid : order) {
+    auto rec = from.ExtractRecord(rid);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_TRUE(to.InstallRecord(rid, std::move(rec).value()).ok());
+  }
+  EXPECT_EQ(from.num_records(), 0u);
+  std::vector<RecordId> moved;
+  to.ForEach([&](const RecordId& rid, const Record& r) {
+    moved.push_back(rid);
+    EXPECT_EQ(r, Numbered(8, static_cast<int64_t>(rid.key))) << rid.key;
+  });
+  EXPECT_EQ(moved, order);
 }
 
 TEST(PartitionStoreTest, ExtractMissingRecordIsNotFound) {

@@ -314,7 +314,6 @@ TEST(TpccPipelineTest, ContentionModelFindsWarehouseAndDistrict) {
 TEST(InstacartTest, TopItemBasketShares) {
   instacart::InstacartWorkload::Options opts;
   opts.num_products = 5000;
-  opts.num_customers = 10000;
   instacart::InstacartWorkload wl(opts);
   Rng rng(13);
   int with_top1 = 0, with_top2 = 0;
@@ -340,7 +339,6 @@ TEST(InstacartTest, TopItemBasketShares) {
 TEST(InstacartTest, TraceAndTxnAgree) {
   instacart::InstacartWorkload::Options opts;
   opts.num_products = 2000;
-  opts.num_customers = 5000;
   instacart::InstacartWorkload wl(opts);
   Rng rng(17);
   auto t = wl.Next(0, &rng);
@@ -354,7 +352,6 @@ TEST(InstacartTest, TraceAndTxnAgree) {
 TEST(InstacartTest, StockConservationUnderChiller) {
   instacart::InstacartWorkload::Options opts;
   opts.num_products = 2000;
-  opts.num_customers = 2000;
   opts.seed = 19;
   instacart::InstacartWorkload wl(opts);
 
@@ -403,7 +400,6 @@ TEST(InstacartTest, StockConservationUnderChiller) {
 TEST(InstacartTest, ChillerPartitioningBeatsHashOnContention) {
   instacart::InstacartWorkload::Options opts;
   opts.num_products = 5000;
-  opts.num_customers = 10000;
   instacart::InstacartWorkload wl(opts);
   Rng rng(23);
   auto traces = wl.GenerateTrace(4000, &rng);
