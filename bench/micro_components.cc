@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "cc/replication.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/zipf.h"
@@ -267,12 +268,9 @@ void ClearCache() {
   benchmark::ClobberMemory();
 }
 
-/// The record probe every simulated access makes at its store: NO_WAIT
-/// lock the bucket, find the record, copy it out, unlock. Random keys over
-/// the primaries of the benchmark's TPC-C cluster (16 warehouses on 8x2
-/// engines, as benchmark/main.cc wires it), with the caches cleared before
-/// each batch of probes, so every probe pays the memory stalls a run does.
-void BM_StoreProbe(benchmark::State& state) {
+/// The benchmark's TPC-C cluster (16 warehouses on 8x2 engines, as
+/// benchmark/main.cc wires it), loaded and ready to probe.
+runner::ScenarioEnv WireBenchmarkTpcc() {
   runner::ScenarioSpec spec;
   spec.workload = "tpcc";
   spec.protocol = "chiller";
@@ -281,9 +279,20 @@ void BM_StoreProbe(benchmark::State& state) {
   spec.options.Set("num_warehouses", 16);
   auto env = runner::ScenarioRunner::Wire(spec);
   CHILLER_CHECK(env.ok()) << env.status().ToString();
+  return std::move(env).value();
+}
+
+/// The record probe every simulated access makes at its store: NO_WAIT
+/// lock the bucket, find the record, copy it out, unlock. Random keys over
+/// the primaries of the benchmark's TPC-C cluster, with the caches cleared
+/// before each batch of probes, so every probe pays the memory stalls a
+/// run does.
+void BM_StoreProbe(benchmark::State& state) {
+  runner::ScenarioEnv env = WireBenchmarkTpcc();
+  const PartitionId partitions = env.cluster->topology().num_partitions();
   std::vector<std::pair<storage::PartitionStore*, RecordId>> all;
-  for (PartitionId p = 0; p < spec.partitions(); ++p) {
-    storage::PartitionStore* store = env->cluster->primary(p);
+  for (PartitionId p = 0; p < partitions; ++p) {
+    storage::PartitionStore* store = env.cluster->primary(p);
     store->ForEach([&](const RecordId& rid, const storage::Record&) {
       all.emplace_back(store, rid);
     });
@@ -306,6 +315,51 @@ void BM_StoreProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_StoreProbe)->Unit(benchmark::kMicrosecond);
+
+/// A replica applying a commit's update batch: 12 puts per batch (the mean
+/// batch of the benchmark's tpcc-chiller run) to random records of one
+/// partition's first replica, each put writing the image the record
+/// already holds. Caches are cleared before each round of batches, as in
+/// BM_StoreProbe. Items are updates.
+void BM_ReplicaApply(benchmark::State& state) {
+  runner::ScenarioEnv env = WireBenchmarkTpcc();
+  constexpr size_t kUpdatesPerBatch = 12;
+  constexpr size_t kBatches = 256;
+  struct Batch {
+    storage::PartitionStore* store;
+    std::vector<cc::ReplUpdate> updates;
+  };
+  const PartitionId partitions = env.cluster->topology().num_partitions();
+  std::vector<std::vector<RecordId>> rids(partitions);
+  for (PartitionId p = 0; p < partitions; ++p) {
+    env.cluster->replica(p, 1)->ForEach(
+        [&](const RecordId& rid, const storage::Record&) {
+          rids[p].push_back(rid);
+        });
+  }
+  Rng rng(31);
+  std::vector<Batch> batches(kBatches);
+  for (Batch& b : batches) {
+    const auto p = static_cast<PartitionId>(rng.Uniform(partitions));
+    b.store = env.cluster->replica(p, 1);
+    for (size_t u = 0; u < kUpdatesPerBatch; ++u) {
+      const RecordId rid = rids[p][rng.Uniform(rids[p].size())];
+      b.updates.push_back(
+          cc::ReplUpdate{.rid = rid, .image = *b.store->Find(rid)});
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    ClearCache();
+    state.ResumeTiming();
+    for (const Batch& b : batches) {
+      cc::ReplicationManager::ApplyAtReplica(b.store, b.updates);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatches * kUpdatesPerBatch);
+}
+BENCHMARK(BM_ReplicaApply)->Unit(benchmark::kMicrosecond);
 
 void BM_MultilevelPartition(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));

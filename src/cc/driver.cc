@@ -176,7 +176,11 @@ void Driver::OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t) {
   if (measuring_) {
     CHILLER_CHECK(field != nullptr)
         << "protocol finished with pending outcome";
-    es.stats.EnsureClass(t->txn_class, source_->ClassName(t->txn_class));
+    // Name a class slot once: ClassName builds a string per call.
+    if (t->txn_class >= es.stats.classes.size() ||
+        es.stats.classes[t->txn_class].name.empty()) {
+      es.stats.EnsureClass(t->txn_class, source_->ClassName(t->txn_class));
+    }
     ClassStats& cs = es.stats.classes[t->txn_class];
     ++(cs.*field);
     if (committed) {

@@ -245,11 +245,13 @@ bool ValidateReadAtStore(const Deps& d, Transaction* t, size_t i) {
 /// (`req_bytes` out, `resp_bytes` back; the target's NIC acts, not its
 /// engine), and `finish` runs in an op_logic slice once the response lands.
 /// A remote step writes the access as the verb's response would: the
-/// initiator reads nothing of it before `finish`.
+/// initiator reads nothing of it before `finish`. The bucket's line starts
+/// loading now, a slice or a hop before the step probes it.
 void AtStore(const Deps& d, Transaction* t, size_t i, Engine* eng,
              size_t req_bytes, size_t resp_bytes, StoreStep step,
              sim::Fn<void(bool)> finish) {
   const PartitionId p = t->accesses[i].partition;
+  StoreOf(d, p)->PrefetchBucket(t->accesses[i].rid);
   if (p == eng->id()) {
     eng->cpu()->Submit(d.cluster->costs().op_local,
                        [d, t, i, step, finish = std::move(finish)]() mutable {
@@ -330,6 +332,8 @@ void FinishAtStore(const Deps& d, Transaction* t, size_t i, bool apply) {
 
 /// Shared fan-in: apply-or-release every index, local ones batched into one
 /// CPU slice, remote ones as one one-sided WRITE each; cb when all settle.
+/// A remote bucket starts loading when its WRITE is posted; the local slice
+/// loads every bucket, then every block, before it touches any.
 void FinishLocks(const Deps& d, Transaction* t,
                  const std::vector<size_t>& indices, Engine* eng, bool apply,
                  sim::Task cb) {
@@ -369,6 +373,14 @@ void FinishLocks(const Deps& d, Transaction* t,
     const SimTime cost = costs.op_commit * local.size();
     eng->cpu()->Submit(cost,
                        [d, t, local = std::move(local), apply, arrive]() {
+                         storage::PartitionStore* store =
+                             StoreOf(d, t->accesses[local[0]].partition);
+                         for (size_t i : local) {
+                           store->PrefetchBucket(t->accesses[i].rid);
+                         }
+                         for (size_t i : local) {
+                           store->PrefetchRecord(t->accesses[i].rid);
+                         }
                          for (size_t i : local) FinishAtStore(d, t, i, apply);
                          arrive();
                        });
@@ -379,6 +391,7 @@ void FinishLocks(const Deps& d, Transaction* t,
     const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
     const size_t req =
         kReadReq + (apply && acc.wrote ? acc.local_copy.wire_bytes() : 0);
+    StoreOf(d, acc.partition)->PrefetchBucket(acc.rid);
     d.cluster->rdma()->OneSided(
         src, dst, req, kWriteUnlockRespBase,
         [d, t, i, apply]() { FinishAtStore(d, t, i, apply); },

@@ -9,6 +9,8 @@ namespace chiller::cc {
 
 void ReplicationManager::ApplyAtReplica(storage::PartitionStore* store,
                                         const std::vector<ReplUpdate>& ups) {
+  for (const ReplUpdate& u : ups) store->PrefetchBucket(u.rid);
+  for (const ReplUpdate& u : ups) store->PrefetchRecord(u.rid);
   for (const ReplUpdate& u : ups) {
     switch (u.kind) {
       case ReplUpdate::Kind::kPut: {
@@ -59,6 +61,8 @@ void ReplicationManager::Replicate(EngineId src_engine, PartitionId p,
     const EngineId replica_engine = topo.ReplicaEngine(p, i);
     storage::PartitionStore* store =
         cluster_->engine(replica_engine)->replica(p);
+    // The replica's domain owns the store: address-only hints from here.
+    for (const ReplUpdate& u : batch->updates) store->PrefetchBucket(u.rid);
     cluster_->rpc()->Send(
         src_engine, replica_engine, bytes, apply_cost,
         [this, store, batch, replica_engine, ack_engine]() {

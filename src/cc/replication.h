@@ -45,10 +45,13 @@ class ReplicationManager {
 
   uint64_t batches_sent() const { return batches_sent_.Sum(); }
 
- private:
-  void ApplyAtReplica(storage::PartitionStore* store,
-                      const std::vector<ReplUpdate>& updates);
+  /// Applies one batch to a replica store, in batch order: a put overwrites
+  /// or inserts, an erase removes. Loads every bucket, then every block,
+  /// before the first update; runs in the replica's own domain.
+  static void ApplyAtReplica(storage::PartitionStore* store,
+                             const std::vector<ReplUpdate>& updates);
 
+ private:
   Cluster* cluster_;
   sim::PerDomain<uint64_t> batches_sent_;  // summed on read
 };

@@ -78,6 +78,15 @@ class Bucket {
 
   size_t num_records() const { return block_ == nullptr ? 0 : block_->size; }
 
+  /// Cache hint: starts loading the first line of the block with write
+  /// intent. Reads the block pointer, so only the owning store's domain
+  /// may call it (PartitionStore::PrefetchRecord). Changes nothing.
+  void PrefetchBlock() const {
+    if (block_ != nullptr) {
+      __builtin_prefetch(block_, /*rw=*/1, /*locality=*/3);
+    }
+  }
+
   /// Visits every (key, record) in the bucket, in the order above.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

@@ -67,6 +67,15 @@ Record* PartitionStore::Find(const RecordId& rid) {
   return table(rid.table)->Find(rid.key);
 }
 
+void PartitionStore::PrefetchBucket(const RecordId& rid) const {
+  __builtin_prefetch(table(rid.table)->BucketFor(rid.key), /*rw=*/0,
+                     /*locality=*/3);
+}
+
+void PartitionStore::PrefetchRecord(const RecordId& rid) const {
+  table(rid.table)->BucketFor(rid.key)->PrefetchBlock();
+}
+
 std::optional<PartitionStore::ScanPosition> PartitionStore::PositionOf(
     const RecordId& rid) const {
   const Table* t = table(rid.table);

@@ -43,6 +43,22 @@ class PartitionStore {
 
   Record* Find(const RecordId& rid);
 
+  /// Cache hints for a probe of `rid` that an event scheduled now will
+  /// make later (a CPU slice or a network hop away). Neither changes any
+  /// state, and a wrong or stale hint costs only the load.
+  ///
+  /// PrefetchBucket loads the line of rid's bucket (its lock word and block
+  /// pointer) with a read hint. It computes the address from data fixed at
+  /// construction (the table vector and each table's bucket array), so any
+  /// domain may call it, including for a store another shard owns; the
+  /// read hint keeps it from pulling that shard's line away exclusively.
+  void PrefetchBucket(const RecordId& rid) const;
+  /// PrefetchRecord reads the bucket's block pointer and loads the block's
+  /// first line (Bucket::PrefetchBlock). It dereferences store state, so
+  /// only the store's own domain may call it; a batch issues every
+  /// PrefetchBucket first, then every PrefetchRecord.
+  void PrefetchRecord(const RecordId& rid) const;
+
   /// Where a record sits in ForEach order: its table, the index of its
   /// bucket, and its slot in Bucket::ForEach order. Ordering positions
   /// ascending reproduces the scan.

@@ -136,6 +136,75 @@ TEST(ReplicationTest, EraseStreamsApply) {
   EXPECT_EQ(env.cluster->replica(0, 1)->Find({0, 3}), nullptr);
 }
 
+/// A replica's state as a sequence of words: every bucket's lock word,
+/// then each record's key and fields in ForEach order, then the count.
+std::vector<uint64_t> Digest(storage::PartitionStore* store) {
+  std::vector<uint64_t> d;
+  storage::Table* t = store->table(0);
+  for (size_t b = 0; b < t->num_buckets(); ++b) {
+    d.push_back(t->BucketAt(b)->lock_word());
+  }
+  store->ForEach([&](const RecordId& rid, const storage::Record& r) {
+    d.push_back(rid.key);
+    for (int64_t f : r.fields()) d.push_back(static_cast<uint64_t>(f));
+  });
+  d.push_back(store->num_records());
+  return d;
+}
+
+/// The reference: each update applied on its own, with no cache hints.
+void ApplyOnePass(storage::PartitionStore* store,
+                  const std::vector<ReplUpdate>& ups) {
+  for (const ReplUpdate& u : ups) {
+    if (u.kind == ReplUpdate::Kind::kErase) {
+      ASSERT_TRUE(store->Erase(u.rid).ok());
+    } else if (storage::Record* rec = store->Find(u.rid); rec != nullptr) {
+      *rec = u.image;
+    } else {
+      ASSERT_TRUE(store->Insert(u.rid, u.image).ok());
+    }
+  }
+}
+
+// A replica prefetches every bucket and block of a batch before applying
+// it, so the batch's own updates move blocks the hints already named. The
+// applied state must still equal one-pass application: two puts to one
+// record (the second wins), a put that inserts into a full one-entry
+// bucket (growing its block after the prefetch pass), and an erase.
+TEST(ReplicationTest, PrefetchedBatchMatchesOnePassApplication) {
+  ReplEnv env = MakeEnv(3, 3);
+  storage::PartitionStore* any = env.cluster->replica(0, 1);
+  const storage::Table* t = any->table(0);
+  Key collider = 2;
+  while (t->BucketIndex(collider) != t->BucketIndex(1)) ++collider;
+  Key doomed = collider + 1;
+  while (t->BucketIndex(doomed) == t->BucketIndex(1)) ++doomed;
+  const std::vector<ReplUpdate> load = {Put(1, 10), Put(doomed, 20)};
+  ReplUpdate erase;
+  erase.kind = ReplUpdate::Kind::kErase;
+  erase.rid = RecordId{0, doomed};
+  const std::vector<ReplUpdate> batch = {Put(1, 11), Put(1, 12),
+                                         Put(collider, 30), erase};
+
+  storage::PartitionStore reference(0, env.cluster->config().schema);
+  ApplyOnePass(&reference, load);
+  ApplyOnePass(&reference, batch);
+  ASSERT_EQ(reference.table(0)->BucketFor(1)->num_records(), 2u);
+
+  env.repl->Replicate(0, 0, load, 0, [] {});
+  env.repl->Replicate(0, 0, batch, 0, [] {});
+  env.cluster->sim()->Run();
+  for (uint32_t r = 1; r < 3; ++r) {
+    EXPECT_EQ(Digest(env.cluster->replica(0, r)), Digest(&reference)) << r;
+  }
+  // The same batch through the static entry point, on a fresh store.
+  storage::PartitionStore direct(0, env.cluster->config().schema);
+  cc::ReplicationManager::ApplyAtReplica(&direct, load);
+  cc::ReplicationManager::ApplyAtReplica(&direct, batch);
+  EXPECT_EQ(Digest(&direct), Digest(&reference));
+  EXPECT_EQ(direct.Find({0, 1})->Get(0), 12);
+}
+
 TEST(ReplicationTest, ZeroReplicasCompletesImmediately) {
   ReplEnv env = MakeEnv(2, 1);
   bool done = false;

@@ -493,6 +493,75 @@ TEST(PartitionStoreTest, RecordCount) {
   EXPECT_EQ(store.num_records(), 1u);
 }
 
+// Everything a probe can observe of a store: every bucket's lock word
+// (version bits included), every record in ForEach order, and the counts.
+struct StoreImage {
+  std::vector<uint64_t> lock_words;
+  std::vector<std::pair<RecordId, Record>> records;
+  size_t num_records = 0;
+  size_t locks_held = 0;
+  bool operator==(const StoreImage&) const = default;
+};
+
+StoreImage ImageOf(PartitionStore* store, const std::vector<TableId>& ids) {
+  StoreImage image;
+  for (TableId id : ids) {
+    Table* t = store->table(id);
+    for (size_t b = 0; b < t->num_buckets(); ++b) {
+      image.lock_words.push_back(t->BucketAt(b)->lock_word());
+    }
+  }
+  store->ForEach([&](const RecordId& rid, const Record& r) {
+    image.records.emplace_back(rid, r);
+  });
+  image.num_records = store->num_records();
+  image.locks_held = store->locks_held();
+  return image;
+}
+
+// The cache hints change nothing a probe can see: not for a key in an
+// empty bucket, a missing key in a populated one, a key in a multi-entry
+// (overflowing) bucket, or a key whose bucket is locked.
+TEST(PartitionStoreTest, PrefetchHintsLeaveStoreBitIdentical) {
+  PartitionStore store(0, TwoTableSchema());
+  Table* a = store.table(0);
+  // Three keys in one bucket of table 0, so its block holds three entries.
+  std::vector<Key> crowded = {1};
+  for (Key k = 2; crowded.size() < 3; ++k) {
+    if (a->BucketIndex(k) == a->BucketIndex(1)) crowded.push_back(k);
+  }
+  for (Key k : crowded) {
+    const Record r = Numbered(2, static_cast<int64_t>(k));
+    ASSERT_TRUE(store.Insert(RecordId{0, k}, r).ok());
+  }
+  ASSERT_EQ(a->BucketFor(1)->num_records(), 3u);
+  // A single record whose bucket carries version bits and a held lock.
+  Key locked = 2;
+  while (a->BucketIndex(locked) == a->BucketIndex(1)) ++locked;
+  ASSERT_TRUE(store.Insert(RecordId{0, locked}, Numbered(2, 7)).ok());
+  ASSERT_TRUE(store.TryLock(RecordId{0, locked}, LockMode::kExclusive).ok());
+  store.Unlock(RecordId{0, locked}, LockMode::kExclusive, /*modified=*/true);
+  ASSERT_TRUE(store.TryLock(RecordId{0, locked}, LockMode::kShared).ok());
+  ASSERT_TRUE(store.Insert(RecordId{3, 5}, Numbered(1, 5)).ok());
+  // A key alone in an empty bucket, and a missing key in a full one.
+  Key empty = 100;
+  while (a->BucketFor(empty)->num_records() != 0) ++empty;
+  Key missing = crowded.back() + 1;
+  while (a->BucketIndex(missing) != a->BucketIndex(1)) ++missing;
+
+  const StoreImage before = ImageOf(&store, {0, 3});
+  ASSERT_EQ(before.locks_held, 1u);
+  const std::vector<RecordId> probes = {
+      {0, empty}, {0, missing}, {0, crowded[0]}, {0, crowded[2]},
+      {0, locked}, {3, 5}, {3, 6}};
+  for (const RecordId& rid : probes) store.PrefetchBucket(rid);
+  for (const RecordId& rid : probes) store.PrefetchRecord(rid);
+  EXPECT_EQ(ImageOf(&store, {0, 3}), before);
+  EXPECT_EQ(store.VersionOf(RecordId{0, locked}), 1u);
+  EXPECT_EQ(store.Find(RecordId{0, missing}), nullptr);
+  store.Unlock(RecordId{0, locked}, LockMode::kShared, false);
+}
+
 // ---------------------------------------------------------------------------
 // Record migration API (online repartitioning)
 // ---------------------------------------------------------------------------
