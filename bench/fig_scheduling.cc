@@ -101,8 +101,7 @@ void Main(const BenchFlags& flags) {
     }
   }
 
-  const std::vector<std::string> protocols = {"2pl", "occ", "chiller",
-                                              "chiller-plain"};
+  const std::vector<std::string> protocols = {"2pl", "occ", "chiller"};
 
   std::printf(
       "Admission scheduling under offered load — YCSB, %u nodes x %u "

@@ -1,5 +1,5 @@
 // YCSB sensitivity grid: zipf skew (theta) x fraction of distributed
-// transactions, all four protocols on the same range layout. The two axes
+// transactions, all three protocols on the same range layout. The two axes
 // are the paper's evaluation knobs: theta moves records across the
 // contention model's hot/cold boundary (Section 4.1), the distributed
 // ratio is the Figure 10 x-axis decoupled from TPC-C semantics. Expected
@@ -31,8 +31,7 @@ void Main(const BenchFlags& flags) {
 
   const std::vector<double> thetas = {0.5, 0.8, 0.95};
   const std::vector<double> dist_ratios = {0.0, 0.2, 0.5};
-  const std::vector<std::string> protocols = {"2pl", "occ", "chiller",
-                                              "chiller-plain"};
+  const std::vector<std::string> protocols = {"2pl", "occ", "chiller"};
 
   std::vector<runner::ScenarioSpec> specs;
   for (double theta : thetas) {

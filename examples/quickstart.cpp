@@ -1,6 +1,7 @@
 // Quickstart: declare two scenarios — the paper's Figure 5 mini-workload
-// under plain 2PL+2PC and under Chiller two-region execution — and run
-// them through the scenario runner.
+// under plain 2PL+2PC ("2pl") and under Chiller two-region execution
+// ("chiller"), both on the flight workload's Chiller layout — and run them
+// through the scenario runner.
 //
 //   $ ./build/examples/quickstart
 #include <cstdio>
@@ -14,7 +15,7 @@ int main() {
   // the flight-booking workload with 6 contended hot flights. Everything
   // else (schema, partitioner, data load, driver) is wired by the runner.
   std::vector<runner::ScenarioSpec> specs;
-  for (const char* proto : {"chiller-plain", "chiller"}) {
+  for (const char* proto : {"2pl", "chiller"}) {
     runner::ScenarioSpec spec;
     spec.label = proto;
     spec.workload = "flight";

@@ -342,7 +342,7 @@ void ChillerProtocol::Execute(std::shared_ptr<Transaction> t,
       }
     }
     TwoRegionPlan plan;
-    if (self->enable_two_region_ && !t->force_fallback) {
+    if (!t->force_fallback) {
       plan = txn::DependencyAnalysis::Plan(
           *t,
           [self](const RecordId& rid) {
@@ -352,9 +352,7 @@ void ChillerProtocol::Execute(std::shared_ptr<Transaction> t,
             return self->partitioner_->PartitionOf(rid);
           });
     } else {
-      plan.fallback_reason = t->force_fallback
-                                 ? "co-location violated under live layout"
-                                 : "two-region execution disabled";
+      plan.fallback_reason = "co-location violated under live layout";
     }
     if (!plan.two_region) {
       ++self->counters_.fallback_txns;

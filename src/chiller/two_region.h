@@ -40,15 +40,7 @@ struct TwoRegionCounters {
 /// Transactions with no eligible hot records fall back to plain 2PL + 2PC.
 class ChillerProtocol : public cc::Protocol {
  public:
-  /// `enable_two_region=false` turns the protocol into plain 2PL while
-  /// keeping the Chiller partitioning — the knob behind the re-ordering
-  /// ablation bench.
-  ChillerProtocol(cc::Cluster* cluster,
-                  const partition::RecordPartitioner* partitioner,
-                  cc::ReplicationManager* replication,
-                  bool enable_two_region = true)
-      : Protocol(cluster, partitioner, replication),
-        enable_two_region_(enable_two_region) {}
+  using Protocol::Protocol;
 
   const char* name() const override { return "Chiller"; }
 
@@ -59,7 +51,6 @@ class ChillerProtocol : public cc::Protocol {
 
  private:
   friend class ChillerRun;
-  bool enable_two_region_;
   TwoRegionCounters counters_;
 };
 

@@ -97,15 +97,6 @@ ProtocolRegistry& ProtocolRegistry::Global() {
            cc::ReplicationManager* repl) -> std::unique_ptr<cc::Protocol> {
           return std::make_unique<core::ChillerProtocol>(c, p, repl);
         }));
-    // Chiller partitioning with two-region execution disabled: the
-    // re-ordering ablation of Section 1.
-    must(r->Register(
-        "chiller-plain",
-        [](cc::Cluster* c, const partition::RecordPartitioner* p,
-           cc::ReplicationManager* repl) -> std::unique_ptr<cc::Protocol> {
-          return std::make_unique<core::ChillerProtocol>(
-              c, p, repl, /*enable_two_region=*/false);
-        }));
     return r;
   }();
   return *registry;

@@ -5,9 +5,10 @@
 // of an experiment by name, and --list-workloads / --list-protocols print
 // what a build supports. Global() instances come pre-loaded with the
 // built-ins (workloads: tpcc, instacart, flight, ycsb, plus the hash-start
-// adaptive family adaptive / adaptive-tpcc; protocols: 2pl, occ, chiller,
-// chiller-plain) and accept further Register() calls, e.g. from
-// out-of-tree experiment binaries.
+// adaptive family adaptive / adaptive-tpcc; protocols: 2pl, occ, chiller)
+// and accept further Register() calls, e.g. from out-of-tree experiment
+// binaries. Plain 2PL on Chiller's layout is "2pl" run on a Chiller-placed
+// workload: the layout comes from the bundle, not the protocol.
 #ifndef CHILLER_RUNNER_REGISTRY_H_
 #define CHILLER_RUNNER_REGISTRY_H_
 

@@ -66,13 +66,9 @@ Env MakeEnv(const std::string& proto_name, uint32_t nodes = 4,
   } else if (proto_name == "occ") {
     env.protocol = std::make_unique<cc::Occ>(
         env.cluster.get(), env.partitioner.get(), env.repl.get());
-  } else if (proto_name == "chiller") {
-    env.protocol = std::make_unique<core::ChillerProtocol>(
-        env.cluster.get(), env.partitioner.get(), env.repl.get());
   } else {
     env.protocol = std::make_unique<core::ChillerProtocol>(
-        env.cluster.get(), env.partitioner.get(), env.repl.get(),
-        /*enable_two_region=*/false);
+        env.cluster.get(), env.partitioner.get(), env.repl.get());
   }
   env.driver = std::make_unique<cc::Driver>(env.cluster.get(),
                                             env.protocol.get(),
@@ -170,14 +166,9 @@ TEST_P(ProtocolInvariantTest, NoReplicationConfigWorks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ProtocolInvariantTest,
-                         ::testing::Values("2pl", "occ", "chiller",
-                                           "chiller-plain"),
+                         ::testing::Values("2pl", "occ", "chiller"),
                          [](const auto& info) {
-                           std::string n = info.param;
-                           for (auto& ch : n) {
-                             if (ch == '-') ch = '_';
-                           }
-                           return n;
+                           return std::string(info.param);
                          });
 
 TEST(ChillerProtocolTest, UsesTwoRegionExecutionForHotTxns) {
@@ -187,15 +178,6 @@ TEST(ChillerProtocolTest, UsesTwoRegionExecutionForHotTxns) {
   auto* chiller = static_cast<core::ChillerProtocol*>(env.protocol.get());
   EXPECT_GT(chiller->counters().two_region_txns, 0u);
   EXPECT_GT(chiller->counters().fallback_txns, 0u);  // cold bookings
-}
-
-TEST(ChillerProtocolTest, DisabledTwoRegionNeverPlans) {
-  Env env = MakeEnv("chiller-plain");
-  env.driver->Run(1 * kMillisecond, 5 * kMillisecond);
-  env.driver->Quiesce();
-  auto* chiller = static_cast<core::ChillerProtocol*>(env.protocol.get());
-  EXPECT_EQ(chiller->counters().two_region_txns, 0u);
-  EXPECT_GT(chiller->counters().fallback_txns, 0u);
 }
 
 TEST(ChillerProtocolTest, LowerAbortRateThanTwoPlUnderContention) {

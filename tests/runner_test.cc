@@ -69,7 +69,7 @@ TEST(RegistryTest, BuiltinsAreRegistered) {
     EXPECT_TRUE(workloads.Has(name)) << name;
   }
   auto& protocols = ProtocolRegistry::Global();
-  for (const char* name : {"2pl", "occ", "chiller", "chiller-plain"}) {
+  for (const char* name : {"2pl", "occ", "chiller"}) {
     EXPECT_TRUE(protocols.Has(name)) << name;
   }
 }
