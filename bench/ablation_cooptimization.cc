@@ -19,7 +19,6 @@ namespace {
 namespace instacart = workload::instacart;
 
 void Main(const BenchFlags& flags) {
-  RejectLoadModelFlags(flags, "ablation_cooptimization");
   std::printf(
       "Ablation — Section 4.4 co-optimization (min edge weight sweep).\n"
       "Larger minimum weights co-locate whole transactions (fewer\n"
@@ -94,5 +93,6 @@ int main(int argc, char** argv) {
   chiller::bench::BenchFlags defaults;
   defaults.theta = 0.6;  // the Instacart catalog tail skew
   chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
-      argc, argv, "ablation_cooptimization", defaults));
+      argc, argv, "ablation_cooptimization", defaults,
+      chiller::bench::kNoSimulatorFlags));
 }

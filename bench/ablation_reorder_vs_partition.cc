@@ -101,6 +101,8 @@ int main(int argc, char** argv) {
   chiller::bench::BenchFlags defaults;
   defaults.duration_ms = 25.0;
   defaults.theta = 0.6;  // the Instacart catalog tail skew
+  // The four arms fix the protocol and the partition count.
   chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
-      argc, argv, "ablation_reorder_vs_partition", defaults));
+      argc, argv, "ablation_reorder_vs_partition", defaults,
+      {"protocol", "nodes", "engines"}));
 }

@@ -1,5 +1,6 @@
 #include "bench/bench_flags.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -48,6 +49,19 @@ Status ParseNumber(const std::string& flag, const std::string& value, T* out) {
 }
 
 }  // namespace
+
+Status RejectUnreadFlags(const BenchFlags& flags,
+                         std::initializer_list<std::string_view> unread) {
+  for (const std::string& name : flags.given) {
+    if (std::find(unread.begin(), unread.end(), name) != unread.end()) {
+      return Status::InvalidArgument(
+          "--" + name +
+          " has no effect in this bench: its grid fixes the value, or it "
+          "never reads it");
+    }
+  }
+  return Status::OK();
+}
 
 std::string UsageString(const std::string& bench_name,
                         const BenchFlags& defaults) {
@@ -189,6 +203,7 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
       return Status::InvalidArgument("unknown flag '" + arg + "'");
     }
     if (!st.ok()) return st;
+    out->given.push_back(name);
   }
   if (out->nodes == 0 || out->engines == 0 || out->concurrency == 0) {
     return Status::InvalidArgument(
@@ -231,9 +246,9 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
   return schedule::ValidateSchedulerNames(out->scheduler);
 }
 
-BenchFlags ParseBenchFlagsOrExit(int argc, const char* const* argv,
-                                 const std::string& bench_name,
-                                 BenchFlags defaults) {
+BenchFlags ParseBenchFlagsOrExit(
+    int argc, const char* const* argv, const std::string& bench_name,
+    BenchFlags defaults, std::initializer_list<std::string_view> unread) {
   BenchFlags flags = defaults;
   const Status st = ParseBenchFlags(argc, argv, &flags);
   if (!st.ok()) {
@@ -263,6 +278,12 @@ BenchFlags ParseBenchFlagsOrExit(int argc, const char* const* argv,
       }
     }
     std::exit(0);
+  }
+  const Status refused = RejectUnreadFlags(flags, unread);
+  if (!refused.ok()) {
+    std::fprintf(stderr, "%s: %s\n", bench_name.c_str(),
+                 refused.message().c_str());
+    std::exit(1);
   }
   return flags;
 }

@@ -33,14 +33,15 @@
 //
 // Benches sweep their own x-axis (concurrency, partitions, % distributed);
 // flags set the fixed parameters of the sweep. A bench reads only the
-// fields it uses.
+// fields it uses, and refuses the flags it does not read
+// (RejectUnreadFlags) rather than ignore them.
 #ifndef CHILLER_BENCH_BENCH_FLAGS_H_
 #define CHILLER_BENCH_BENCH_FLAGS_H_
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -93,6 +94,8 @@ struct BenchFlags {
   bool list_protocols = false;  ///< print registry + exit (handled by OrExit)
   bool list_workloads = false;  ///< print registry + exit (handled by OrExit)
   bool list_schedulers = false; ///< print registry + exit (handled by OrExit)
+  /// Names (without "--") of the flags argv gave, in argv order.
+  std::vector<std::string> given;
 
   /// The --json override, or the default path for `bench_name`.
   std::string JsonPathFor(const std::string& bench_name) const {
@@ -115,26 +118,21 @@ inline void ApplyLoadModelFlags(const BenchFlags& flags,
   spec->scheduler = flags.scheduler;
 }
 
-/// Guard for benches that never drive transactions through a load model
-/// (pure layout/metric analysis): refuses non-default load-model flags
-/// instead of silently ignoring them.
-inline void RejectLoadModelFlags(const BenchFlags& flags,
-                                 const std::string& bench_name) {
-  const BenchFlags defaults;
-  if (flags.load_model == defaults.load_model &&
-      flags.offered_tps == defaults.offered_tps &&
-      flags.arrival == defaults.arrival &&
-      flags.queue_cap == defaults.queue_cap &&
-      flags.scheduler == defaults.scheduler) {
-    return;
-  }
-  std::fprintf(stderr,
-               "%s: this bench does not drive transactions through a load "
-               "model; --load-model / --offered-tps / --arrival / "
-               "--queue-cap / --scheduler have no effect here\n",
-               bench_name.c_str());
-  std::exit(1);
-}
+/// What a bench that runs no simulator (pure layout/metric analysis) does
+/// not read: the cluster, window and load-model flags, and the shard and
+/// trace flags that only reach specs through bench::Sweep.
+inline const std::initializer_list<std::string_view> kNoSimulatorFlags = {
+    "protocol",  "nodes",       "engines",    "concurrency",
+    "warmup-ms", "duration-ms", "load-model", "offered-tps",
+    "arrival",   "queue-cap",   "scheduler",  "shards",
+    "trace-out", "trace-sample-every"};
+
+/// Refuses the flags a bench does not read: InvalidArgument naming the
+/// first flag argv gave that is among `unread` (names without "--"). A
+/// flag is refused even at its default value: `--protocol=chiller` on a
+/// bench that runs every protocol asks for something the bench ignores.
+Status RejectUnreadFlags(const BenchFlags& flags,
+                         std::initializer_list<std::string_view> unread);
 
 /// Usage text for `bench_name`, listing every flag and its default.
 /// `defaults` must be the same bench-specific defaults passed to parsing,
@@ -151,10 +149,12 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out);
 /// Standard prologue used by every bench main: parse flags, and on --help
 /// or a parse error print usage to the right stream and exit (0 for
 /// --help, 1 for errors). `defaults` carries bench-specific defaults
-/// (e.g. fig7 measures 30 ms where the shared default is 15).
-BenchFlags ParseBenchFlagsOrExit(int argc, const char* const* argv,
-                                 const std::string& bench_name,
-                                 BenchFlags defaults = BenchFlags{});
+/// (e.g. fig7 measures 30 ms where the shared default is 15). Giving a
+/// flag of `unread` exits 1 (RejectUnreadFlags).
+BenchFlags ParseBenchFlagsOrExit(
+    int argc, const char* const* argv, const std::string& bench_name,
+    BenchFlags defaults = BenchFlags{},
+    std::initializer_list<std::string_view> unread = {});
 
 }  // namespace chiller::bench
 

@@ -103,6 +103,7 @@ void Main(const BenchFlags& flags) {
 int main(int argc, char** argv) {
   chiller::bench::BenchFlags defaults;
   defaults.duration_ms = 12.0;
-  chiller::bench::Main(
-      chiller::bench::ParseBenchFlagsOrExit(argc, argv, "fig10", defaults));
+  // The series fix protocol and concurrency; TPC-C has no Zipf theta.
+  chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
+      argc, argv, "fig10", defaults, {"protocol", "concurrency", "theta"}));
 }

@@ -101,6 +101,7 @@ int main(int argc, char** argv) {
   chiller::bench::BenchFlags defaults;
   defaults.duration_ms = 30.0;  // longer window: per-partition rates are low
   defaults.theta = 0.6;         // the Instacart catalog tail skew
-  chiller::bench::Main(
-      chiller::bench::ParseBenchFlagsOrExit(argc, argv, "fig7", defaults));
+  // The x-axis is the partition count: one engine on each of k nodes.
+  chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
+      argc, argv, "fig7", defaults, {"nodes", "engines"}));
 }

@@ -28,7 +28,6 @@ struct KPoint {
 };
 
 void Main(const BenchFlags& flags) {
-  RejectLoadModelFlags(flags, "fig8");
   std::printf(
       "Figure 8 — ratio of distributed transactions vs partitions\n"
       "paper shape: Schism < Chiller < Hashing; gap narrows with more\n"
@@ -125,5 +124,6 @@ int main(int argc, char** argv) {
   chiller::bench::BenchFlags defaults;
   defaults.theta = 0.6;  // the Instacart catalog tail skew
   chiller::bench::Main(
-      chiller::bench::ParseBenchFlagsOrExit(argc, argv, "fig8", defaults));
+      chiller::bench::ParseBenchFlagsOrExit(argc, argv, "fig8", defaults,
+                                            chiller::bench::kNoSimulatorFlags));
 }

@@ -131,6 +131,7 @@ void Main(const BenchFlags& flags) {
 }  // namespace chiller::bench
 
 int main(int argc, char** argv) {
-  chiller::bench::Main(
-      chiller::bench::ParseBenchFlagsOrExit(argc, argv, "fig9"));
+  // The grid fixes protocol and concurrency; TPC-C has no Zipf theta.
+  chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
+      argc, argv, "fig9", {}, {"protocol", "concurrency", "theta"}));
 }

@@ -18,6 +18,7 @@
 // holds locks on contended records for a fraction of the transaction, so
 // its knee sits at a higher offered load than 2PL's and OCC's.
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "bench/bench_flags.h"
@@ -54,18 +55,6 @@ runner::ScenarioSpec BaseSpec(const BenchFlags& flags,
 }
 
 void Main(const BenchFlags& flags) {
-  // The load-model axis IS this bench's sweep: stage 1 is always the
-  // closed-loop capacity probe and stage 2 always the open-loop fraction
-  // grid. Refuse the shared flags that would otherwise be silently
-  // ignored; --arrival and --queue-cap still shape the open loop.
-  if (flags.load_model != "closed" || flags.offered_tps != 0.0) {
-    std::fprintf(stderr,
-                 "latency: this bench sweeps the load model itself — "
-                 "--load-model and --offered-tps are fixed by the sweep "
-                 "(use --arrival / --queue-cap / --concurrency to shape "
-                 "it)\n");
-    std::exit(1);
-  }
   // Shared flag parsing validated against the default closed model; check
   // the open-loop knobs stage 2 will actually use before paying for the
   // stage-1 capacity probes (the offered rate is derived later, so any
@@ -245,6 +234,11 @@ int main(int argc, char** argv) {
   // 24 scenarios and the knee shape is topology-independent.
   defaults.nodes = 4;
   defaults.engines = 2;
+  // The load-model axis IS this bench's sweep: stage 1 is always the
+  // closed-loop capacity probe and stage 2 always the open-loop fraction
+  // grid, over every protocol on TPC-C (no Zipf theta). --arrival and
+  // --queue-cap still shape the open loop.
   chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
-      argc, argv, "latency", defaults));
+      argc, argv, "latency", defaults,
+      {"protocol", "theta", "load-model", "offered-tps"}));
 }

@@ -23,6 +23,7 @@
 // transactions of one hot class concurrently, so the same engines sustain a
 // higher offered load before the admission queue takes over.
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -74,19 +75,6 @@ runner::ScenarioSpec BaseSpec(const BenchFlags& flags,
 }
 
 void Main(const BenchFlags& flags) {
-  // The scheduler and load-model axes ARE this bench's sweep: stage 1 is
-  // always the closed-loop capacity probe and stage 2 always the open-loop
-  // scheduler grid. Refuse the shared flags the sweep fixes; --arrival
-  // and --queue-cap still shape the open loop.
-  if (flags.load_model != "closed" || flags.offered_tps != 0.0 ||
-      flags.scheduler != BenchFlags{}.scheduler) {
-    std::fprintf(stderr,
-                 "scheduling: this bench sweeps the scheduler and load "
-                 "model itself — --load-model, --offered-tps, and "
-                 "--scheduler are fixed by the sweep (use --arrival / "
-                 "--queue-cap / --concurrency to shape it)\n");
-    std::exit(1);
-  }
   {
     runner::ScenarioSpec probe;
     ApplyLoadModelFlags(flags, &probe);
@@ -276,9 +264,13 @@ int main(int argc, char** argv) {
   defaults.nodes = 8;
   defaults.engines = 1;
   defaults.queue_cap = 10;
-  defaults.theta = 0.9;  // unused: the bench sweeps its own theta axis
   defaults.warmup_ms = 2.0;
   defaults.duration_ms = 10.0;
+  // The scheduler, load-model, protocol and theta axes ARE this bench's
+  // sweep: stage 1 is always the closed-loop capacity probe and stage 2
+  // always the open-loop scheduler grid. --arrival and --queue-cap still
+  // shape the open loop.
   chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
-      argc, argv, "scheduling", defaults));
+      argc, argv, "scheduling", defaults,
+      {"protocol", "theta", "load-model", "offered-tps", "scheduler"}));
 }

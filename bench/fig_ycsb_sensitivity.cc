@@ -98,6 +98,7 @@ int main(int argc, char** argv) {
   chiller::bench::BenchFlags defaults;
   defaults.nodes = 4;
   defaults.duration_ms = 10.0;
+  // The grid sweeps theta itself and runs every protocol.
   chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
-      argc, argv, "ycsb", defaults));
+      argc, argv, "ycsb", defaults, {"protocol", "theta"}));
 }

@@ -127,8 +127,7 @@ void BM_TwoRegionPlan(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto plan = txn::DependencyAnalysis::Plan(
-        *t, [&](const RecordId& r) { return part->IsHot(r); },
-        [&](const RecordId& r) { return part->PartitionOf(r); });
+        *t, [&](const RecordId& r) { return part->IsHot(r); });
     benchmark::DoNotOptimize(plan.inner_host);
   }
 }

@@ -24,7 +24,6 @@ namespace {
 namespace instacart = workload::instacart;
 
 void Main(const BenchFlags& flags) {
-  RejectLoadModelFlags(flags, "tab_lookup_and_cost");
   std::printf(
       "Sections 4.4 / 7.2.2 — lookup-table size, graph size, and\n"
       "partitioning cost: Schism vs Chiller on the Instacart-like "
@@ -113,5 +112,6 @@ int main(int argc, char** argv) {
   chiller::bench::BenchFlags defaults;
   defaults.theta = 0.6;  // the Instacart catalog tail skew
   chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
-      argc, argv, "tab_lookup_and_cost", defaults));
+      argc, argv, "tab_lookup_and_cost", defaults,
+      chiller::bench::kNoSimulatorFlags));
 }

@@ -46,8 +46,7 @@ int main() {
     if (a.key_resolved) a.partition = partitioner.PartitionOf(a.rid);
   }
   auto plan = txn::DependencyAnalysis::Plan(
-      *txn, [&](const RecordId& r) { return partitioner.IsHot(r); },
-      [&](const RecordId& r) { return partitioner.PartitionOf(r); });
+      *txn, [&](const RecordId& r) { return partitioner.IsHot(r); });
 
   std::printf("\nrun-time decision: %s\n",
               plan.two_region ? "two-region execution"

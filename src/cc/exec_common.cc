@@ -16,6 +16,7 @@ using storage::LockMode;
 using txn::Access;
 using txn::OpType;
 using txn::Operation;
+using txn::Outcome;
 using txn::Transaction;
 
 // Wire-size estimates for the latency model.
@@ -399,6 +400,13 @@ void FinishLocks(const Deps& d, Transaction* t,
   }
 }
 
+/// End of attempt: stamps the outcome and end time, then runs `done`.
+void End(const Deps& d, Transaction* t, Outcome outcome, sim::Task done) {
+  t->outcome = outcome;
+  t->end_time = d.cluster->sim()->now();
+  done();
+}
+
 }  // namespace
 
 PartitionId ResolvePartition(const Deps& d, const Transaction& t, size_t i) {
@@ -408,6 +416,26 @@ PartitionId ResolvePartition(const Deps& d, const Transaction& t, size_t i) {
     return t.home;
   }
   return d.partitioner->PartitionOf(t.accesses[i].rid);
+}
+
+OpStep Prologue(const Deps& d, Transaction* t, size_t i,
+                Placement placement) {
+  // Conditional groups: a missing guard record disables later ops.
+  if (t->IsSkipped(i)) return OpStep::kSkip;
+  // Value constraints run at their program position, after their
+  // dependencies' reads.
+  const Operation& op = t->ops[i];
+  if (op.guard && !op.guard(t->ctx)) return OpStep::kUserAbort;
+  Access& acc = t->accesses[i];
+  const bool late = !acc.key_resolved;
+  if (late) {
+    CHILLER_CHECK(t->KeyReady(i)) << "pk-dep not satisfied for op " << i;
+    t->ResolveKey(i);
+  }
+  if (late || placement == Placement::kEveryOp) {
+    acc.partition = ResolvePartition(d, *t, i);
+  }
+  return OpStep::kAccess;
 }
 
 void LockAndFetch(const Deps& d, Transaction* t, size_t i, Engine* eng,
@@ -511,6 +539,62 @@ void Release(const Deps& d, Transaction* t, const std::vector<size_t>& indices,
   FinishLocks(d, t, indices, eng, /*apply=*/false, std::move(cb));
 }
 
+void Commit(const Deps& d, ReplicationManager* repl,
+            const std::shared_ptr<Transaction>& t, Engine* eng,
+            bool trace_2pc, sim::Task done) {
+  const SimTime start = d.cluster->sim()->now();
+  const bool traced = trace_2pc && t->traced;
+  std::vector<size_t> held = HeldIndices(*t);
+  WritesByPartition writes = CollectWrites(*t, held);
+  // Replicate before anything becomes visible ("changes to the replicas
+  // have to be applied before committing", Section 5).
+  sim::Task apply = [d, t, eng, traced, start, held = std::move(held),
+                     done = std::move(done)]() mutable {
+    ApplyAndUnlock(d, t.get(), held, eng,
+                   [d, t, eng, traced, start,
+                    done = std::move(done)]() mutable {
+                     if (traced) {
+                       // Lock hold time across the replication round trips
+                       // — the paper's Figure 2 quantity.
+                       d.cluster->trace()->Span(
+                           eng->id(), start, d.cluster->sim()->now(),
+                           "commit_phase", t->logical_id, t->attempt);
+                     }
+                     End(d, t.get(), Outcome::kCommitted, std::move(done));
+                   });
+  };
+  if (writes.empty()) {
+    apply();
+    return;
+  }
+  struct Join {
+    size_t pending;
+    sim::Task apply;
+  };
+  auto join = std::make_shared<Join>(Join{writes.size(), std::move(apply)});
+  for (auto& [p, updates] : writes) {
+    if (traced) {
+      // The 2PC fan-out: one replication round per written partition, all
+      // in flight before the apply phase may start.
+      d.cluster->trace()->Instant(eng->id(), start, "2pc_replicate",
+                                  t->logical_id, t->attempt,
+                                  /*reason=*/nullptr, "partition", p);
+    }
+    repl->Replicate(eng->id(), p, std::move(updates), eng->id(), [join]() {
+      if (--join->pending == 0) join->apply();
+    });
+  }
+}
+
+void Abort(const Deps& d, const std::shared_ptr<Transaction>& t, Engine* eng,
+           Outcome outcome, sim::Task done) {
+  CHILLER_CHECK(outcome != Outcome::kCommitted);
+  Release(d, t.get(), HeldIndices(*t), eng,
+          [d, t, outcome, done = std::move(done)]() mutable {
+            End(d, t.get(), outcome, std::move(done));
+          });
+}
+
 WritesByPartition CollectWrites(const Transaction& t,
                                 const std::vector<size_t>& indices) {
   WritesByPartition by_partition;
@@ -536,28 +620,6 @@ WritesByPartition CollectWrites(const Transaction& t,
   std::sort(by_partition.begin(), by_partition.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return by_partition;
-}
-
-void ReplicateWrites(ReplicationManager* repl, const Transaction& t,
-                     const std::vector<size_t>& indices, EngineId eng,
-                     sim::Task then,
-                     const std::function<void(PartitionId)>& on_round) {
-  WritesByPartition writes = CollectWrites(t, indices);
-  if (writes.empty()) {
-    then();
-    return;
-  }
-  struct Join {
-    size_t pending;
-    sim::Task then;
-  };
-  auto join = std::make_shared<Join>(Join{writes.size(), std::move(then)});
-  for (auto& [p, updates] : writes) {
-    if (on_round) on_round(p);
-    repl->Replicate(eng, p, std::move(updates), eng, [join]() {
-      if (--join->pending == 0) join->then();
-    });
-  }
 }
 
 bool IsDistributed(const txn::Transaction& t) {

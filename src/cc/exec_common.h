@@ -1,7 +1,27 @@
 // Shared execution primitives used by 2PL, OCC and Chiller's two-region
-// protocol: NO_WAIT lock acquisition + record fetch (local or via one-sided
-// RDMA), buffered-write apply + unlock, abort release, and the commit's
-// replicate-then-apply fan-in.
+// protocol: the attempt lifecycle, NO_WAIT lock acquisition + record fetch
+// (local or via one-sided RDMA), buffered-write apply + unlock, and abort
+// release.
+//
+// Attempt lifecycle. Every attempt of every protocol runs the same steps,
+// each written once here:
+//   setup     Setup: one txn_setup slice on the coordinator, in which every
+//             key whose pk-deps are met is resolved.
+//   prologue  RunOp: one op_logic slice per op on the acting engine. A dead
+//             skip group skips the op, a failed guard raises a user abort,
+//             and otherwise the op's key is resolved if it was not yet, and
+//             its partition placed (Placement says which ops are placed).
+//   access    the protocol's own store primitive (LockAndFetch,
+//             FetchVersioned, the OCC validations, Chiller's inner region).
+//   commit    Commit: replicate the held write set, one round per written
+//             partition, then ApplyAndUnlock it once every round acked.
+//   abort     Abort: Release the held set; nothing reached a primary, so
+//             the release is the whole rollback.
+//   end       both Commit and Abort end the attempt: stamp its outcome and
+//             end_time, then run its `done`.
+// The protocols differ only in which engine runs an op, which access
+// primitive it uses, and what happens between the last access and Commit
+// (OCC validates; Chiller runs its inner region).
 //
 // Store steps. Each primitive that touches a record (LockAndFetch,
 // FetchVersioned, ValidateLockWrite, ValidateRead) is one store step plus
@@ -27,7 +47,7 @@
 #ifndef CHILLER_CC_EXEC_COMMON_H_
 #define CHILLER_CC_EXEC_COMMON_H_
 
-#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -50,6 +70,61 @@ struct Deps {
 /// coordinator's own partition for fully-replicated read-only tables.
 PartitionId ResolvePartition(const Deps& d, const txn::Transaction& t,
                              size_t i);
+
+/// Setup: charges one txn_setup slice on the coordinator `eng`, resolves
+/// every key whose pk-deps are met, and runs `then` in the same slice.
+template <typename F>
+void Setup(const Deps& d, txn::Transaction* t, Engine* eng, F then) {
+  eng->cpu()->Submit(d.cluster->costs().txn_setup,
+                     [t, then = std::move(then)]() mutable {
+                       t->ResolveReadyKeys();
+                       then();
+                     });
+}
+
+/// Which ops the prologue places. 2PL and OCC place every op when it runs,
+/// so a relayout between setup and the op is seen. Chiller places the keys
+/// resolved at setup when it plans, and at op time only keys that resolve
+/// late (their pk-deps ran after setup).
+enum class Placement { kEveryOp, kLateKeys };
+
+/// What the prologue decided for an op.
+enum class OpStep {
+  kSkip,       ///< its skip group is dead: go on to the next op
+  kUserAbort,  ///< its guard failed: abort the attempt (Outcome::kAbortUser)
+  kAccess,     ///< key resolved and partition placed: access the record
+};
+
+/// The prologue of op `i`; see RunOp.
+OpStep Prologue(const Deps& d, txn::Transaction* t, size_t i,
+                Placement placement);
+
+/// Charges op `i`'s op_logic slice on `eng` and, inside it, runs the
+/// prologue and then `body(step)`.
+template <typename F>
+void RunOp(const Deps& d, txn::Transaction* t, size_t i, Engine* eng,
+           Placement placement, F body) {
+  eng->cpu()->Submit(d.cluster->costs().op_logic,
+                     [d, t, i, placement, body = std::move(body)]() mutable {
+                       body(Prologue(d, t, i, placement));
+                     });
+}
+
+/// Commit: replicates the held write set from `eng`, one round per written
+/// partition in ascending partition order with every ack back at `eng`,
+/// then applies and unlocks the held set once every round acked (at once
+/// when nothing was written), and ends the attempt as committed. With
+/// `trace_2pc`, a traced attempt records 2PL's commit detail: a
+/// `2pc_replicate` instant per round and the `commit_phase` span, both from
+/// the moment Commit is called.
+void Commit(const Deps& d, ReplicationManager* repl,
+            const std::shared_ptr<txn::Transaction>& t, Engine* eng,
+            bool trace_2pc, sim::Task done);
+
+/// Abort: releases the held set from `eng`, then ends the attempt with
+/// `outcome` (not kCommitted).
+void Abort(const Deps& d, const std::shared_ptr<txn::Transaction>& t,
+           Engine* eng, txn::Outcome outcome, sim::Task done);
 
 /// Acquires the NO_WAIT lock for op `i` and fetches its record image into
 /// the access's buffered copy, acting from `eng` (a local store access when
@@ -109,16 +184,6 @@ using WritesByPartition =
 /// Replication payloads for the written holders among `indices`.
 WritesByPartition CollectWrites(const txn::Transaction& t,
                                 const std::vector<size_t>& indices);
-
-/// The commit fan-in of 2PL, OCC and Chiller's outer phase 2: replicates
-/// the writes among `indices` from engine `eng`, one round per written
-/// partition in ascending partition order with every ack back at `eng`, and
-/// runs `then` once every round acked — inline when nothing was written.
-/// `on_round(p)`, when set, runs just before partition p's round is sent.
-void ReplicateWrites(ReplicationManager* repl, const txn::Transaction& t,
-                     const std::vector<size_t>& indices, EngineId eng,
-                     sim::Task then,
-                     const std::function<void(PartitionId)>& on_round = {});
 
 /// True if the committed transaction touched more than one partition.
 bool IsDistributed(const txn::Transaction& t);

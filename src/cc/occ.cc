@@ -4,13 +4,11 @@
 #include <vector>
 
 #include "cc/exec_common.h"
-#include "common/logging.h"
 
 namespace chiller::cc {
 
 namespace {
 
-using txn::OpType;
 using txn::Outcome;
 using txn::Transaction;
 
@@ -28,10 +26,7 @@ class OccRun : public std::enable_shared_from_this<OccRun> {
 
   void Start() {
     auto self = shared_from_this();
-    eng_->cpu()->Submit(deps_.cluster->costs().txn_setup, [self]() {
-      self->t_->ResolveReadyKeys();
-      self->ExecNext(0);
-    });
+    exec::Setup(deps_, t_.get(), eng_, [self]() { self->ExecNext(0); });
   }
 
  private:
@@ -42,35 +37,29 @@ class OccRun : public std::enable_shared_from_this<OccRun> {
       return;
     }
     auto self = shared_from_this();
-    eng_->cpu()->Submit(deps_.cluster->costs().op_logic, [self, i]() {
-      Transaction& t = *self->t_;
-      const txn::Operation& op = t.ops[i];
-      if (t.IsSkipped(i)) {
-        self->ExecNext(i + 1);
-        return;
-      }
-      if (op.guard && !op.guard(t.ctx)) {
-        // No locks are held during OCC execution; aborting is free.
-        self->Done(Outcome::kAbortUser);
-        return;
-      }
-      if (!t.accesses[i].key_resolved) {
-        CHILLER_CHECK(t.KeyReady(i));
-        t.ResolveKey(i);
-      }
-      t.accesses[i].partition = exec::ResolvePartition(self->deps_, t, i);
-      exec::FetchVersioned(self->deps_, self->t_.get(), i, self->eng_,
-                           [self, i]() {
-                             if (self->t_->blocked_by_migration) {
-                               // The record's relayout bucket is mid-move:
-                               // nothing was fetched and no locks are held,
-                               // so aborting the attempt is free.
-                               self->Done(Outcome::kAbortConflict);
-                               return;
-                             }
-                             self->ExecNext(i + 1);
-                           });
-    });
+    exec::RunOp(
+        deps_, t_.get(), i, eng_, exec::Placement::kEveryOp,
+        [self, i](exec::OpStep step) {
+          if (step == exec::OpStep::kSkip) {
+            self->ExecNext(i + 1);
+            return;
+          }
+          if (step == exec::OpStep::kUserAbort) {
+            // No locks are held during OCC execution; aborting is free.
+            self->Abort(Outcome::kAbortUser);
+            return;
+          }
+          exec::FetchVersioned(
+              self->deps_, self->t_.get(), i, self->eng_, [self, i]() {
+                if (self->t_->blocked_by_migration) {
+                  // The record's relayout bucket is mid-move: nothing was
+                  // fetched and no locks are held, so aborting is free.
+                  self->Abort(Outcome::kAbortConflict);
+                  return;
+                }
+                self->ExecNext(i + 1);
+              });
+        });
   }
 
   /// Unique (non-alias) accesses split into write and read-only sets.
@@ -85,6 +74,9 @@ class OccRun : public std::enable_shared_from_this<OccRun> {
     }
   }
 
+  // A failed validation aborts: all the execution-phase work — including
+  // remote round trips — is now wasted; this is exactly the contention
+  // pathology of Figure 9.
   void ValidateWriteNext(size_t k) {
     if (k == write_set_.size()) {
       ValidateReadNext(0);
@@ -94,7 +86,7 @@ class OccRun : public std::enable_shared_from_this<OccRun> {
     exec::ValidateLockWrite(deps_, t_.get(), write_set_[k], eng_,
                             [self, k](bool ok) {
                               if (!ok) {
-                                self->AbortValidation();
+                                self->Abort(Outcome::kAbortConflict);
                                 return;
                               }
                               self->ValidateWriteNext(k + 1);
@@ -103,44 +95,23 @@ class OccRun : public std::enable_shared_from_this<OccRun> {
 
   void ValidateReadNext(size_t k) {
     if (k == read_set_.size()) {
-      BeginCommit();
+      exec::Commit(deps_, repl_, t_, eng_, /*trace_2pc=*/false,
+                   std::move(done_));
       return;
     }
     auto self = shared_from_this();
     exec::ValidateRead(deps_, t_.get(), read_set_[k], eng_,
                        [self, k](bool ok) {
                          if (!ok) {
-                           self->AbortValidation();
+                           self->Abort(Outcome::kAbortConflict);
                            return;
                          }
                          self->ValidateReadNext(k + 1);
                        });
   }
 
-  void BeginCommit() {
-    auto self = shared_from_this();
-    exec::ReplicateWrites(repl_, *t_, exec::HeldIndices(*t_), eng_->id(),
-                          [self]() { self->ApplyPhase(); });
-  }
-
-  void ApplyPhase() {
-    auto self = shared_from_this();
-    exec::ApplyAndUnlock(deps_, t_.get(), exec::HeldIndices(*t_), eng_,
-                         [self]() { self->Done(Outcome::kCommitted); });
-  }
-
-  void AbortValidation() {
-    // All the execution-phase work — including remote round trips — is now
-    // wasted; this is exactly the contention pathology of Figure 9.
-    auto self = shared_from_this();
-    exec::Release(deps_, t_.get(), exec::HeldIndices(*t_), eng_,
-                  [self]() { self->Done(Outcome::kAbortConflict); });
-  }
-
-  void Done(Outcome outcome) {
-    t_->outcome = outcome;
-    t_->end_time = deps_.cluster->sim()->now();
-    done_();
+  void Abort(Outcome outcome) {
+    exec::Abort(deps_, t_, eng_, outcome, std::move(done_));
   }
 
   exec::Deps deps_;

@@ -20,12 +20,6 @@ using txn::Outcome;
 using txn::Transaction;
 using txn::TwoRegionPlan;
 
-/// Result of an inner-region execution at the inner host.
-struct InnerResult {
-  Outcome status = Outcome::kPending;
-  bool had_writes = false;
-};
-
 }  // namespace
 
 /// One two-region transaction attempt (Section 3.3 steps 3-5).
@@ -62,35 +56,30 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
     }
     const size_t i = static_cast<size_t>(plan_.outer_ops[k]);
     auto self = shared_from_this();
-    coord_->cpu()->Submit(deps_.cluster->costs().op_logic, [self, k, i]() {
-      Transaction& t = *self->t_;
-      const txn::Operation& op = t.ops[i];
-      if (t.IsSkipped(i)) {
-        self->OuterNext(k + 1);
-        return;
-      }
-      // Outer guards depend only on outer reads (planner invariant), so
-      // every possible user abort happens before the inner region runs.
-      if (op.guard && !op.guard(t.ctx)) {
-        self->FinishOuterAbort(Outcome::kAbortUser);
-        return;
-      }
-      if (!t.accesses[i].key_resolved) {
-        CHILLER_CHECK(t.KeyReady(i));
-        t.ResolveKey(i);
-        t.accesses[i].partition = exec::ResolvePartition(self->deps_, t, i);
-      }
-      const bool deferred = self->IsDeferred(static_cast<int>(i));
-      exec::LockAndFetch(self->deps_, self->t_.get(), i, self->coord_,
-                         /*apply_inline=*/!deferred, [self, k](bool ok) {
-                           if (!ok) {
-                             ++self->proto_->counters_.outer_aborts;
-                             self->FinishOuterAbort(Outcome::kAbortConflict);
-                             return;
-                           }
-                           self->OuterNext(k + 1);
-                         });
-    });
+    exec::RunOp(
+        deps_, t_.get(), i, coord_, exec::Placement::kLateKeys,
+        [self, k, i](exec::OpStep step) {
+          if (step == exec::OpStep::kSkip) {
+            self->OuterNext(k + 1);
+            return;
+          }
+          // Outer guards depend only on outer reads (planner invariant), so
+          // every possible user abort happens before the inner region runs.
+          if (step == exec::OpStep::kUserAbort) {
+            self->Abort(Outcome::kAbortUser);
+            return;
+          }
+          const bool deferred = self->IsDeferred(static_cast<int>(i));
+          exec::LockAndFetch(self->deps_, self->t_.get(), i, self->coord_,
+                             /*apply_inline=*/!deferred, [self, k](bool ok) {
+                               if (!ok) {
+                                 ++self->proto_->counters_.outer_aborts;
+                                 self->Abort(Outcome::kAbortConflict);
+                                 return;
+                               }
+                               self->OuterNext(k + 1);
+                             });
+        });
   }
 
   /// Step 4: delegate the inner region to its host. After this point the
@@ -98,10 +87,9 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
   /// to the inner host alone.
   void DispatchInner() {
     auto self = shared_from_this();
-    auto result = std::make_shared<InnerResult>();
     if (plan_.inner_host == t_->home) {
       ++proto_->counters_.inner_local;
-      ExecuteInner(result, [self, result]() { self->OnInnerReply(result); });
+      ExecuteInner([self]() { self->OnInnerReply(); });
       return;
     }
     // RPC with all information needed to execute and commit (txn id,
@@ -115,50 +103,44 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
     }
     deps_.cluster->rpc()->Send(
         coord_->id(), inner_eng_->id(), req_bytes,
-        deps_.cluster->costs().inner_dispatch, [self, result]() {
-          self->ExecuteInner(result, [self, result]() {
+        deps_.cluster->costs().inner_dispatch, [self]() {
+          self->ExecuteInner([self]() {
             // Reply to the coordinator with the outcome and result values.
             self->deps_.cluster->rpc()->Send(
                 self->inner_eng_->id(), self->coord_->id(), 64, 0,
-                [self, result]() { self->OnInnerReply(result); });
+                [self]() { self->OnInnerReply(); });
           });
         });
   }
 
+  // ---- inner host side: inner_outcome_ and inner_had_writes_ are written
+  // here and read by the coordinator only after `reply` lands ----
+
   /// Runs at the inner host: executes all inner ops locally, commits
   /// unilaterally, and fires the replica stream (without waiting — the
   /// replicas ack the coordinator; Figure 6).
-  void ExecuteInner(std::shared_ptr<InnerResult> result,
-                    sim::Task reply) {
+  void ExecuteInner(sim::Task reply) {
     inner_start_ = deps_.cluster->sim()->now();
-    InnerOpNext(0, result, std::move(reply));
+    InnerOpNext(0, std::move(reply));
   }
 
-  void InnerOpNext(size_t k, std::shared_ptr<InnerResult> result,
-                   sim::Task reply) {
+  void InnerOpNext(size_t k, sim::Task reply) {
     if (k == plan_.inner_ops.size()) {
-      InnerCommit(result, std::move(reply));
+      InnerCommit(std::move(reply));
       return;
     }
     const size_t i = static_cast<size_t>(plan_.inner_ops[k]);
     auto self = shared_from_this();
-    inner_eng_->cpu()->Submit(
-        deps_.cluster->costs().op_logic,
-        [self, k, i, result, reply = std::move(reply)]() mutable {
-          Transaction& t = *self->t_;
-          const txn::Operation& op = t.ops[i];
-          if (t.IsSkipped(i)) {
-            self->InnerOpNext(k + 1, result, std::move(reply));
+    exec::RunOp(
+        deps_, t_.get(), i, inner_eng_, exec::Placement::kLateKeys,
+        [self, k, i, reply = std::move(reply)](exec::OpStep step) mutable {
+          if (step == exec::OpStep::kSkip) {
+            self->InnerOpNext(k + 1, std::move(reply));
             return;
           }
-          if (op.guard && !op.guard(t.ctx)) {
-            self->InnerAbort(Outcome::kAbortUser, result, std::move(reply));
+          if (step == exec::OpStep::kUserAbort) {
+            self->InnerAbort(Outcome::kAbortUser, std::move(reply));
             return;
-          }
-          if (!t.accesses[i].key_resolved) {
-            CHILLER_CHECK(t.KeyReady(i));
-            t.ResolveKey(i);
-            t.accesses[i].partition = exec::ResolvePartition(self->deps_, t, i);
           }
           // The dependency graph guarantees every inner record is local to
           // the host (Section 3.3 step 4). Under a layout produced by
@@ -167,25 +149,23 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
           // the layout it was written against. Abort the attempt and pin
           // its retries to the fallback protocol: replanning would build
           // the same broken inner region forever.
-          if (t.accesses[i].partition != self->plan_.inner_host) {
+          if (self->t_->accesses[i].partition != self->plan_.inner_host) {
             CHILLER_CHECK(
                 self->deps_.cluster->bucket_locks()->ever_active())
                 << "inner op " << i << " not on inner host";
-            t.force_fallback = true;
-            self->InnerAbort(Outcome::kAbortConflict, result,
-                             std::move(reply));
+            self->t_->force_fallback = true;
+            self->InnerAbort(Outcome::kAbortConflict, std::move(reply));
             return;
           }
           exec::LockAndFetch(
               self->deps_, self->t_.get(), i, self->inner_eng_,
               /*apply_inline=*/true,
-              [self, k, result, reply = std::move(reply)](bool ok) mutable {
+              [self, k, reply = std::move(reply)](bool ok) mutable {
                 if (!ok) {
-                  self->InnerAbort(Outcome::kAbortConflict, result,
-                                   std::move(reply));
+                  self->InnerAbort(Outcome::kAbortConflict, std::move(reply));
                   return;
                 }
-                self->InnerOpNext(k + 1, result, std::move(reply));
+                self->InnerOpNext(k + 1, std::move(reply));
               });
         });
   }
@@ -193,17 +173,16 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
   /// "The inner region commits upon completion" — apply, unlock, stream to
   /// replicas, reply. All local to the host; the hot records' contention
   /// span ends here.
-  void InnerCommit(std::shared_ptr<InnerResult> result,
-                   sim::Task reply) {
+  void InnerCommit(sim::Task reply) {
     auto self = shared_from_this();
     const auto held = exec::HeldIndices(*t_, plan_.inner_ops);
     auto writes = exec::CollectWrites(*t_, held);
     CHILLER_CHECK(writes.size() <= 1) << "inner writes span partitions";
-    result->status = Outcome::kCommitted;
-    result->had_writes = !writes.empty();
+    inner_outcome_ = Outcome::kCommitted;
+    inner_had_writes_ = !writes.empty();
     exec::ApplyAndUnlock(
         deps_, t_.get(), held, inner_eng_,
-        [self, result, writes = std::move(writes),
+        [self, writes = std::move(writes),
          reply = std::move(reply)]() mutable {
           if (self->t_->traced) {
             // Runs on the inner host's engine — the hot records' contention
@@ -213,7 +192,7 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
                 self->deps_.cluster->sim()->now(), "inner_region",
                 self->t_->logical_id, self->t_->attempt, "commit");
           }
-          if (result->had_writes) {
+          if (!writes.empty()) {
             // Fire-and-continue: the inner host does NOT wait for acks.
             self->proto_->replication()->Replicate(
                 self->inner_eng_->id(), self->plan_.inner_host,
@@ -224,10 +203,9 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
         });
   }
 
-  void InnerAbort(Outcome why, std::shared_ptr<InnerResult> result,
-                  sim::Task reply) {
+  void InnerAbort(Outcome why, sim::Task reply) {
     ++proto_->counters_.inner_aborts;
-    result->status = why;
+    inner_outcome_ = why;
     auto self = shared_from_this();
     // Roll back is lock release only: primaries were untouched.
     exec::Release(deps_, t_.get(), exec::HeldIndices(*t_, plan_.inner_ops),
@@ -250,65 +228,48 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
     MaybeFinishInnerWait();
   }
 
-  void OnInnerReply(std::shared_ptr<InnerResult> result) {
+  void OnInnerReply() {
     if (t_->traced) {
       deps_.cluster->trace()->Instant(
           coord_->id(), deps_.cluster->sim()->now(), "inner_reply",
           t_->logical_id, t_->attempt,
-          result->status == Outcome::kCommitted ? "commit" : "abort");
+          inner_outcome_ == Outcome::kCommitted ? "commit" : "abort");
     }
-    inner_result_ = *result;
     inner_replied_ = true;
     MaybeFinishInnerWait();
   }
 
   void MaybeFinishInnerWait() {
     if (!inner_replied_ || inner_wait_done_) return;
-    if (inner_result_.status != Outcome::kCommitted) {
+    if (inner_outcome_ != Outcome::kCommitted) {
       inner_wait_done_ = true;
       // Inner aborted: unroll the outer region.
-      FinishOuterAbort(inner_result_.status);
+      Abort(inner_outcome_);
       return;
     }
     const bool need_acks =
-        inner_result_.had_writes &&
-        deps_.cluster->topology().num_replicas() > 0;
+        inner_had_writes_ && deps_.cluster->topology().num_replicas() > 0;
     if (need_acks && !inner_replicated_) return;
     inner_wait_done_ = true;
     OuterPhase2();
   }
 
   /// Step 5: the transaction is already committed; apply deferred writes,
-  /// replicate the outer write set, make outer changes visible.
+  /// then commit the outer write set like any other.
   void OuterPhase2() {
     auto self = shared_from_this();
     const SimTime cost = deps_.cluster->costs().op_logic *
                          std::max<size_t>(1, plan_.deferred_apply.size());
     coord_->cpu()->Submit(cost, [self]() {
       exec::ApplyDeferred(self->t_.get(), self->plan_.deferred_apply);
-      exec::ReplicateWrites(self->proto_->replication(), *self->t_,
-                            exec::HeldIndices(*self->t_), self->coord_->id(),
-                            [self]() { self->OuterApply(); });
+      exec::Commit(self->deps_, self->proto_->replication(), self->t_,
+                   self->coord_, /*trace_2pc=*/false,
+                   std::move(self->done_));
     });
   }
 
-  void OuterApply() {
-    auto self = shared_from_this();
-    exec::ApplyAndUnlock(deps_, t_.get(), exec::HeldIndices(*t_), coord_,
-                         [self]() { self->Done(Outcome::kCommitted); });
-  }
-
-  void FinishOuterAbort(Outcome outcome) {
-    CHILLER_CHECK(outcome != Outcome::kCommitted);
-    auto self = shared_from_this();
-    exec::Release(deps_, t_.get(), exec::HeldIndices(*t_), coord_,
-                  [self, outcome]() { self->Done(outcome); });
-  }
-
-  void Done(Outcome outcome) {
-    t_->outcome = outcome;
-    t_->end_time = deps_.cluster->sim()->now();
-    done_();
+  void Abort(Outcome outcome) {
+    exec::Abort(deps_, t_, coord_, outcome, std::move(done_));
   }
 
   ChillerProtocol* proto_;
@@ -323,19 +284,21 @@ class ChillerRun : public std::enable_shared_from_this<ChillerRun> {
   bool inner_replicated_ = false;
   bool inner_wait_done_ = false;
   SimTime inner_start_ = 0;  ///< set on the inner host at region entry
-  InnerResult inner_result_;
+  Outcome inner_outcome_ = Outcome::kPending;  ///< set on the inner host
+  bool inner_had_writes_ = false;              ///< set on the inner host
 };
 
 void ChillerProtocol::Execute(std::shared_ptr<Transaction> t,
                               sim::Task done) {
-  auto self = this;
   Engine* coord = cluster_->engine(
       cluster_->topology().EngineOfPartition(t->home));
-  coord->cpu()->Submit(cluster_->costs().txn_setup, [self, t = std::move(t),
-                                                     done = std::move(
-                                                         done)]() mutable {
-    t->ResolveReadyKeys();
-    exec::Deps deps{self->cluster_, self->partitioner_};
+  Transaction* raw = t.get();
+  // Steps 1-2 of Section 3.3, run in the setup slice: place, plan, and start
+  // either the two-region attempt or the plain 2PL fallback.
+  auto decide = [this, t = std::move(t), done = std::move(done)]() mutable {
+    // Plan-time placement: the planner reads every resolved access's
+    // partition. Keys that resolve later are placed by the op prologue.
+    const exec::Deps deps{cluster_, partitioner_};
     for (size_t i = 0; i < t->accesses.size(); ++i) {
       if (t->accesses[i].key_resolved) {
         t->accesses[i].partition = exec::ResolvePartition(deps, *t, i);
@@ -344,26 +307,25 @@ void ChillerProtocol::Execute(std::shared_ptr<Transaction> t,
     TwoRegionPlan plan;
     if (!t->force_fallback) {
       plan = txn::DependencyAnalysis::Plan(
-          *t,
-          [self](const RecordId& rid) {
-            return self->partitioner_->IsHot(rid);
-          },
-          [self](const RecordId& rid) {
-            return self->partitioner_->PartitionOf(rid);
-          });
+          *t, [this](const RecordId& rid) { return partitioner_->IsHot(rid); });
     } else {
       plan.fallback_reason = "co-location violated under live layout";
     }
     if (!plan.two_region) {
-      ++self->counters_.fallback_txns;
-      cc::TwoPhaseLocking::Run(self, std::move(t), std::move(done));
+      ++counters_.fallback_txns;
+      // Plain 2PL runs its own Setup, so a fallback attempt pays txn_setup
+      // a second time. A known overcharge: removing it re-baselines every
+      // Chiller row, so it waits for that re-baseline.
+      cc::TwoPhaseLocking::Run(this, std::move(t), std::move(done));
       return;
     }
-    ++self->counters_.two_region_txns;
-    std::make_shared<ChillerRun>(self, std::move(t), std::move(plan),
+    ++counters_.two_region_txns;
+    std::make_shared<ChillerRun>(this, std::move(t), std::move(plan),
                                  std::move(done))
         ->Start();
-  });
+  };
+  exec::Setup(exec::Deps{cluster_, partitioner_}, raw, coord,
+              std::move(decide));
 }
 
 }  // namespace chiller::core

@@ -84,11 +84,7 @@ bool CanJoinInner(const Transaction& txn,
 }  // namespace
 
 TwoRegionPlan DependencyAnalysis::Plan(const Transaction& txn,
-                                       const HotFn& is_hot,
-                                       const PartitionFn& partition_of) {
-  // Accesses already carry their partition (InitAccesses); the fn stays in
-  // the signature for callers that plan before placement is materialized.
-  (void)partition_of;
+                                       const HotFn& is_hot) {
   TwoRegionPlan plan;
   const size_t n = txn.ops.size();
   CHILLER_CHECK(txn.accesses.size() == n) << "InitAccesses not called";

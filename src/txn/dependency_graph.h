@@ -15,8 +15,6 @@ namespace chiller::txn {
 
 /// Predicate over records: is this record in the hot lookup table?
 using HotFn = std::function<bool(const RecordId&)>;
-/// Record-to-partition mapping (the lookup table + default partitioner).
-using PartitionFn = std::function<PartitionId(const RecordId&)>;
 
 /// Output of the run-time decision (Section 3.3 steps 1-2): which operations
 /// run in the inner region on which host, which run in the outer region, and
@@ -64,9 +62,9 @@ class DependencyAnalysis {
   ///           fallback to normal execution (never a post-commit abort);
   ///  phase 2 — outer updates value-depending on inner reads are deferred.
   ///
-  /// Requires txn.ResolveReadyKeys() to have run.
-  static TwoRegionPlan Plan(const Transaction& txn, const HotFn& is_hot,
-                            const PartitionFn& partition_of);
+  /// Requires txn.ResolveReadyKeys() to have run and every resolved access
+  /// to carry its partition.
+  static TwoRegionPlan Plan(const Transaction& txn, const HotFn& is_hot);
 };
 
 }  // namespace chiller::txn

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_report.h"
@@ -193,6 +195,67 @@ TEST(BenchFlagsTest, UsageReflectsBenchSpecificDefaults) {
       << usage;
   EXPECT_NE(usage.find("applicable (default 0.6)"), std::string::npos)
       << usage;
+}
+
+TEST(BenchFlagsTest, RecordsGivenFlagsInArgvOrder) {
+  BenchFlags f;
+  ASSERT_TRUE(Parse({"--jobs=2", "--no-json", "--protocol=2pl"}, &f).ok());
+  EXPECT_EQ(f.given,
+            (std::vector<std::string>{"jobs", "no-json", "protocol"}));
+}
+
+TEST(BenchFlagsTest, RejectUnreadFlagsRefusesEveryGivenUnreadFlag) {
+  // fig9's refusal set: its grid fixes protocol and concurrency, and TPC-C
+  // has no Zipf theta.
+  const auto fig9_unread = {std::string_view("protocol"),
+                            std::string_view("concurrency"),
+                            std::string_view("theta")};
+  BenchFlags f;
+  ASSERT_TRUE(Parse({"--nodes=2", "--jobs=2"}, &f).ok());
+  EXPECT_TRUE(RejectUnreadFlags(f, fig9_unread).ok());
+
+  // Refused even at the shared default value, and named in argv order.
+  f = BenchFlags{};
+  ASSERT_TRUE(
+      Parse({"--nodes=2", "--concurrency=4", "--protocol=chiller"}, &f).ok());
+  const Status st = RejectUnreadFlags(f, fig9_unread);
+  ASSERT_TRUE(st.IsInvalidArgument());
+  EXPECT_EQ(st.message().rfind("--concurrency ", 0), 0u) << st.message();
+
+  // A flag the bench reads is never refused.
+  f = BenchFlags{};
+  ASSERT_TRUE(Parse({"--protocol=2pl"}, &f).ok());
+  EXPECT_TRUE(RejectUnreadFlags(f, {"theta"}).ok());
+}
+
+TEST(BenchFlagsTest, AnalysisBenchesRefuseSimulatorFlags) {
+  // Each simulator flag alone is refused by the analysis benches' set, and
+  // the refusal names it (an open model also needs a rate, but
+  // --load-model comes first in argv).
+  const std::vector<std::vector<const char*>> cases = {
+      {"--load-model=open", "--offered-tps=1000"},
+      {"--offered-tps=1000"},
+      {"--arrival=uniform"},
+      {"--queue-cap=8"},
+      {"--scheduler=hash-affinity"},
+      {"--nodes=2"},
+      {"--duration-ms=1"},
+      {"--shards=2"}};
+  for (const auto& argv : cases) {
+    BenchFlags f;
+    ASSERT_TRUE(Parse(argv, &f).ok()) << argv[0];
+    const Status refused = RejectUnreadFlags(f, kNoSimulatorFlags);
+    ASSERT_TRUE(refused.IsInvalidArgument()) << argv[0];
+    const std::string flag(argv[0], std::string_view(argv[0]).find('='));
+    EXPECT_EQ(refused.message().rfind(flag + " ", 0), 0u)
+        << refused.message();
+  }
+  // What they do read stays accepted.
+  BenchFlags f;
+  ASSERT_TRUE(
+      Parse({"--jobs=2", "--seed=3", "--theta=0.6", "--json=x.json"}, &f)
+          .ok());
+  EXPECT_TRUE(RejectUnreadFlags(f, kNoSimulatorFlags).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@
 // run the Figure 4 flight-booking workload; afterwards storage must satisfy
 // strong invariants (locks released, replicas identical to primaries, seats
 // and balances conserved) — a serializability smoke test by conservation.
+// AttemptLifecycleTest drives single hand-built attempts down each end path
+// and checks the attempt's state at the moment its `done` runs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "cc/cluster.h"
 #include "cc/driver.h"
@@ -16,6 +22,7 @@
 #include "cc/replication.h"
 #include "cc/twopl.h"
 #include "chiller/two_region.h"
+#include "partition/lookup_table.h"
 #include "schedule/scheduler.h"
 #include "workload/flight.h"
 
@@ -424,6 +431,173 @@ TEST(LoadModelTest, FactoryValidatesParams) {
   p.arrival = "uniform";
   EXPECT_TRUE(cc::MakeLoadModel("open", p).ok());
 }
+
+// ---------------------------------------------------------------------------
+// Attempt lifecycle (cc/exec_common.h)
+// ---------------------------------------------------------------------------
+
+constexpr TableId kTable = 0;
+/// Hot on partition 1: a two-region attempt homed on partition 0 ships its
+/// inner region there by RPC.
+constexpr Key kHot = 1;
+
+/// Two nodes with one engine each and one replica per partition; key k
+/// lives on partition k % 2, and kHot is the only hot record.
+struct LifecycleEnv {
+  std::unique_ptr<cc::Cluster> cluster;
+  partition::LookupPartitioner partitioner{
+      std::make_unique<partition::HashPartitioner>(
+          2, [](const RecordId& rid, uint32_t n) {
+            return static_cast<PartitionId>(rid.key % n);
+          })};
+  std::unique_ptr<cc::ReplicationManager> repl;
+  std::unique_ptr<cc::Protocol> protocol;
+};
+
+std::unique_ptr<LifecycleEnv> MakeLifecycleEnv(const std::string& proto) {
+  auto env = std::make_unique<LifecycleEnv>();
+  cc::ClusterConfig cfg;
+  cfg.topology = net::Topology{.num_nodes = 2,
+                               .engines_per_node = 1,
+                               .replication_degree = 2};
+  cfg.schema = {storage::TableSpec{.name = "t", .id = kTable,
+                                   .num_fields = 1,
+                                   .buckets_per_partition = 1024}};
+  env->cluster = std::make_unique<cc::Cluster>(cfg);
+  env->partitioner.MarkHot({kTable, kHot});
+  for (Key k = 1; k <= 8; ++k) {
+    storage::Record r(1);
+    r.Set(0, 100);
+    env->cluster->LoadRecord({kTable, k}, r, env->partitioner);
+  }
+  env->repl = std::make_unique<cc::ReplicationManager>(env->cluster.get());
+  cc::Cluster* c = env->cluster.get();
+  if (proto == "2pl") {
+    env->protocol = std::make_unique<cc::TwoPhaseLocking>(
+        c, &env->partitioner, env->repl.get());
+  } else if (proto == "occ") {
+    env->protocol =
+        std::make_unique<cc::Occ>(c, &env->partitioner, env->repl.get());
+  } else {
+    env->protocol = std::make_unique<core::ChillerProtocol>(
+        c, &env->partitioner, env->repl.get());
+  }
+  return env;
+}
+
+/// An increment of key k; with `fail_guard` its guard rejects the attempt.
+txn::Operation Increment(Key k, bool fail_guard = false) {
+  txn::Operation op;
+  op.type = txn::OpType::kUpdate;
+  op.table = kTable;
+  op.mode = storage::LockMode::kExclusive;
+  op.key_fn = [k](const txn::TxnContext&) { return k; };
+  op.on_apply = [](txn::TxnContext&, storage::Record* r) { r->Add(0, 1); };
+  if (fail_guard) op.guard = [](const txn::TxnContext&) { return false; };
+  return op;
+}
+
+struct LifecycleCase {
+  std::string name;
+  std::string protocol;
+  std::vector<txn::Operation> (*ops)();
+  /// Keys another transaction holds exclusively for the whole run.
+  std::vector<Key> foreign_locks;
+  txn::Outcome outcome;
+  /// The Chiller counter the path must bump once (null for 2PL and OCC).
+  std::atomic<uint64_t> core::TwoRegionCounters::*counter;
+};
+
+void PrintTo(const LifecycleCase& c, std::ostream* os) { *os << c.name; }
+
+class AttemptLifecycleTest : public ::testing::TestWithParam<LifecycleCase> {};
+
+TEST_P(AttemptLifecycleTest, DoneSeesAStampedAttemptHoldingNoLock) {
+  const LifecycleCase& c = GetParam();
+  auto env = MakeLifecycleEnv(c.protocol);
+  cc::Cluster* cluster = env->cluster.get();
+  for (Key k : c.foreign_locks) {
+    ASSERT_TRUE(cluster->primary(k % 2)
+                    ->TryLock({kTable, k}, storage::LockMode::kExclusive)
+                    .ok());
+  }
+  auto t = std::make_shared<txn::Transaction>();
+  t->id = 1;
+  t->home = 0;
+  t->ops = c.ops();
+  t->InitAccesses();
+
+  bool fired = false;
+  env->protocol->Execute(t, [&]() {
+    fired = true;
+    EXPECT_EQ(t->outcome, c.outcome);
+    EXPECT_EQ(t->end_time, cluster->sim()->now());
+    for (size_t i = 0; i < t->accesses.size(); ++i) {
+      EXPECT_FALSE(t->accesses[i].lock_held) << "op " << i;
+    }
+    // Every lock still held in the stores is another transaction's.
+    EXPECT_EQ(cluster->primary(0)->locks_held() +
+                  cluster->primary(1)->locks_held(),
+              c.foreign_locks.size());
+  });
+  cluster->sim()->Run();
+  ASSERT_TRUE(fired);
+  if (c.counter != nullptr) {
+    auto* chiller = static_cast<core::ChillerProtocol*>(env->protocol.get());
+    EXPECT_EQ((chiller->counters().*c.counter).load(), 1u);
+  }
+}
+
+// Home is partition 0. Keys 2 and 4 are local to it, 3 and kHot remote.
+std::vector<txn::Operation> LocalAndRemote() {
+  return {Increment(2), Increment(3)};
+}
+std::vector<txn::Operation> FailedGuard() {
+  return {Increment(2), Increment(3, /*fail_guard=*/true)};
+}
+// Outer region {2, 4} on the coordinator, inner region {kHot, 3} on
+// partition 1.
+std::vector<txn::Operation> TwoRegion() {
+  return {Increment(2), Increment(kHot), Increment(3), Increment(4)};
+}
+std::vector<txn::Operation> ColdOnly() {
+  return {Increment(2), Increment(3), Increment(4)};
+}
+
+using core::TwoRegionCounters;
+using txn::Outcome;
+
+INSTANTIATE_TEST_SUITE_P(
+    EndPaths, AttemptLifecycleTest,
+    ::testing::Values(
+        LifecycleCase{"TwoPlCommit", "2pl", LocalAndRemote, {},
+                      Outcome::kCommitted, nullptr},
+        LifecycleCase{"TwoPlContentionAbort", "2pl", LocalAndRemote, {3},
+                      Outcome::kAbortConflict, nullptr},
+        LifecycleCase{"TwoPlUserAbort", "2pl", FailedGuard, {},
+                      Outcome::kAbortUser, nullptr},
+        LifecycleCase{"OccCommit", "occ", LocalAndRemote, {},
+                      Outcome::kCommitted, nullptr},
+        // Execution reads key 3 without a lock; validation locks key 2,
+        // then fails on 3 and must release 2.
+        LifecycleCase{"OccValidationAbort", "occ", LocalAndRemote, {3},
+                      Outcome::kAbortConflict, nullptr},
+        LifecycleCase{"ChillerCommit", "chiller", TwoRegion, {},
+                      Outcome::kCommitted,
+                      &TwoRegionCounters::two_region_txns},
+        // Key 2 is locked when the outer region fails on key 4.
+        LifecycleCase{"ChillerOuterAbort", "chiller", TwoRegion, {4},
+                      Outcome::kAbortConflict,
+                      &TwoRegionCounters::outer_aborts},
+        // The inner region locks kHot, fails on key 3 and releases kHot;
+        // the coordinator then releases the outer region.
+        LifecycleCase{"ChillerInnerAbort", "chiller", TwoRegion, {3},
+                      Outcome::kAbortConflict,
+                      &TwoRegionCounters::inner_aborts},
+        LifecycleCase{"ChillerPlannerFallback", "chiller", ColdOnly, {},
+                      Outcome::kCommitted,
+                      &TwoRegionCounters::fallback_txns}),
+    [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace chiller

@@ -76,7 +76,7 @@ TEST_P(PlanPropertyTest, InvariantsHold) {
   Transaction t = RandomTxn(GetParam());
   ASSERT_TRUE(DependencyAnalysis::Validate(t.ops).ok());
   const TwoRegionPlan plan =
-      DependencyAnalysis::Plan(t, HotFnImpl, PartOf);
+      DependencyAnalysis::Plan(t, HotFnImpl);
 
   if (!plan.two_region) {
     // Fallback plans carry no op lists (plain 2PL executes everything).
@@ -136,15 +136,15 @@ TEST_P(PlanPropertyTest, InvariantsHold) {
 TEST_P(PlanPropertyTest, NoHotMeansFallback) {
   Transaction t = RandomTxn(GetParam());
   const TwoRegionPlan plan = DependencyAnalysis::Plan(
-      t, [](const RecordId&) { return false; }, PartOf);
+      t, [](const RecordId&) { return false; });
   EXPECT_FALSE(plan.two_region);
 }
 
 TEST_P(PlanPropertyTest, PlanIsDeterministic) {
   Transaction t1 = RandomTxn(GetParam());
   Transaction t2 = RandomTxn(GetParam());
-  const auto p1 = DependencyAnalysis::Plan(t1, HotFnImpl, PartOf);
-  const auto p2 = DependencyAnalysis::Plan(t2, HotFnImpl, PartOf);
+  const auto p1 = DependencyAnalysis::Plan(t1, HotFnImpl);
+  const auto p2 = DependencyAnalysis::Plan(t2, HotFnImpl);
   EXPECT_EQ(p1.two_region, p2.two_region);
   EXPECT_EQ(p1.inner_host, p2.inner_host);
   EXPECT_EQ(p1.inner_ops, p2.inner_ops);

@@ -97,12 +97,8 @@ TEST(PkChildrenTest, InvertsEdges) {
 
 // ---------- Plan on synthetic transactions ----------
 
-/// Everything on table 0 partitions by key; keys < 100 are hot.
-PartitionFn KeyModPartitions(uint32_t k) {
-  return [k](const RecordId& rid) {
-    return static_cast<PartitionId>(rid.key % k);
-  };
-}
+/// Hot iff the key is below `hot_below`. Each test places its accesses by
+/// hand before planning.
 HotFn KeysBelow(Key hot_below) {
   return [hot_below](const RecordId& rid) { return rid.key < hot_below; };
 }
@@ -111,8 +107,7 @@ TEST(PlanTest, NoHotRecordsFallsBack) {
   auto t = MakeTxn({SimpleOp(0, 200), SimpleOp(1, 301)});
   t.ResolveReadyKeys();
   for (auto& a : t.accesses) a.partition = a.rid.key % 4;
-  auto plan = DependencyAnalysis::Plan(t, KeysBelow(100),
-                                       KeyModPartitions(4));
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(100));
   EXPECT_FALSE(plan.two_region);
   EXPECT_EQ(plan.fallback_reason, "no eligible hot records");
 }
@@ -121,8 +116,7 @@ TEST(PlanTest, SingleHotRecordBecomesInner) {
   auto t = MakeTxn({SimpleOp(0, 5), SimpleOp(1, 202), SimpleOp(2, 303)});
   t.ResolveReadyKeys();
   for (auto& a : t.accesses) a.partition = a.rid.key % 4;
-  auto plan = DependencyAnalysis::Plan(t, KeysBelow(100),
-                                       KeyModPartitions(4));
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(100));
   ASSERT_TRUE(plan.two_region);
   EXPECT_EQ(plan.inner_host, 5u % 4);
   EXPECT_EQ(plan.inner_ops, (std::vector<int>{0}));
@@ -135,8 +129,7 @@ TEST(PlanTest, HostWithMostHotRecordsWins) {
   auto t = MakeTxn({SimpleOp(0, 4), SimpleOp(1, 8), SimpleOp(2, 5)});
   t.ResolveReadyKeys();
   for (auto& a : t.accesses) a.partition = a.rid.key % 4;
-  auto plan = DependencyAnalysis::Plan(t, KeysBelow(100),
-                                       KeyModPartitions(4));
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(100));
   ASSERT_TRUE(plan.two_region);
   EXPECT_EQ(plan.inner_host, 0u);
   EXPECT_EQ(plan.inner_ops, (std::vector<int>{0, 1}));
@@ -150,7 +143,7 @@ TEST(PlanTest, ColdOpOnInnerHostJoinsInner) {
   auto t = MakeTxn({SimpleOp(0, 4), SimpleOp(1, 8)});
   t.ResolveReadyKeys();
   for (auto& a : t.accesses) a.partition = a.rid.key % 4;
-  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5), KeyModPartitions(4));
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5));
   ASSERT_TRUE(plan.two_region);
   EXPECT_EQ(plan.inner_ops, (std::vector<int>{0, 1}));
 }
@@ -167,7 +160,7 @@ TEST(PlanTest, HotRecordWithRemoteChildStaysOuter) {
   ASSERT_TRUE(t.accesses[0].key_resolved);
   ASSERT_FALSE(t.accesses[1].key_resolved);
   t.accesses[0].partition = 0;
-  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5), KeyModPartitions(4));
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5));
   EXPECT_FALSE(plan.two_region);
 }
 
@@ -178,7 +171,7 @@ TEST(PlanTest, CoLocatedChildFollowsParentIntoInner) {
   auto t = MakeTxn(std::move(ops));
   t.ResolveReadyKeys();
   t.accesses[0].partition = 0;
-  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5), KeyModPartitions(4));
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5));
   ASSERT_TRUE(plan.two_region);
   EXPECT_EQ(plan.inner_ops, (std::vector<int>{0, 1}));
 }
@@ -193,7 +186,7 @@ TEST(PlanTest, OuterGuardOnInnerReadForcesFallback) {
   auto t = MakeTxn(std::move(ops));
   t.ResolveReadyKeys();
   for (auto& a : t.accesses) a.partition = a.rid.key % 4;
-  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5), KeyModPartitions(4));
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5));
   EXPECT_FALSE(plan.two_region);
 }
 
@@ -203,7 +196,7 @@ TEST(PlanTest, OuterWriteWithInnerVDepIsDeferred) {
   auto t = MakeTxn(std::move(ops));
   t.ResolveReadyKeys();
   for (auto& a : t.accesses) a.partition = a.rid.key % 4;
-  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5), KeyModPartitions(4));
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(5));
   ASSERT_TRUE(plan.two_region);
   EXPECT_EQ(plan.deferred_apply, (std::vector<int>{1}));
 }
@@ -219,8 +212,7 @@ TEST(PlanTest, AtMostOneInnerHostProperty) {
     auto t = MakeTxn(std::move(ops));
     t.ResolveReadyKeys();
     for (auto& a : t.accesses) a.partition = a.rid.key % 5;
-    auto plan = DependencyAnalysis::Plan(t, KeysBelow(50),
-                                         KeyModPartitions(5));
+    auto plan = DependencyAnalysis::Plan(t, KeysBelow(50));
     if (!plan.two_region) continue;
     for (int i : plan.inner_ops) {
       EXPECT_EQ(t.accesses[static_cast<size_t>(i)].partition,
@@ -254,8 +246,7 @@ TEST(FlightPlanTest, ValidatesAndMatchesPaperDecomposition) {
   EXPECT_FALSE(t->accesses[5].key_resolved);
 
   auto plan = DependencyAnalysis::Plan(
-      *t, [&](const RecordId& r) { return part.IsHot(r); },
-      [&](const RecordId& r) { return part.PartitionOf(r); });
+      *t, [&](const RecordId& r) { return part.IsHot(r); });
   ASSERT_TRUE(plan.two_region) << plan.fallback_reason;
   EXPECT_EQ(plan.inner_host, part.PartitionOf({FlightSchema::kFlight, flight}));
   // Inner: fread (0), fupd (3), sins (5). Outer: cread (1), tread (2),
@@ -273,8 +264,7 @@ TEST(FlightPlanTest, ColdFlightRunsNormally) {
     if (a.key_resolved) a.partition = part.PartitionOf(a.rid);
   }
   auto plan = DependencyAnalysis::Plan(
-      *t, [&](const RecordId& r) { return part.IsHot(r); },
-      [&](const RecordId& r) { return part.PartitionOf(r); });
+      *t, [&](const RecordId& r) { return part.IsHot(r); });
   EXPECT_FALSE(plan.two_region);
 }
 
