@@ -66,19 +66,11 @@ Status RejectUnreadFlags(const BenchFlags& flags,
 std::string UsageString(const std::string& bench_name,
                         const BenchFlags& defaults) {
   const BenchFlags& d = defaults;
-  std::string protocols;
-  for (const std::string& name : runner::ProtocolRegistry::Global().Names()) {
-    if (!protocols.empty()) protocols += " | ";
-    protocols += name;
-  }
-  std::string schedulers;
-  for (const std::string& name :
-       schedule::SchedulerRegistry::Global().Names()) {
-    if (!schedulers.empty()) schedulers += " | ";
-    schedulers += name;
-  }
-  // Two-pass snprintf: the protocol list comes from the registry, so the
-  // text has no static size bound (out-of-tree binaries register more).
+  const std::string protocols = JoinNames(runner::Protocols().Names(), " | ");
+  const std::string schedulers =
+      JoinNames(schedule::Schedulers().Names(), " | ");
+  // Two-pass snprintf: the name lists come from the tables, so the text
+  // has no fixed size bound.
   const auto format = [&](char* buf, size_t size) {
     return std::snprintf(
         buf, size,
@@ -240,10 +232,13 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
   Status lm_st = cc::ValidateLoadModelParams(lm_spec.load_model,
                                              lm_spec.MakeLoadModelParams());
   if (!lm_st.ok()) return lm_st;
-  // Names only: benches may pin the load model per grid point (fig9 forces
-  // "open" for its latency axis), so scheduler/model compatibility is the
-  // runner's per-scenario check, not a flag-time one.
-  return schedule::ValidateSchedulerNames(out->scheduler);
+  // Names only, so a typo fails before any scenario is built: benches may
+  // pin the load model per grid point (fig9 forces "open" for its latency
+  // axis), so scheduler/model compatibility is the runner's per-scenario
+  // check, not a flag-time one.
+  Status name_st = runner::Protocols().Check(out->protocol);
+  if (!name_st.ok()) return name_st;
+  return schedule::Schedulers().Check(out->scheduler);
 }
 
 BenchFlags ParseBenchFlagsOrExit(
@@ -263,17 +258,17 @@ BenchFlags ParseBenchFlagsOrExit(
   }
   if (flags.list_protocols || flags.list_workloads || flags.list_schedulers) {
     if (flags.list_protocols) {
-      for (const auto& n : runner::ProtocolRegistry::Global().Names()) {
+      for (const auto& n : runner::Protocols().Names()) {
         std::printf("%s\n", n.c_str());
       }
     }
     if (flags.list_workloads) {
-      for (const auto& n : runner::WorkloadRegistry::Global().Names()) {
+      for (const auto& n : runner::Workloads().Names()) {
         std::printf("%s\n", n.c_str());
       }
     }
     if (flags.list_schedulers) {
-      for (const auto& n : schedule::SchedulerRegistry::Global().Names()) {
+      for (const auto& n : schedule::Schedulers().Names()) {
         std::printf("%s\n", n.c_str());
       }
     }

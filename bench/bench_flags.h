@@ -3,7 +3,7 @@
 // Every bench accepts the same flag set so runs are comparable and
 // scriptable:
 //
-//   --protocol=NAME       a registered protocol (see --list-protocols)
+//   --protocol=NAME       a protocol name (see --list-protocols)
 //   --nodes=N             cluster nodes
 //   --engines=N           engines (cores/partitions) per node
 //   --concurrency=N       open transactions per engine
@@ -26,9 +26,9 @@
 //   --json=PATH           where to write the machine-readable report
 //                         (default BENCH_<name>.json in the cwd)
 //   --no-json             disable the JSON report
-//   --list-protocols      print the protocol registry, one per line, exit 0
-//   --list-workloads      print the workload registry, one per line, exit 0
-//   --list-schedulers     print the scheduler registry, one per line, exit 0
+//   --list-protocols      print the protocol names, one per line, exit 0
+//   --list-workloads      print the workload names, one per line, exit 0
+//   --list-schedulers     print the scheduler names, one per line, exit 0
 //   --help                print usage and exit 0
 //
 // Benches sweep their own x-axis (concurrency, partitions, % distributed);
@@ -91,9 +91,9 @@ struct BenchFlags {
   std::string json_path;  ///< empty = BENCH_<bench name>.json
   bool emit_json = true;
   bool help = false;      ///< --help was given; caller prints usage, exits 0
-  bool list_protocols = false;  ///< print registry + exit (handled by OrExit)
-  bool list_workloads = false;  ///< print registry + exit (handled by OrExit)
-  bool list_schedulers = false; ///< print registry + exit (handled by OrExit)
+  bool list_protocols = false;  ///< print names + exit (handled by OrExit)
+  bool list_workloads = false;  ///< print names + exit (handled by OrExit)
+  bool list_schedulers = false; ///< print names + exit (handled by OrExit)
   /// Names (without "--") of the flags argv gave, in argv order.
   std::vector<std::string> given;
 
@@ -141,8 +141,9 @@ std::string UsageString(const std::string& bench_name,
                         const BenchFlags& defaults = BenchFlags{});
 
 /// Parses argv into `out` (which keeps its defaults for absent flags).
-/// Returns InvalidArgument on an unknown flag or a malformed value; the
-/// message names the offending argument. `--help` sets out->help and
+/// Returns InvalidArgument on an unknown flag, a malformed value, or a
+/// --protocol / --scheduler name missing from its table; the message names
+/// the offending argument. `--help` sets out->help and
 /// returns OK without parsing further.
 Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out);
 

@@ -14,13 +14,6 @@ namespace chiller::bench {
 namespace {
 
 void Main(const BenchFlags& flags) {
-  if (!runner::ProtocolRegistry::Global().Has(flags.protocol)) {
-    // Fail before the sweep: a typo'd protocol would otherwise build 21
-    // scenarios' worth of layouts just to report the same error 21 times.
-    std::fprintf(stderr, "fig7: unknown protocol '%s' (see --list-protocols)\n",
-                 flags.protocol.c_str());
-    std::exit(1);
-  }
   std::printf(
       "Figure 7 — Instacart NewOrder throughput (K txns/sec) vs partitions\n"
       "paper shape: Chiller highest and ~linear; Schism ~+50%% over hash;\n"

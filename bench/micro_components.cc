@@ -164,8 +164,7 @@ void BM_SchedulerRoute(benchmark::State& state) {
   schedule::SchedulerContext ctx;
   ctx.num_engines = spec.partitions();
   ctx.partitioner = env->bundle->partitioner();
-  auto sched =
-      schedule::SchedulerRegistry::Global().Make("hash-affinity", ctx);
+  auto sched = schedule::Schedulers().Make("hash-affinity", ctx);
   CHILLER_CHECK(sched.ok()) << sched.status().ToString();
 
   // A pool of drawn transactions, pre-resolved exactly like Driver::Draw.

@@ -115,9 +115,6 @@ class LookupPartitioner : public RecordPartitioner {
 /// guards) is flipped; the LiveMigrator flips each bucket in the same
 /// simulator event that completes its record moves, so routing and
 /// physical placement never disagree.
-///
-/// Every layout change bumps version() — the lookup-table version readers
-/// can use to invalidate cached placement decisions.
 class SwappablePartitioner : public RecordPartitioner {
  public:
   explicit SwappablePartitioner(std::unique_ptr<RecordPartitioner> initial)
@@ -134,7 +131,6 @@ class SwappablePartitioner : public RecordPartitioner {
     next_ = std::move(next);
     num_buckets_ = num_buckets;
     flipped_.assign(num_buckets, false);
-    ++version_;
   }
 
   /// Routes bucket `b` through the incoming layout from now on (its
@@ -143,7 +139,6 @@ class SwappablePartitioner : public RecordPartitioner {
     CHILLER_CHECK(in_transition()) << "FlipBucket outside a transition";
     CHILLER_CHECK(b < num_buckets_ && !flipped_[b]);
     flipped_[b] = true;
-    ++version_;
   }
 
   /// Collapses the indirection: the incoming layout becomes active for
@@ -154,15 +149,10 @@ class SwappablePartitioner : public RecordPartitioner {
     active_.swap(next_);
     flipped_.clear();
     num_buckets_ = 0;
-    ++version_;
     return std::move(next_);
   }
 
   bool in_transition() const { return next_ != nullptr; }
-
-  /// Monotonic layout version, bumped by every BeginTransition /
-  /// FlipBucket / FinishTransition.
-  uint64_t version() const { return version_; }
 
   PartitionId PartitionOf(const RecordId& rid) const override {
     return Route(rid)->PartitionOf(rid);
@@ -190,7 +180,6 @@ class SwappablePartitioner : public RecordPartitioner {
   std::unique_ptr<RecordPartitioner> next_;
   std::vector<bool> flipped_;
   uint32_t num_buckets_ = 0;
-  uint64_t version_ = 0;
 };
 
 }  // namespace chiller::partition

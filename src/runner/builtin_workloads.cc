@@ -477,14 +477,15 @@ StatusOr<std::unique_ptr<WorkloadBundle>> MakeAdaptiveTpcc(
 
 }  // namespace
 
-void RegisterBuiltinWorkloads(WorkloadRegistry* registry) {
-  auto must = [](const Status& st) { CHILLER_CHECK(st.ok()) << st.ToString(); };
-  must(registry->Register("tpcc", MakeTpcc));
-  must(registry->Register("instacart", MakeInstacart));
-  must(registry->Register("flight", MakeFlight));
-  must(registry->Register("ycsb", MakeYcsb));
-  must(registry->Register("adaptive", MakeAdaptive));
-  must(registry->Register("adaptive-tpcc", MakeAdaptiveTpcc));
+const WorkloadTable& Workloads() {
+  static const WorkloadTable table(
+      "workload", {{"tpcc", MakeTpcc},
+                   {"instacart", MakeInstacart},
+                   {"flight", MakeFlight},
+                   {"ycsb", MakeYcsb},
+                   {"adaptive", MakeAdaptive},
+                   {"adaptive-tpcc", MakeAdaptiveTpcc}});
+  return table;
 }
 
 }  // namespace chiller::runner

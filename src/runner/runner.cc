@@ -240,7 +240,7 @@ StatusOr<ScenarioEnv> ScenarioRunner::Wire(const ScenarioSpec& spec) {
   Status st = Validate(spec);
   if (!st.ok()) return st;
 
-  auto bundle = WorkloadRegistry::Global().Make(spec);
+  auto bundle = Workloads().Make(spec.workload, spec);
   if (!bundle.ok()) return bundle.status();
 
   ScenarioEnv env;
@@ -257,7 +257,7 @@ StatusOr<ScenarioEnv> ScenarioRunner::Wire(const ScenarioSpec& spec) {
   env.bundle->Load(env.cluster.get());
 
   env.repl = std::make_unique<cc::ReplicationManager>(env.cluster.get());
-  auto protocol = ProtocolRegistry::Global().Make(
+  auto protocol = Protocols().Make(
       spec.protocol, env.cluster.get(), env.bundle->partitioner(),
       env.repl.get());
   if (!protocol.ok()) return protocol.status();
@@ -274,9 +274,7 @@ StatusOr<ScenarioEnv> ScenarioRunner::Wire(const ScenarioSpec& spec) {
   schedule::SchedulerContext sctx;
   sctx.num_engines = env.cluster->num_engines();
   sctx.partitioner = env.bundle->partitioner();
-  sctx.seed = spec.seed;
-  auto sched = schedule::SchedulerRegistry::Global().Make(spec.scheduler,
-                                                          sctx);
+  auto sched = schedule::Schedulers().Make(spec.scheduler, sctx);
   if (!sched.ok()) return sched.status();
   env.scheduler = std::move(sched).value();
   env.driver->set_scheduler(env.scheduler.get());

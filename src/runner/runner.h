@@ -34,7 +34,7 @@ struct ScenarioEnv {
 
 class ScenarioRunner {
  public:
-  /// Structural checks that need no registry lookup (positive topology
+  /// Structural checks that need no name-table lookup (positive topology
   /// with at least replication_degree nodes, positive concurrency, a known
   /// load model with sane knobs — open needs a finite offered_tps > 0 and
   /// queue_cap >= 1 — and a well-formed phase plan:

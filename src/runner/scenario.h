@@ -1,6 +1,6 @@
 // Declarative scenario description: one simulated experiment point.
 //
-// A ScenarioSpec names a workload and a protocol (registry keys), the
+// A ScenarioSpec names a workload and a protocol (name-table keys), the
 // cluster topology, the concurrency knob, the seed, and the measurement
 // window. Benches build vectors of these and hand them to SweepExecutor;
 // tests and examples run single specs through ScenarioRunner. The spec is
@@ -77,7 +77,7 @@ struct ScenarioSpec {
   /// Free-form tag carried into the result (series name, grid point, ...).
   std::string label;
 
-  /// Registry keys; see WorkloadRegistry / ProtocolRegistry.
+  /// Name-table keys; see runner::Workloads() / runner::Protocols().
   std::string workload = "tpcc";
   std::string protocol = "chiller";
 
@@ -109,7 +109,7 @@ struct ScenarioSpec {
 
   // Admission scheduler (see schedule/scheduler.h): which transaction is
   // admitted where, ahead of the load model's when.
-  /// Registry key: "fifo" (default: arrival order, no classification),
+  /// schedule::Schedulers() key: "fifo" (default: arrival order, no classification),
   /// "hash-affinity" (open model).
   std::string scheduler = "fifo";
 

@@ -1,21 +1,13 @@
 #include "schedule/scheduler.h"
 
-#include <utility>
+#include <algorithm>
+#include <memory>
 
 #include "common/logging.h"
 
 namespace chiller::schedule {
 
 namespace {
-
-std::string JoinNames(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
-}
 
 /// The first hot *written* record of `t` in op order. Writes only, on
 /// purpose: under NO_WAIT locking the abort storms worth serializing are
@@ -78,7 +70,9 @@ class HashAffinityScheduler final : public Scheduler {
  public:
   explicit HashAffinityScheduler(const SchedulerContext& ctx)
       : num_engines_(ctx.num_engines),
-        classes_(ctx.EffectiveClasses()),
+        // Enough classes that the per-partition hot sets (typically a few
+        // records each) rarely collide, while the class map stays tiny.
+        classes_(std::max<uint32_t>(256, 64 * ctx.num_engines)),
         partitioner_(ctx.partitioner) {
     CHILLER_CHECK(partitioner_ != nullptr);
     CHILLER_CHECK(num_engines_ >= 1);
@@ -107,103 +101,37 @@ class HashAffinityScheduler final : public Scheduler {
   const partition::RecordPartitioner* partitioner_;
 };
 
-}  // namespace
+StatusOr<std::unique_ptr<Scheduler>> MakeFifo(const SchedulerContext&) {
+  return std::unique_ptr<Scheduler>(std::make_unique<FifoScheduler>());
+}
 
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
+StatusOr<std::unique_ptr<Scheduler>> MakeHashAffinity(
+    const SchedulerContext& ctx) {
+  if (ctx.partitioner == nullptr) {
+    return Status::InvalidArgument(
+        "hash-affinity needs a partitioner (the heat source)");
+  }
+  return std::unique_ptr<Scheduler>(
+      std::make_unique<HashAffinityScheduler>(ctx));
+}
+
+}  // namespace
 
 const Scheduler& Fifo() {
   static const FifoScheduler fifo{};
   return fifo;
 }
 
-SchedulerRegistry& SchedulerRegistry::Global() {
-  static SchedulerRegistry* registry = [] {
-    auto* r = new SchedulerRegistry();
-    auto must = [](const Status& st) {
-      CHILLER_CHECK(st.ok()) << st.ToString();
-    };
-    must(r->Register("fifo", [](const SchedulerContext&)
-                                 -> StatusOr<std::unique_ptr<Scheduler>> {
-      return std::unique_ptr<Scheduler>(std::make_unique<FifoScheduler>());
-    }));
-    must(r->Register(
-        "hash-affinity",
-        [](const SchedulerContext& ctx)
-            -> StatusOr<std::unique_ptr<Scheduler>> {
-          if (ctx.partitioner == nullptr) {
-            return Status::InvalidArgument(
-                "hash-affinity needs a partitioner (the heat source)");
-          }
-          return std::unique_ptr<Scheduler>(
-              std::make_unique<HashAffinityScheduler>(ctx));
-        }));
-    return r;
-  }();
-  return *registry;
-}
-
-Status SchedulerRegistry::Register(const std::string& name,
-                                   SchedulerFactory factory) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (factories_.contains(name)) {
-    return Status::FailedPrecondition("scheduler '" + name +
-                                      "' already registered");
-  }
-  factories_[name] = std::move(factory);
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<Scheduler>> SchedulerRegistry::Make(
-    const std::string& name, const SchedulerContext& ctx) const {
-  SchedulerFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = factories_.find(name);
-    if (it == factories_.end()) {
-      return Status::InvalidArgument("unknown scheduler '" + name +
-                                     "' (known: " + JoinNames(NamesLocked()) +
-                                     ")");
-    }
-    factory = it->second;
-  }
-  return factory(ctx);
-}
-
-bool SchedulerRegistry::Has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return factories_.contains(name);
-}
-
-std::vector<std::string> SchedulerRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return NamesLocked();
-}
-
-std::vector<std::string> SchedulerRegistry::NamesLocked() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
-// ---------------------------------------------------------------------------
-// Validation
-// ---------------------------------------------------------------------------
-
-Status ValidateSchedulerNames(const std::string& scheduler) {
-  if (!SchedulerRegistry::Global().Has(scheduler)) {
-    return Status::InvalidArgument(
-        "unknown scheduler '" + scheduler +
-        "' (known: " + JoinNames(SchedulerRegistry::Global().Names()) + ")");
-  }
-  return Status::OK();
+const SchedulerTable& Schedulers() {
+  static const SchedulerTable table(
+      "scheduler",
+      {{"fifo", MakeFifo}, {"hash-affinity", MakeHashAffinity}});
+  return table;
 }
 
 Status ValidateSchedulerParams(const std::string& scheduler,
                                const std::string& load_model) {
-  Status st = ValidateSchedulerNames(scheduler);
+  Status st = Schedulers().Check(scheduler);
   if (!st.ok()) return st;
   if (scheduler == "hash-affinity" && load_model != "open") {
     return Status::InvalidArgument(

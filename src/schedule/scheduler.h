@@ -13,7 +13,7 @@
 // "Improving High Contention OLTP Performance via Transaction
 // Scheduling").
 //
-// Two built-in policies behind a string-keyed registry:
+// Two built-in policies in a name table:
 //
 //   fifo           no classification, no steering: arrivals are admitted
 //                  in order on their own engine. It is installed like any
@@ -35,16 +35,10 @@
 #ifndef CHILLER_SCHEDULE_SCHEDULER_H_
 #define CHILLER_SCHEDULE_SCHEDULER_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "common/status.h"
+#include "common/name_table.h"
 #include "common/types.h"
 #include "partition/lookup_table.h"
 #include "txn/transaction.h"
@@ -59,22 +53,11 @@ inline constexpr uint32_t kColdClass = 0xffffffffu;
 /// Everything a scheduler may consult, captured at wiring time.
 struct SchedulerContext {
   uint32_t num_engines = 1;
-  /// Conflict-class universe size; 0 picks a default large enough that
-  /// distinct hot records rarely share a class (see EffectiveClasses).
-  uint32_t classes = 0;
   /// The live placement + heat source (the workload bundle's partitioner;
   /// for adaptive workloads this is the swappable indirection, so the
   /// scheduler tracks relayouts automatically). May be null only for
   /// policies that do not classify.
   const partition::RecordPartitioner* partitioner = nullptr;
-  uint64_t seed = 1;
-
-  uint32_t EffectiveClasses() const {
-    if (classes != 0) return classes;
-    // Enough classes that the per-partition hot sets (typically a few
-    // records each) rarely collide, while the map stays tiny.
-    return std::max<uint32_t>(256, 64 * num_engines);
-  }
 };
 
 /// Admission-scheduling policy: classify, then route. Implementations must
@@ -111,57 +94,19 @@ class Scheduler {
                          EngineId arrival) const = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-using SchedulerFactory =
-    std::function<StatusOr<std::unique_ptr<Scheduler>>(
-        const SchedulerContext&)>;
-
 /// The shared fifo instance every Driver starts with. Stateless, so one
 /// instance serves any number of drivers on any thread.
 const Scheduler& Fifo();
 
-/// String-keyed scheduler registry, mirroring WorkloadRegistry /
-/// ProtocolRegistry: benches resolve --scheduler by name and
-/// --list-schedulers prints what a build supports. Global() comes
-/// pre-loaded with fifo and hash-affinity.
-class SchedulerRegistry {
- public:
-  static SchedulerRegistry& Global();
-
-  /// FailedPrecondition if `name` is already taken.
-  Status Register(const std::string& name, SchedulerFactory factory);
-
-  /// InvalidArgument names the known schedulers when the key is unknown.
-  StatusOr<std::unique_ptr<Scheduler>> Make(
-      const std::string& name, const SchedulerContext& ctx) const;
-
-  bool Has(const std::string& name) const;
-  std::vector<std::string> Names() const;  ///< sorted
-
- private:
-  std::vector<std::string> NamesLocked() const;
-
-  mutable std::mutex mu_;
-  std::map<std::string, SchedulerFactory> factories_;
-};
-
-// ---------------------------------------------------------------------------
-// Validation
-// ---------------------------------------------------------------------------
-
-/// The name-level check shared by bench flag parsing: the scheduler must
-/// be registered.
-Status ValidateSchedulerNames(const std::string& scheduler);
+/// The built-in schedulers, keyed by ScenarioSpec::scheduler: benches
+/// resolve --scheduler by name and --list-schedulers prints the names.
+using SchedulerTable = NameTable<Scheduler, const SchedulerContext&>;
+const SchedulerTable& Schedulers();
 
 /// Full validity, the scheduler analogue of cc::ValidateLoadModelParams
-/// and the single check behind ScenarioRunner::Validate: name-level
-/// check plus model compatibility (hash-affinity steers an admission
-/// queue, so it needs the open model). Out-of-tree registered schedulers
-/// skip the compatibility check — the registry cannot know their
-/// requirements.
+/// and the single check behind ScenarioRunner::Validate: the name must be
+/// in Schedulers(), and hash-affinity steers an admission queue, so it
+/// needs the open model.
 Status ValidateSchedulerParams(const std::string& scheduler,
                                const std::string& load_model);
 

@@ -6,7 +6,7 @@
 // spanning partitions (`distributed_ratio`). These are exactly the
 // sensitivity-analysis knobs of the paper's evaluation grid — skew drives
 // record contention, the distributed ratio drives the Figure 10 x-axis —
-// exposed as one registry workload so new scenario families need no new
+// exposed as one named workload so new scenario families need no new
 // generator. The first `hot_keys_per_partition` Zipf ranks of each
 // partition are flagged hot, which is what lets Chiller's two-region
 // planner engage on this workload.

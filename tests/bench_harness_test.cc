@@ -1,6 +1,6 @@
 // Tests for the shared bench harness: CLI flag parsing, the JSON
-// utility + report emitter, the sweep skeleton, and the registry-backed
-// protocol factory.
+// utility + report emitter, the sweep skeleton, and the protocol name
+// table.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,6 +98,14 @@ TEST(BenchFlagsTest, HelpShortCircuits) {
   EXPECT_TRUE(f.help);
 }
 
+TEST(BenchFlagsTest, UnknownProtocolFailsAtParse) {
+  // Caught before any bench builds a scenario, naming the valid spellings.
+  BenchFlags f;
+  const Status st = Parse({"--protocol=nope"}, &f);
+  ASSERT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(st.message(), "unknown protocol 'nope' (known: 2pl, chiller, occ)");
+}
+
 TEST(BenchFlagsTest, RejectsUnknownFlagAndBadValues) {
   BenchFlags f;
   EXPECT_TRUE(Parse({"--wat=1"}, &f).IsInvalidArgument());
@@ -181,7 +189,7 @@ TEST(BenchFlagsTest, LoadModelFlagsAreValidated) {
 
 TEST(BenchFlagsTest, UsageListsRegisteredProtocols) {
   const std::string usage = UsageString("fig9");
-  for (const std::string& name : runner::ProtocolRegistry::Global().Names()) {
+  for (const std::string& name : runner::Protocols().Names()) {
     EXPECT_NE(usage.find(name), std::string::npos) << name;
   }
 }
@@ -442,7 +450,7 @@ TEST(BenchSweepDeathTest, FailedScenarioExitsOneAndNamesIt) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol registry (replaces the old bench-header MakeProtocol factory)
+// Protocol name table
 // ---------------------------------------------------------------------------
 
 class ProtocolRegistryTest : public testing::Test {
@@ -459,7 +467,7 @@ class ProtocolRegistryTest : public testing::Test {
   }
 
   StatusOr<std::unique_ptr<cc::Protocol>> Make(const std::string& name) {
-    return runner::ProtocolRegistry::Global().Make(
+    return runner::Protocols().Make(
         name, cluster_.get(), partitioner_.get(), repl_.get());
   }
 
@@ -469,8 +477,7 @@ class ProtocolRegistryTest : public testing::Test {
 };
 
 TEST_F(ProtocolRegistryTest, BuildsEveryRegisteredProtocol) {
-  const std::vector<std::string> names =
-      runner::ProtocolRegistry::Global().Names();
+  const std::vector<std::string> names = runner::Protocols().Names();
   ASSERT_EQ(names, (std::vector<std::string>{"2pl", "chiller", "occ"}));
   for (const std::string& name : names) {
     auto proto = Make(name);
@@ -486,8 +493,7 @@ TEST_F(ProtocolRegistryTest, UnknownNameIsInvalidArgumentNotAbort) {
     ASSERT_FALSE(proto.ok()) << unknown;
     EXPECT_TRUE(proto.status().IsInvalidArgument()) << unknown;
     // The message should steer the user to valid spellings.
-    for (const std::string& name :
-         runner::ProtocolRegistry::Global().Names()) {
+    for (const std::string& name : runner::Protocols().Names()) {
       EXPECT_NE(proto.status().message().find(name), std::string::npos)
           << name;
     }

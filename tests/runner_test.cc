@@ -1,5 +1,5 @@
 // Tests for the scenario subsystem: OptionMap, the workload/protocol
-// registries, ScenarioRunner wiring, the ycsb workload's knobs, and
+// name tables, ScenarioRunner wiring, the ycsb workload's knobs, and
 // SweepExecutor ordering.
 #include <gtest/gtest.h>
 
@@ -60,34 +60,15 @@ TEST(OptionMapTest, ExpectOnlyFlagsTypos) {
 }
 
 // ---------------------------------------------------------------------------
-// Registries
+// Name tables
 // ---------------------------------------------------------------------------
 
 TEST(RegistryTest, BuiltinsAreRegistered) {
-  auto& workloads = WorkloadRegistry::Global();
-  for (const char* name : {"tpcc", "instacart", "flight", "ycsb"}) {
-    EXPECT_TRUE(workloads.Has(name)) << name;
-  }
-  auto& protocols = ProtocolRegistry::Global();
-  for (const char* name : {"2pl", "occ", "chiller"}) {
-    EXPECT_TRUE(protocols.Has(name)) << name;
-  }
-}
-
-TEST(RegistryTest, DuplicateRegistrationIsRejected) {
-  auto st = WorkloadRegistry::Global().Register(
-      "tpcc", [](const ScenarioSpec&) -> StatusOr<std::unique_ptr<WorkloadBundle>> {
-        return Status::Internal("never called");
-      });
-  EXPECT_TRUE(st.IsFailedPrecondition());
-  EXPECT_TRUE(ProtocolRegistry::Global()
-                  .Register("2pl",
-                            [](cc::Cluster*, const partition::RecordPartitioner*,
-                               cc::ReplicationManager*)
-                                -> std::unique_ptr<cc::Protocol> {
-                              return nullptr;
-                            })
-                  .IsFailedPrecondition());
+  EXPECT_EQ(Workloads().Names(),
+            (std::vector<std::string>{"adaptive", "adaptive-tpcc", "flight",
+                                      "instacart", "tpcc", "ycsb"}));
+  EXPECT_EQ(Protocols().Names(),
+            (std::vector<std::string>{"2pl", "chiller", "occ"}));
 }
 
 TEST(RegistryTest, UnknownWorkloadNamesAlternatives) {
@@ -189,9 +170,8 @@ TEST(ScenarioRunnerTest, WireExposesUsableEnv) {
 }
 
 TEST(ScenarioRunnerTest, RunsEveryWorkloadUnderEveryProtocol) {
-  for (const std::string& workload : WorkloadRegistry::Global().Names()) {
-    for (const std::string& protocol :
-         ProtocolRegistry::Global().Names()) {
+  for (const std::string& workload : Workloads().Names()) {
+    for (const std::string& protocol : Protocols().Names()) {
       ScenarioSpec spec;
       spec.workload = workload;
       spec.protocol = protocol;

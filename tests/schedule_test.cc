@@ -1,5 +1,5 @@
 // Tests for the admission-scheduling stage (schedule/scheduler.h): the
-// registry, classification and routing of the built-in policies,
+// name table, classification and routing of the built-in policies,
 // validation plumbing, and the end-to-end behavior of scheduled admission
 // under the open load model.
 #include <gtest/gtest.h>
@@ -46,44 +46,38 @@ txn::Transaction MakeTxn(
 
 /// 4 engines over 4 partitions of 100 keys each; keys {p*100, p*100+1}
 /// are partition p's hot set.
-SchedulerContext TestContext(const partition::RecordPartitioner* part,
-                             uint32_t classes = 0) {
+SchedulerContext TestContext(const partition::RecordPartitioner* part) {
   SchedulerContext ctx;
   ctx.num_engines = 4;
-  ctx.classes = classes;
   ctx.partitioner = part;
   return ctx;
 }
 
 std::unique_ptr<Scheduler> MustMake(const std::string& name,
                                     const SchedulerContext& ctx) {
-  auto sched = SchedulerRegistry::Global().Make(name, ctx);
+  auto sched = Schedulers().Make(name, ctx);
   EXPECT_TRUE(sched.ok()) << sched.status().ToString();
   return std::move(sched).value();
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// Name table
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerRegistryTest, BuiltinsAreRegistered) {
-  auto& registry = SchedulerRegistry::Global();
-  for (const char* name : {"fifo", "hash-affinity"}) {
-    EXPECT_TRUE(registry.Has(name)) << name;
-  }
+  EXPECT_EQ(Schedulers().Names(),
+            (std::vector<std::string>{"fifo", "hash-affinity"}));
 }
 
 TEST(SchedulerRegistryTest, UnknownNameListsAlternatives) {
-  auto sched = SchedulerRegistry::Global().Make("not-a-scheduler",
-                                                SchedulerContext{});
+  auto sched = Schedulers().Make("not-a-scheduler", SchedulerContext{});
   ASSERT_FALSE(sched.ok());
   EXPECT_TRUE(sched.status().IsInvalidArgument());
   EXPECT_NE(sched.status().message().find("fifo"), std::string::npos);
   EXPECT_NE(sched.status().message().find("hash-affinity"),
             std::string::npos);
   // A removed built-in is just an unknown name: a Status, not a CHECK.
-  auto removed =
-      SchedulerRegistry::Global().Make("batch-pack", SchedulerContext{});
+  auto removed = Schedulers().Make("batch-pack", SchedulerContext{});
   ASSERT_FALSE(removed.ok());
   EXPECT_TRUE(removed.status().IsInvalidArgument());
   EXPECT_NE(removed.status().message().find("fifo"), std::string::npos);
@@ -92,7 +86,7 @@ TEST(SchedulerRegistryTest, UnknownNameListsAlternatives) {
 }
 
 TEST(SchedulerRegistryTest, FifoNeedsNoPartitioner) {
-  auto sched = SchedulerRegistry::Global().Make("fifo", SchedulerContext{});
+  auto sched = Schedulers().Make("fifo", SchedulerContext{});
   ASSERT_TRUE(sched.ok()) << sched.status().ToString();
   // fifo never classifies: the open loop may defer its draws to launch.
   EXPECT_FALSE(sched.value()->Classifies());
@@ -101,19 +95,9 @@ TEST(SchedulerRegistryTest, FifoNeedsNoPartitioner) {
 }
 
 TEST(SchedulerRegistryTest, HeatPoliciesRequireAPartitioner) {
-  auto sched =
-      SchedulerRegistry::Global().Make("hash-affinity", SchedulerContext{});
+  auto sched = Schedulers().Make("hash-affinity", SchedulerContext{});
   ASSERT_FALSE(sched.ok());
   EXPECT_TRUE(sched.status().IsInvalidArgument());
-}
-
-TEST(SchedulerRegistryTest, DuplicateRegistrationIsRejected) {
-  auto st = SchedulerRegistry::Global().Register(
-      "fifo", [](const SchedulerContext&)
-                  -> StatusOr<std::unique_ptr<Scheduler>> {
-        return Status::InvalidArgument("never called");
-      });
-  EXPECT_TRUE(st.IsFailedPrecondition());
 }
 
 // ---------------------------------------------------------------------------
@@ -170,14 +154,6 @@ TEST_F(ClassifyTest, DistinctHotRecordsLandInDistinctClasses) {
   EXPECT_FALSE(c0 == c1 && c1 == c2);
 }
 
-TEST_F(ClassifyTest, ClassUniverseIsConfigurable) {
-  auto sched = MustMake("hash-affinity", TestContext(&part_, /*classes=*/1));
-  // One class: every hot transaction shares it, cold stays cold.
-  EXPECT_EQ(sched->Classify(MakeTxn({{0, true}})),
-            sched->Classify(MakeTxn({{301, true}})));
-  EXPECT_EQ(sched->Classify(MakeTxn({{50, true}})), kColdClass);
-}
-
 // ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
@@ -209,7 +185,7 @@ TEST_F(ClassifyTest, ColdWorkStaysOnItsArrivalEngine) {
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerValidationTest, UnknownSchedulerNamesAlternatives) {
-  const Status st = ValidateSchedulerNames("not-a-scheduler");
+  const Status st = Schedulers().Check("not-a-scheduler");
   ASSERT_TRUE(st.IsInvalidArgument());
   EXPECT_NE(st.message().find("fifo"), std::string::npos);
 }
@@ -375,27 +351,15 @@ class RouteToZeroScheduler final : public Scheduler {
   }
 };
 
-void RegisterRouteToZeroOnce() {
-  static const bool registered = [] {
-    auto st = SchedulerRegistry::Global().Register(
-        "route-to-zero",
-        [](const SchedulerContext&)
-            -> StatusOr<std::unique_ptr<Scheduler>> {
-          return std::unique_ptr<Scheduler>(
-              std::make_unique<RouteToZeroScheduler>());
-        });
-    return st.ok();
-  }();
-  ASSERT_TRUE(registered);
-}
-
 TEST(ScheduledAdmissionTest, ShedIsAccountedAtTheRoutedToEngine) {
-  RegisterRouteToZeroOnce();
+  // Not a table entry: installed over the wired fifo before the run starts,
+  // and declared first so it outlives the driver.
+  const RouteToZeroScheduler route_to_zero;
   runner::ScenarioSpec spec = OpenYcsb(/*offered_tps=*/2e6);
-  spec.scheduler = "route-to-zero";
   spec.queue_cap = 2;
   auto env = runner::ScenarioRunner::Wire(spec);
   ASSERT_TRUE(env.ok()) << env.status().ToString();
+  env->driver->set_scheduler(&route_to_zero);
   const cc::RunStats stats = env->driver->Run(spec.warmup, spec.measure);
 
   // Engine 0 absorbs the whole cluster's arrivals through a 2-deep queue:
