@@ -132,6 +132,10 @@ migrate::AdaptiveControllerOptions ScenarioSpec::MakeAdaptiveControllerOptions()
 }
 
 Status ScenarioRunner::Validate(const ScenarioSpec& spec) {
+  // Names first: Wire loads the whole workload before it builds the
+  // protocol, so an unknown name must fail here.
+  if (Status st = Workloads().Check(spec.workload); !st.ok()) return st;
+  if (Status st = Protocols().Check(spec.protocol); !st.ok()) return st;
   if (spec.nodes == 0 || spec.engines_per_node == 0) {
     return Status::InvalidArgument("topology must have >= 1 node and engine");
   }

@@ -1,28 +1,17 @@
 #include "storage/block_arena.h"
 
-#include <sys/mman.h>
-
 #include <new>
 
 #include "common/logging.h"
-
-#if defined(__SANITIZE_ADDRESS__)
-#include <sanitizer/asan_interface.h>
-#define CHILLER_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
-#define CHILLER_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
-#else
-#define CHILLER_POISON(p, n) ((void)(p), (void)(n))
-#define CHILLER_UNPOISON(p, n) ((void)(p), (void)(n))
-#endif
+#include "storage/slab.h"
 
 namespace chiller::storage {
 
+static_assert(Slab::kPieceAlign % BlockArena::kLineBytes == 0,
+              "a chunk must start on a line for its blocks to");
+
 BlockArena::~BlockArena() {
-  for (const Chunk& chunk : chunks_) {
-    // A later mapping at this address must not inherit the poison.
-    CHILLER_UNPOISON(chunk.mem, chunk.bytes);
-    munmap(chunk.mem, chunk.bytes);
-  }
+  for (const Chunk& chunk : chunks_) Slab::Get().Free(chunk.mem, chunk.bytes);
 }
 
 void* BlockArena::Allocate(size_t bytes) {
@@ -62,12 +51,7 @@ void* BlockArena::Carve(size_t block_bytes) {
 }
 
 char* BlockArena::NewChunk(size_t bytes) {
-  // Page-aligned, so line-aligned; the kernel backs only the pages the
-  // arena writes, so a chunk's uncarved tail costs no resident memory.
-  void* mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  CHILLER_CHECK(mem != MAP_FAILED) << "block arena: mmap of " << bytes
-                                   << " bytes failed";
+  void* mem = Slab::Get().Allocate(bytes);
   chunks_.push_back({mem, bytes});
   CHILLER_POISON(mem, bytes);
   return static_cast<char*>(mem);

@@ -17,13 +17,15 @@ namespace chiller::storage {
 /// Size class c serves blocks of 64 << c bytes: a request is rounded up to
 /// whole lines, then to a power of two (56 -> 64, 104 -> 128, 200 -> 256).
 /// Each class keeps an intrusive free list of released blocks and reuses
-/// them first. Otherwise every class carves from the same current chunk, an
-/// anonymous kChunkBytes mapping, so a store's blocks sit together; a block
-/// larger than a chunk gets a mapping of its own. Chunks are mapped rather
-/// than taken from the heap because pages the arena never writes stay
-/// unbacked; 32 KB heap chunks raised the benchmark's peak RSS by 3-7%,
-/// mapped ones leave it unchanged. Chunks are unmapped only when the arena
-/// dies.
+/// them first. Otherwise every class carves from the same current chunk, a
+/// kChunkBytes piece of the process-wide Slab (2 MB pages), so a store's
+/// blocks sit together; a block larger than a chunk gets a piece of its
+/// own. Under transparent huge pages a touched page is backed in full, so
+/// the uncarved tail of each store's current chunk costs resident memory:
+/// 256 KB chunks cost the benchmark's 32-store tpcc-chiller cluster 4 MB
+/// of peak RSS more than 32 KB chunks, and chunks of 16 or 64 KB saved
+/// nothing further. The arena returns its chunks to the slab when it dies,
+/// where the next store of the same schema takes them.
 ///
 /// Not thread-safe: a store is written only by the events of its own
 /// engine's domain, or by migration control events between windows.
@@ -33,7 +35,7 @@ namespace chiller::storage {
 class BlockArena {
  public:
   static constexpr size_t kLineBytes = 64;
-  static constexpr size_t kChunkBytes = size_t{256} << 10;
+  static constexpr size_t kChunkBytes = size_t{32} << 10;
 
   BlockArena() = default;
   BlockArena(const BlockArena&) = delete;
@@ -68,7 +70,7 @@ class BlockArena {
   /// a new one when it is too short; a block larger than kChunkBytes gets a
   /// chunk of its own.
   void* Carve(size_t block_bytes);
-  /// Maps a new, poisoned chunk of `bytes`.
+  /// Takes a new, poisoned chunk of `bytes` from the slab.
   char* NewChunk(size_t bytes);
 
   std::array<FreeBlock*, kNumClasses> free_{};

@@ -25,7 +25,8 @@ namespace chiller::storage {
 /// the caller passes to every call that allocates or frees one: a
 /// one-entry block is one cache line, so a probe of a one-record bucket
 /// reads the lock word's line and one more. A bucket does not free its
-/// block on destruction; its owner (Table) calls Clear first.
+/// block on destruction; its owner (Table) calls Clear first. Buckets never
+/// move: a table constructs its array in place.
 ///
 /// Order invariant: Insert appends, and Erase moves the last entry into the
 /// hole. ForEach visits entries in that order, which migration planning
@@ -33,13 +34,8 @@ namespace chiller::storage {
 class Bucket {
  public:
   Bucket() : lock_(LockWord::MakeFree(0)) {}
-  Bucket(Bucket&& other) noexcept
-      : lock_(other.lock_), block_(other.block_) {
-    other.block_ = nullptr;
-  }
   Bucket(const Bucket&) = delete;
   Bucket& operator=(const Bucket&) = delete;
-  Bucket& operator=(Bucket&&) = delete;
   ~Bucket() { CHILLER_DCHECK(block_ == nullptr) << "bucket not cleared"; }
 
   /// The raw lock word; remote engines CAS this via one-sided RDMA.

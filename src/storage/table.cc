@@ -1,8 +1,10 @@
 #include "storage/table.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
+#include "storage/slab.h"
 
 namespace chiller::storage {
 
@@ -23,11 +25,16 @@ Table::Table(TableSpec spec, BlockArena* arena)
     : spec_(std::move(spec)), arena_(arena) {
   CHILLER_CHECK(spec_.buckets_per_partition > 0);
   CHILLER_CHECK(arena_ != nullptr);
-  buckets_.resize(spec_.buckets_per_partition);
+  const size_t n = spec_.buckets_per_partition;
+  buckets_ = {static_cast<Bucket*>(Slab::Get().Allocate(n * sizeof(Bucket))),
+              n};
+  std::uninitialized_default_construct(buckets_.begin(), buckets_.end());
 }
 
 Table::~Table() {
   for (Bucket& b : buckets_) b.Clear(arena_);
+  std::destroy(buckets_.begin(), buckets_.end());
+  Slab::Get().Free(buckets_.data(), buckets_.size_bytes());
 }
 
 size_t Table::BucketIndex(Key key) const {

@@ -2,7 +2,7 @@
 #ifndef CHILLER_STORAGE_TABLE_H_
 #define CHILLER_STORAGE_TABLE_H_
 
-#include <vector>
+#include <span>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -15,10 +15,12 @@ namespace chiller::storage {
 /// Per-partition slice of one logical table. Keys hash onto a fixed array of
 /// 16-byte buckets; the bucket's embedded lock word is the locking granule,
 /// so two keys colliding into one bucket contend (as in the real system —
-/// size buckets_per_partition accordingly). An empty bucket costs its 16
-/// bytes and nothing more; records live in per-bucket blocks carved from
-/// `arena`, the owning store's BlockArena, which must outlive the table.
-/// The table returns every block to it on destruction.
+/// size buckets_per_partition accordingly). The bucket array is one piece
+/// of the process-wide Slab (2 MB pages), with the buckets constructed in
+/// place. An empty bucket costs its 16 bytes and nothing more; records live
+/// in per-bucket blocks carved from `arena`, the owning store's BlockArena,
+/// which must outlive the table. On destruction the table returns every
+/// block to the arena and the array to the slab.
 class Table {
  public:
   Table(TableSpec spec, BlockArena* arena);
@@ -53,13 +55,13 @@ class Table {
   /// of inserts and erases; migration planning relies on it.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& b : buckets_) b.ForEach(fn);
+    for (const Bucket& b : buckets_) b.ForEach(fn);
   }
 
  private:
   TableSpec spec_;
   BlockArena* arena_;
-  std::vector<Bucket> buckets_;
+  std::span<Bucket> buckets_;
   size_t num_records_ = 0;
 };
 

@@ -129,6 +129,23 @@ TEST(ScenarioRunnerTest, ValidateRejectsDegenerateSpecs) {
   EXPECT_TRUE(ScenarioRunner::Validate(spec).ok());
 }
 
+// An unknown workload or protocol fails in Validate, before Wire would
+// build and load the workload, with the name table's own message.
+TEST(ScenarioRunnerTest, ValidateChecksNamesFirst) {
+  ScenarioSpec spec = SmallYcsb();
+  spec.protocol = "nope";
+  spec.nodes = 0;  // also degenerate: the name is reported first
+  Status st = ScenarioRunner::Validate(spec);
+  ASSERT_TRUE(st.IsInvalidArgument());
+  EXPECT_EQ(st.message(), "unknown protocol 'nope' (known: 2pl, chiller, occ)");
+  spec = SmallYcsb();
+  spec.workload = "nope";
+  st = ScenarioRunner::Validate(spec);
+  ASSERT_TRUE(st.IsInvalidArgument());
+  EXPECT_EQ(st.message().rfind("unknown workload 'nope' (known: ", 0), 0u)
+      << st.message();
+}
+
 TEST(ScenarioRunnerTest, ValidateChecksLoadModelKnobs) {
   ScenarioSpec spec = SmallYcsb();
   spec.load_model = "nope";
