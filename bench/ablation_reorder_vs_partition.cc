@@ -44,17 +44,12 @@ void Main(const BenchFlags& flags) {
 
   std::vector<runner::ScenarioSpec> specs;
   for (const Cell& cell : cells) {
-    runner::ScenarioSpec spec;
+    runner::ScenarioSpec spec = flags.BaseSpec();
     spec.label = cell.layout;
     spec.workload = "instacart";
     spec.protocol = cell.two_region ? "chiller" : "2pl";
     spec.nodes = kPartitions;
     spec.engines_per_node = 1;
-    spec.concurrency = flags.concurrency;
-    spec.seed = flags.seed;
-    spec.warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
-    spec.measure = static_cast<SimTime>(flags.duration_ms * kMillisecond);
-    ApplyLoadModelFlags(flags, &spec);
     spec.options.Set("num_products", 20000);
     spec.options.Set("tail_theta", flags.theta);
     spec.options.Set("layout", cell.layout);

@@ -50,6 +50,25 @@ Status ParseNumber(const std::string& flag, const std::string& value, T* out) {
 
 }  // namespace
 
+runner::ScenarioSpec BenchFlags::BaseSpec() const {
+  runner::ScenarioSpec spec;
+  spec.protocol = protocol;
+  spec.nodes = nodes;
+  spec.engines_per_node = engines;
+  spec.concurrency = concurrency;
+  spec.seed = seed;
+  spec.warmup = static_cast<SimTime>(warmup_ms * kMillisecond);
+  spec.measure = static_cast<SimTime>(duration_ms * kMillisecond);
+  spec.load_model = load_model;
+  spec.offered_tps = offered_tps;
+  spec.arrival = arrival;
+  spec.queue_cap = queue_cap;
+  spec.scheduler = scheduler;
+  spec.shards = shards;
+  spec.trace_sample_every = trace_sample_every;
+  return spec;
+}
+
 Status RejectUnreadFlags(const BenchFlags& flags,
                          std::initializer_list<std::string_view> unread) {
   for (const std::string& name : flags.given) {
@@ -225,17 +244,14 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
   // run here so a bad combination (--load-model=open without
   // --offered-tps, --queue-cap=0, an unknown --arrival) fails before any
   // sweep starts.
-  runner::ScenarioSpec lm_spec;
-  ApplyLoadModelFlags(*out, &lm_spec);
-  lm_spec.concurrency = out->concurrency;
-  lm_spec.seed = out->seed;
-  Status lm_st = cc::ValidateLoadModelParams(lm_spec.load_model,
-                                             lm_spec.MakeLoadModelParams());
+  const runner::ScenarioSpec spec = out->BaseSpec();
+  Status lm_st = cc::ValidateLoadModelParams(spec.load_model,
+                                             spec.MakeLoadModelParams());
   if (!lm_st.ok()) return lm_st;
-  // Names only, so a typo fails before any scenario is built: benches may
-  // pin the load model per grid point (fig9 forces "open" for its latency
-  // axis), so scheduler/model compatibility is the runner's per-scenario
-  // check, not a flag-time one.
+  // Names only, so a typo fails before any scenario is built: the latency
+  // and scheduling benches pin the load model per grid point (closed-loop
+  // probes, then an open-loop grid), so scheduler/model compatibility is
+  // the runner's per-scenario check, not a flag-time one.
   Status name_st = runner::Protocols().Check(out->protocol);
   if (!name_st.ok()) return name_st;
   return schedule::Schedulers().Check(out->scheduler);

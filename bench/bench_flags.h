@@ -59,8 +59,7 @@ struct BenchFlags {
   double theta = 0.99;
   uint64_t seed = 1;
   /// Load model for every scenario the bench sweeps (default: the paper's
-  /// closed loop, which preserves all historical numbers). See
-  /// ApplyLoadModelFlags for how these land on a ScenarioSpec.
+  /// closed loop, which preserves all historical numbers).
   std::string load_model = "closed";
   double offered_tps = 0.0;       ///< open loop: cluster-wide offered load
   std::string arrival = "poisson";  ///< open loop: poisson | uniform
@@ -101,26 +100,17 @@ struct BenchFlags {
   std::string JsonPathFor(const std::string& bench_name) const {
     return json_path.empty() ? "BENCH_" + bench_name + ".json" : json_path;
   }
+
+  /// The one mapping from the shared flags to a scenario spec: protocol,
+  /// topology, concurrency, seed, the warmup/measure window, the load
+  /// model, the scheduler, and the shard and trace knobs. Every simulator
+  /// bench starts each grid point from this and sets only its own axes
+  /// and workload on top.
+  runner::ScenarioSpec BaseSpec() const;
 };
 
-/// Copies the shared load-model flags onto one scenario spec. Benches call
-/// this per grid point so any sweep can be re-run under open-loop
-/// admission without touching the bench; the "closed" default
-/// leaves historical runs byte-identical.
-inline void ApplyLoadModelFlags(const BenchFlags& flags,
-                                runner::ScenarioSpec* spec) {
-  spec->load_model = flags.load_model;
-  spec->offered_tps = flags.offered_tps;
-  spec->arrival = flags.arrival;
-  spec->queue_cap = flags.queue_cap;
-  // The admission scheduler rides along: it shapes the same
-  // arrival-to-engine stage the load model owns.
-  spec->scheduler = flags.scheduler;
-}
-
 /// What a bench that runs no simulator (pure layout/metric analysis) does
-/// not read: the cluster, window and load-model flags, and the shard and
-/// trace flags that only reach specs through bench::Sweep.
+/// not read: every flag BenchFlags::BaseSpec maps onto a spec.
 inline const std::initializer_list<std::string_view> kNoSimulatorFlags = {
     "protocol",  "nodes",       "engines",    "concurrency",
     "warmup-ms", "duration-ms", "load-model", "offered-tps",

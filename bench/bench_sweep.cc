@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "cc/load_model.h"
+
 namespace chiller::bench {
 namespace {
 
@@ -34,17 +36,12 @@ Sweep::Sweep(const BenchFlags& flags, std::string bench_name)
     : executor_(flags.jobs),
       name_(std::move(bench_name)),
       shards_(flags.shards),
-      trace_sample_every_(flags.trace_sample_every),
       start_(std::chrono::steady_clock::now()) {
   executor_.set_trace_out(flags.trace_out);
 }
 
 std::vector<runner::ScenarioResult> Sweep::Run(
     std::vector<runner::ScenarioSpec> specs) {
-  for (runner::ScenarioSpec& spec : specs) {
-    spec.shards = shards_;
-    spec.trace_sample_every = trace_sample_every_;
-  }
   size_t completed = 0;  // progress callbacks are serialized by the executor
   auto results = executor_.Run(
       specs, [&](size_t i, const StatusOr<runner::ScenarioResult>& r) {
@@ -75,6 +72,90 @@ void Sweep::PrintWallClock() const {
   std::printf(
       "sweep: %zu scenarios in %.1f s wall-clock (--jobs %u, --shards %u)\n",
       scenarios_, seconds, executor_.jobs(), shards_);
+}
+
+double Knee(const std::vector<LoadPoint>& ascending) {
+  double knee = 0.0;
+  for (const LoadPoint& p : ascending) {
+    if (p.shed_rate == 0.0 && p.queue_p99_ns <= p.exec_p99_ns) {
+      knee = p.offered_tps;
+    }
+  }
+  return knee;
+}
+
+KneeSweep::KneeSweep(const BenchFlags& flags, std::string bench_name)
+    : name_(std::move(bench_name)), sweep_(flags, name_) {
+  // Flag parsing validated the closed model the bench refuses to change;
+  // any positive offered load stands in for the probe-derived ones.
+  runner::ScenarioSpec open = flags.BaseSpec();
+  open.load_model = "open";
+  open.offered_tps = 1.0;
+  const Status st =
+      cc::ValidateLoadModelParams(open.load_model, open.MakeLoadModelParams());
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", name_.c_str(), st.message().c_str());
+    std::exit(1);
+  }
+}
+
+KneeResult KneeSweep::Run(const std::vector<runner::ScenarioSpec>& probes,
+                          const std::vector<double>& fractions,
+                          const std::vector<std::string>& schedulers) {
+  KneeResult out;
+  const auto probe_results = sweep_.Run(probes);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const double capacity = probe_results[i].stats.Throughput();
+    if (capacity <= 0.0) {
+      std::fprintf(stderr,
+                   "%s: closed-loop capacity probe %zu (%s) committed "
+                   "nothing (window too short?); cannot derive an "
+                   "offered-load grid\n",
+                   name_.c_str(), i, Describe(probes[i]).c_str());
+      std::exit(1);
+    }
+    std::fprintf(stderr, "  [%s] %s closed-loop capacity %.0f tps\n",
+                 name_.c_str(), Describe(probes[i]).c_str(), capacity);
+    out.capacity.push_back(capacity);
+  }
+
+  std::vector<runner::ScenarioSpec> specs;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    for (const std::string& scheduler : schedulers) {
+      for (double f : fractions) {
+        runner::ScenarioSpec spec = probes[i];
+        spec.load_model = "open";
+        spec.offered_tps = out.capacity[i] * f;
+        spec.scheduler = scheduler;
+        specs.push_back(std::move(spec));
+      }
+    }
+  }
+  out.runs = sweep_.Run(std::move(specs));
+
+  const auto p99 = [](const Histogram& h) {
+    return h.count() == 0 ? 0.0 : static_cast<double>(h.Percentile(99));
+  };
+  auto run = out.runs.begin();
+  for (size_t i = 0; i < probes.size(); ++i) {
+    auto& series = out.points.emplace_back();
+    auto& knees = out.knee.emplace_back();
+    for (size_t s = 0; s < schedulers.size(); ++s) {
+      auto& points = series.emplace_back();
+      for (size_t f = 0; f < fractions.size(); ++f, ++run) {
+        const cc::RunStats& stats = run->stats;
+        Histogram latency;
+        for (const auto& cls : stats.classes) latency.Merge(cls.latency);
+        points.push_back({.offered_tps = run->spec.offered_tps,
+                          .throughput_tps = stats.Throughput(),
+                          .exec_p99_ns = p99(latency),
+                          .queue_p99_ns = p99(stats.queue_delay),
+                          .shed_rate = stats.ShedRate()});
+      }
+      knees.push_back(Knee(points));
+    }
+  }
+  return out;
 }
 
 }  // namespace chiller::bench

@@ -44,16 +44,11 @@ void Main(const BenchFlags& flags) {
   std::vector<runner::ScenarioSpec> specs;
   for (double pct : pcts) {
     for (const Series& s : series) {
-      runner::ScenarioSpec spec;
+      runner::ScenarioSpec spec = flags.BaseSpec();
       spec.workload = "tpcc";
       spec.protocol = s.proto;
-      spec.nodes = flags.nodes;
-      spec.engines_per_node = flags.engines;
       spec.concurrency = s.concurrency;
       spec.seed = flags.seed + static_cast<uint64_t>(pct);
-      spec.warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
-      spec.measure = static_cast<SimTime>(flags.duration_ms * kMillisecond);
-      ApplyLoadModelFlags(flags, &spec);
       spec.options.Set("pct_new_order", 50);
       spec.options.Set("pct_payment", 50);
       spec.options.Set("pct_order_status", 0);

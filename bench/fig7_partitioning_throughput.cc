@@ -34,17 +34,12 @@ void Main(const BenchFlags& flags) {
   for (double kd : ks) {
     const uint32_t k = static_cast<uint32_t>(kd);
     for (const std::string& layout : layouts) {
-      runner::ScenarioSpec spec;
+      runner::ScenarioSpec spec = flags.BaseSpec();
       spec.label = layout;
       spec.workload = "instacart";
-      spec.protocol = flags.protocol;
       spec.nodes = k;
       spec.engines_per_node = 1;
-      spec.concurrency = flags.concurrency;
       spec.seed = flags.seed + k;
-      spec.warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
-      spec.measure = static_cast<SimTime>(flags.duration_ms * kMillisecond);
-      ApplyLoadModelFlags(flags, &spec);
       spec.options.Set("num_products", 20000);
       spec.options.Set("tail_theta", flags.theta);
       spec.options.Set("layout", layout);

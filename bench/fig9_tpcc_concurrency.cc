@@ -51,17 +51,12 @@ void Main(const BenchFlags& flags) {
   for (double cd : conc) {
     const uint32_t c = static_cast<uint32_t>(cd);
     for (const std::string& proto : protocols) {
-      runner::ScenarioSpec spec;
+      runner::ScenarioSpec spec = flags.BaseSpec();
       spec.label = proto;
       spec.workload = "tpcc";
       spec.protocol = proto;
-      spec.nodes = flags.nodes;
-      spec.engines_per_node = flags.engines;
       spec.concurrency = c;
       spec.seed = flags.seed + c;
-      spec.warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
-      spec.measure = static_cast<SimTime>(flags.duration_ms * kMillisecond);
-      ApplyLoadModelFlags(flags, &spec);
       specs.push_back(std::move(spec));
     }
   }

@@ -42,34 +42,23 @@ void Main(const BenchFlags& flags) {
 
   const std::vector<double> sample_rates = {0.001, 0.01, 0.1, 1.0};
 
-  const SimTime warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
-  const SimTime measure =
-      static_cast<SimTime>(flags.duration_ms * kMillisecond);
+  runner::ScenarioSpec base = flags.BaseSpec();
+  base.workload = "adaptive";
+  base.options.Set("theta", flags.theta);
+  base.options.Set("keys_per_partition", 10000);
+  const SimTime warmup = base.warmup;
+  const SimTime measure = base.measure;
   // The sample window doubles as extra warmup for the static baseline, so
   // both modes measure after the same total simulated time.
   const SimTime sample = 2 * warmup + measure;
   const SimTime resettle = warmup;
-
-  auto base_spec = [&] {
-    runner::ScenarioSpec spec;
-    spec.workload = "adaptive";
-    spec.protocol = flags.protocol;
-    spec.nodes = flags.nodes;
-    spec.engines_per_node = flags.engines;
-    spec.concurrency = flags.concurrency;
-    spec.seed = flags.seed;
-    ApplyLoadModelFlags(flags, &spec);
-    spec.options.Set("theta", flags.theta);
-    spec.options.Set("keys_per_partition", 10000);
-    return spec;
-  };
 
   // One adaptive scenario per sample rate, plus a single static-hash
   // floor: the baseline's phase plan does not depend on the rate, so one
   // simulation serves every table column.
   std::vector<runner::ScenarioSpec> specs;
   for (double rate : sample_rates) {
-    runner::ScenarioSpec adaptive = base_spec();
+    runner::ScenarioSpec adaptive = base;
     adaptive.label = "adaptive";
     adaptive.phases = {
         runner::Phase::Warmup(warmup),
@@ -81,7 +70,7 @@ void Main(const BenchFlags& flags) {
     };
     specs.push_back(adaptive);
   }
-  runner::ScenarioSpec hash = base_spec();
+  runner::ScenarioSpec hash = base;
   hash.label = "hash";
   hash.phases = {
       runner::Phase::Warmup(warmup + sample + resettle),

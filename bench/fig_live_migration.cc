@@ -69,9 +69,13 @@ void Main(const BenchFlags& flags) {
   report.SetConfig("governor_p99_budget_us",
                    static_cast<uint64_t>(kGovernorP99Budget / kMicrosecond));
 
-  const SimTime warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
-  const SimTime measure =
-      static_cast<SimTime>(flags.duration_ms * kMillisecond);
+  runner::ScenarioSpec base = flags.BaseSpec();
+  base.workload = "adaptive";
+  base.options.Set("theta", flags.theta);
+  base.options.Set("keys_per_partition", 10000);
+  base.timeline_slice = kTimelineSlice;
+  const SimTime warmup = base.warmup;
+  const SimTime measure = base.measure;
   // Same shape as fig_adaptive_relayout: a long sample window so the
   // replan sees the contended head, then a resettle before measuring.
   const SimTime sample = 2 * warmup + measure;
@@ -79,21 +83,6 @@ void Main(const BenchFlags& flags) {
   // The continuous rows fold sample + resettle + measure into one
   // controller-driven window, so every mode spends the same simulated time.
   const SimTime window = sample + resettle + measure;
-
-  auto base_spec = [&] {
-    runner::ScenarioSpec spec;
-    spec.workload = "adaptive";
-    spec.protocol = flags.protocol;
-    spec.nodes = flags.nodes;
-    spec.engines_per_node = flags.engines;
-    spec.concurrency = flags.concurrency;
-    spec.seed = flags.seed;
-    ApplyLoadModelFlags(flags, &spec);
-    spec.options.Set("theta", flags.theta);
-    spec.options.Set("keys_per_partition", 10000);
-    spec.timeline_slice = kTimelineSlice;
-    return spec;
-  };
 
   const std::vector<runner::Phase> phased = {
       runner::Phase::Warmup(warmup),
@@ -104,7 +93,7 @@ void Main(const BenchFlags& flags) {
       runner::Phase::Measure(measure),
   };
 
-  runner::ScenarioSpec quiesced = base_spec();
+  runner::ScenarioSpec quiesced = base;
   quiesced.label = "quiesced";
   quiesced.phases = {
       runner::Phase::Warmup(warmup),
@@ -115,21 +104,21 @@ void Main(const BenchFlags& flags) {
       runner::Phase::Measure(measure),
   };
 
-  runner::ScenarioSpec live = base_spec();
+  runner::ScenarioSpec live = base;
   live.label = "live";
   live.phases = phased;
 
-  runner::ScenarioSpec live_s2 = base_spec();
+  runner::ScenarioSpec live_s2 = base;
   live_s2.label = "live-s2";
   live_s2.phases = phased;
   live_s2.migrate_streams = 2;
 
-  runner::ScenarioSpec live_s4 = base_spec();
+  runner::ScenarioSpec live_s4 = base;
   live_s4.label = "live-s4";
   live_s4.phases = phased;
   live_s4.migrate_streams = 4;
 
-  runner::ScenarioSpec governed = base_spec();
+  runner::ScenarioSpec governed = base;
   governed.label = "governed";
   governed.phases = phased;
   governed.governor = true;
@@ -140,10 +129,9 @@ void Main(const BenchFlags& flags) {
   // still halves the width whenever the gate's pressure spikes past it.
   governed.governor_max_abort_share = 0.30;
 
-  runner::ScenarioSpec continuous = base_spec();
+  runner::ScenarioSpec continuous = base;
   continuous.label = "continuous";
   continuous.continuous = true;
-  continuous.warmup = warmup;
   // Same total simulated time as the phased modes (their relayout costs
   // land inside this window instead of before it).
   continuous.measure = window;
@@ -156,7 +144,7 @@ void Main(const BenchFlags& flags) {
   const SimTime shift_every = warmup + window / 2;
   constexpr uint64_t kShiftStride = 2500;
   auto shifting_spec = [&] {
-    runner::ScenarioSpec spec = base_spec();
+    runner::ScenarioSpec spec = base;
     spec.options.Set("shift_every_us",
                      static_cast<uint64_t>(shift_every / kMicrosecond));
     spec.options.Set("shift_stride", kShiftStride);
@@ -175,14 +163,12 @@ void Main(const BenchFlags& flags) {
   runner::ScenarioSpec shift_settle = shifting_spec();
   shift_settle.label = "shift-settle";
   shift_settle.continuous = true;
-  shift_settle.warmup = warmup;
   shift_settle.measure = window;
   shift_settle.controller_period = kMillisecond;  // settle well before the shift
 
   runner::ScenarioSpec shift_rearm = shifting_spec();
   shift_rearm.label = "shift-rearm";
   shift_rearm.continuous = true;
-  shift_rearm.warmup = warmup;
   shift_rearm.measure = window;
   shift_rearm.controller_period = kMillisecond;
   shift_rearm.rearm_threshold = 0.2;

@@ -23,7 +23,6 @@
 // transactions of one hot class concurrently, so the same engines sustain a
 // higher offered load before the admission queue takes over.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,31 +34,16 @@ namespace chiller::bench {
 namespace {
 
 constexpr double kThetas[] = {0.7, 0.99};
-constexpr double kFractions[] = {0.2, 0.4, 0.5,  0.6, 0.65, 0.7, 0.75,
-                                 0.8, 0.85, 0.9, 0.95, 1.0, 1.1};
+const std::vector<double> kFractions = {0.2, 0.4, 0.5,  0.6, 0.65, 0.7, 0.75,
+                                        0.8, 0.85, 0.9, 0.95, 1.0, 1.1};
 const std::vector<std::string> kSchedulers = {"fifo", "hash-affinity"};
 
-struct Point {
-  double offered_tps;
-  double fraction;
-  double throughput_tps;
-  double exec_p99_ns;
-  double queue_p99_ns;
-  double shed_rate;
-};
-
-runner::ScenarioSpec BaseSpec(const BenchFlags& flags,
-                              const std::string& proto, double theta) {
-  runner::ScenarioSpec spec;
+runner::ScenarioSpec ProbeSpec(const BenchFlags& flags,
+                               const std::string& proto, double theta) {
+  runner::ScenarioSpec spec = flags.BaseSpec();
   spec.label = proto;
   spec.workload = "ycsb";
   spec.protocol = proto;
-  spec.nodes = flags.nodes;
-  spec.engines_per_node = flags.engines;
-  spec.concurrency = flags.concurrency;
-  spec.seed = flags.seed;
-  spec.warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
-  spec.measure = static_cast<SimTime>(flags.duration_ms * kMillisecond);
   spec.options.Set("theta", theta);
   // Short write-only transactions put the whole run in the contention
   // regime the scheduler targets: every hot access takes an exclusive
@@ -74,21 +58,14 @@ runner::ScenarioSpec BaseSpec(const BenchFlags& flags,
   return spec;
 }
 
-void Main(const BenchFlags& flags) {
-  {
-    runner::ScenarioSpec probe;
-    ApplyLoadModelFlags(flags, &probe);
-    probe.concurrency = flags.concurrency;
-    probe.load_model = "open";
-    probe.offered_tps = 1.0;
-    const Status st = cc::ValidateLoadModelParams(
-        probe.load_model, probe.MakeLoadModelParams());
-    if (!st.ok()) {
-      std::fprintf(stderr, "scheduling: %s\n", st.message().c_str());
-      std::exit(1);
-    }
-  }
+std::string ThetaKey(double theta) {
+  char key[16];
+  std::snprintf(key, sizeof(key), "%.2f", theta);
+  return key;
+}
 
+void Main(const BenchFlags& flags) {
+  KneeSweep sweep(flags, "scheduling");
   const std::vector<std::string> protocols = {"2pl", "occ", "chiller"};
 
   std::printf(
@@ -110,138 +87,59 @@ void Main(const BenchFlags& flags) {
   report.SetConfig("duration_ms", flags.duration_ms);
   report.SetConfig("seed", flags.seed);
 
-  Sweep sweep(flags, "scheduling");
-
-  // Stage 1: closed-loop capacity per (protocol, theta). Probes run under
-  // the default fifo scheduler, so both stage-2 series share one grid.
+  // One probe per (protocol, theta). Probes run under the default fifo
+  // scheduler, so both schedulers' series share one offered-load grid.
   std::vector<runner::ScenarioSpec> probes;
   for (const std::string& proto : protocols) {
-    for (double theta : kThetas) probes.push_back(BaseSpec(flags, proto, theta));
+    for (double theta : kThetas) {
+      probes.push_back(ProbeSpec(flags, proto, theta));
+    }
   }
-  const auto probe_results = sweep.Run(probes);
+  const KneeResult knee = sweep.Run(probes, kFractions, kSchedulers);
 
   const size_t grid = std::size(kThetas);
-  std::vector<double> capacity(probes.size(), 0.0);
   Json capacity_json = Json::MakeObject();
-  for (size_t i = 0; i < probes.size(); ++i) {
-    const std::string& proto = protocols[i / grid];
-    const double theta = kThetas[i % grid];
-    capacity[i] = probe_results[i].stats.Throughput();
-    if (capacity[i] <= 0.0) {
-      std::fprintf(stderr,
-                   "scheduling: %s theta=%.2f closed-loop capacity probe "
-                   "committed nothing (window too short?); cannot derive an "
-                   "offered-load grid\n",
-                   proto.c_str(), theta);
-      std::exit(1);
+  Json knee_json = Json::MakeObject();
+  for (size_t pt = 0; pt < probes.size(); ++pt) {
+    const std::string& proto = protocols[pt / grid];
+    const std::string theta_key = ThetaKey(kThetas[pt % grid]);
+    capacity_json[proto][theta_key] = knee.capacity[pt];
+    for (size_t s = 0; s < kSchedulers.size(); ++s) {
+      knee_json[proto][theta_key][kSchedulers[s]] = knee.knee[pt][s];
     }
-    char theta_key[16];
-    std::snprintf(theta_key, sizeof(theta_key), "%.2f", theta);
-    capacity_json[proto][theta_key] = capacity[i];
-    std::fprintf(stderr,
-                 "  [scheduling] %s theta=%.2f closed-loop capacity %.0f tps\n",
-                 proto.c_str(), theta, capacity[i]);
   }
   report.SetConfig("capacity_tps", capacity_json);
-
-  // Stage 2: the open-loop grid, one series per scheduler. Specs are a pure
-  // function of the (equally deterministic) stage-1 results, so --jobs N
-  // stays byte-identical.
-  std::vector<runner::ScenarioSpec> specs;
-  for (size_t pt = 0; pt < probes.size(); ++pt) {
-    for (const std::string& sched : kSchedulers) {
-      for (double f : kFractions) {
-        runner::ScenarioSpec spec = BaseSpec(flags, protocols[pt / grid],
-                                             kThetas[pt % grid]);
-        spec.load_model = "open";
-        spec.offered_tps = capacity[pt] * f;
-        spec.arrival = flags.arrival;
-        spec.queue_cap = flags.queue_cap;
-        spec.scheduler = sched;
-        specs.push_back(std::move(spec));
-      }
-    }
-  }
-  const auto results = sweep.Run(specs);
-
-  // series[probe][scheduler] -> points in ascending fraction order.
-  std::vector<std::vector<std::vector<Point>>> series(
-      probes.size(), std::vector<std::vector<Point>>(kSchedulers.size()));
-  const size_t per_probe = kSchedulers.size() * std::size(kFractions);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const runner::ScenarioResult& r = results[i];
-    const cc::RunStats& stats = r.stats;
-    const size_t pt = i / per_probe;
-    const size_t sched = (i % per_probe) / std::size(kFractions);
-    const double fraction = kFractions[i % std::size(kFractions)];
-
+  report.SetConfig("knee_tps", knee_json);
+  const size_t per_probe = kSchedulers.size() * kFractions.size();
+  for (size_t i = 0; i < knee.runs.size(); ++i) {
+    const runner::ScenarioResult& r = knee.runs[i];
     Json params = Json::MakeObject();
-    params["theta"] = kThetas[pt % grid];
+    params["theta"] = kThetas[i / per_probe % grid];
     params["scheduler"] = r.spec.scheduler;
     params["offered_tps"] = r.spec.offered_tps;
-    params["load_fraction"] = fraction;
-    report.AddRun(r.spec.protocol, std::move(params), stats);
-
-    Histogram latency;
-    for (const auto& cls : stats.classes) latency.Merge(cls.latency);
-    Point p;
-    p.offered_tps = r.spec.offered_tps;
-    p.fraction = fraction;
-    p.throughput_tps = stats.Throughput();
-    p.exec_p99_ns =
-        latency.count() == 0 ? 0.0
-                             : static_cast<double>(latency.Percentile(99));
-    p.queue_p99_ns = stats.queue_delay.count() == 0
-                         ? 0.0
-                         : static_cast<double>(
-                               stats.queue_delay.Percentile(99));
-    p.shed_rate = stats.ShedRate();
-    series[pt][sched].push_back(p);
+    params["load_fraction"] = kFractions[i % kFractions.size()];
+    report.AddRun(r.spec.protocol, std::move(params), r.stats);
   }
 
-  // The knee: the highest offered load still served without
-  // queue-dominated latency (nothing shed, p99 wait below p99 service).
-  // Points are swept in ascending fraction order, so the last sustained
-  // point is the knee.
-  Json knee_json = Json::MakeObject();
-  std::vector<std::vector<double>> knee(
-      probes.size(), std::vector<double>(kSchedulers.size(), 0.0));
-  for (size_t pt = 0; pt < probes.size(); ++pt) {
-    char theta_key[16];
-    std::snprintf(theta_key, sizeof(theta_key), "%.2f", kThetas[pt % grid]);
-    for (size_t s = 0; s < kSchedulers.size(); ++s) {
-      for (const Point& p : series[pt][s]) {
-        const bool sustained =
-            p.shed_rate == 0.0 && p.queue_p99_ns <= p.exec_p99_ns;
-        if (sustained) knee[pt][s] = p.offered_tps;
-      }
-      knee_json[protocols[pt / grid]][theta_key][kSchedulers[s]] =
-          knee[pt][s];
-    }
-  }
-  report.SetConfig("knee_tps", knee_json);
-
-  std::vector<double> columns(std::begin(kFractions), std::end(kFractions));
   for (size_t pt = 0; pt < probes.size(); ++pt) {
     std::printf("%s theta=%.2f (capacity %.0f tps)\n",
                 protocols[pt / grid].c_str(), kThetas[pt % grid],
-                capacity[pt]);
-    std::printf("  shed rate:\n");
-    PrintHeader("  offered / capacity", columns);
-    for (size_t s = 0; s < kSchedulers.size(); ++s) {
-      std::vector<double> row;
-      for (const Point& p : series[pt][s]) row.push_back(p.shed_rate);
-      PrintRow("  " + kSchedulers[s], row, "%8.3f");
-    }
-    std::printf("  p99 queueing delay (us):\n");
-    PrintHeader("  offered / capacity", columns);
-    for (size_t s = 0; s < kSchedulers.size(); ++s) {
-      std::vector<double> row;
-      for (const Point& p : series[pt][s]) row.push_back(p.queue_p99_ns / 1e3);
-      PrintRow("  " + kSchedulers[s], row, "%8.1f");
-    }
+                knee.capacity[pt]);
+    auto table = [&](const char* title, const char* fmt, auto field) {
+      std::printf("%s", title);
+      PrintHeader("  offered / capacity", kFractions);
+      for (size_t s = 0; s < kSchedulers.size(); ++s) {
+        std::vector<double> row;
+        for (const LoadPoint& p : knee.points[pt][s]) row.push_back(field(p));
+        PrintRow("  " + kSchedulers[s], row, fmt);
+      }
+    };
+    table("  shed rate:\n", "%8.3f",
+          [](const LoadPoint& p) { return p.shed_rate; });
+    table("  p99 queueing delay (us):\n", "%8.1f",
+          [](const LoadPoint& p) { return p.queue_p99_ns / 1e3; });
     std::printf("  knee: fifo %.3f M tps, hash-affinity %.3f M tps\n\n",
-                knee[pt][0] / 1e6, knee[pt][1] / 1e6);
+                knee.knee[pt][0] / 1e6, knee.knee[pt][1] / 1e6);
   }
 
   sweep.PrintWallClock();
@@ -256,7 +154,7 @@ int main(int argc, char** argv) {
   chiller::bench::BenchFlags defaults;
   // Eight single-engine nodes: enough fan-out that a skewed record's
   // writers mostly arrive on engines that do not own it (7/8 of steering
-  // decisions move work), while the 8-probe + 208-scenario grid stays
+  // decisions move work), while the 6-probe + 156-scenario grid stays
   // tractable. The 10-deep admission queue is deliberately shallow — deep
   // queues let p99 queueing delay blow past p99 execution latency long
   // before anything is shed, hiding the capacity difference between the

@@ -37,17 +37,10 @@ void Main(const BenchFlags& flags) {
   for (double theta : thetas) {
     for (double dr : dist_ratios) {
       for (const std::string& proto : protocols) {
-        runner::ScenarioSpec spec;
+        runner::ScenarioSpec spec = flags.BaseSpec();
         spec.label = proto;
         spec.workload = "ycsb";
         spec.protocol = proto;
-        spec.nodes = flags.nodes;
-        spec.engines_per_node = flags.engines;
-        spec.concurrency = flags.concurrency;
-        spec.seed = flags.seed;
-        spec.warmup = static_cast<SimTime>(flags.warmup_ms * kMillisecond);
-        spec.measure = static_cast<SimTime>(flags.duration_ms * kMillisecond);
-        ApplyLoadModelFlags(flags, &spec);
         spec.options.Set("theta", theta);
         spec.options.Set("distributed_ratio", dr);
         specs.push_back(std::move(spec));

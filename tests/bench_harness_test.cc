@@ -147,22 +147,40 @@ TEST(BenchFlagsTest, UsageMentionsEveryFlag) {
 }
 
 TEST(BenchFlagsTest, LoadModelFlagsParseAndApply) {
+  // Every flag BaseSpec maps, each at a value that is neither the flag's
+  // default nor the spec's.
   BenchFlags f;
-  ASSERT_TRUE(Parse({"--load-model=open", "--offered-tps=250000",
-                     "--arrival=uniform", "--queue-cap=16"},
+  ASSERT_TRUE(Parse({"--protocol=occ", "--nodes=3", "--engines=2",
+                     "--concurrency=5", "--seed=9", "--warmup-ms=1.5",
+                     "--duration-ms=2.5", "--load-model=open",
+                     "--offered-tps=250000", "--arrival=uniform",
+                     "--queue-cap=16", "--scheduler=hash-affinity",
+                     "--shards=2", "--trace-sample-every=7"},
                     &f)
                   .ok());
-  EXPECT_EQ(f.load_model, "open");
-  EXPECT_DOUBLE_EQ(f.offered_tps, 250000.0);
-  EXPECT_EQ(f.arrival, "uniform");
-  EXPECT_EQ(f.queue_cap, 16u);
-
-  runner::ScenarioSpec spec;
-  ApplyLoadModelFlags(f, &spec);
+  const runner::ScenarioSpec spec = f.BaseSpec();
+  EXPECT_EQ(spec.protocol, "occ");
+  EXPECT_EQ(spec.nodes, 3u);
+  EXPECT_EQ(spec.engines_per_node, 2u);
+  EXPECT_EQ(spec.concurrency, 5u);
+  EXPECT_EQ(spec.seed, 9u);
+  EXPECT_EQ(spec.warmup, 1500 * kMicrosecond);
+  EXPECT_EQ(spec.measure, 2500 * kMicrosecond);
   EXPECT_EQ(spec.load_model, "open");
   EXPECT_DOUBLE_EQ(spec.offered_tps, 250000.0);
   EXPECT_EQ(spec.arrival, "uniform");
   EXPECT_EQ(spec.queue_cap, 16u);
+  EXPECT_EQ(spec.scheduler, "hash-affinity");
+  EXPECT_EQ(spec.shards, 2u);
+  EXPECT_EQ(spec.trace_sample_every, 7u);
+
+  // --trace-out alone traces every transaction.
+  BenchFlags traced;
+  ASSERT_TRUE(Parse({"--trace-out=trace.json"}, &traced).ok());
+  EXPECT_EQ(traced.BaseSpec().trace_sample_every, 1u);
+  BenchFlags untraced;
+  ASSERT_TRUE(Parse({}, &untraced).ok());
+  EXPECT_EQ(untraced.BaseSpec().trace_sample_every, 0u);
 }
 
 TEST(BenchFlagsTest, LoadModelFlagsAreValidated) {
@@ -447,6 +465,22 @@ TEST(BenchSweepDeathTest, FailedScenarioExitsOneAndNamesIt) {
   EXPECT_EXIT(
       sweep.Run(specs), testing::ExitedWithCode(1),
       "test: scenario 1 \\(2pl 2x1 .*\\) failed: .*replication_degree");
+}
+
+TEST(BenchKneeTest, LastSustainedPointIsTheKnee) {
+  // {offered, throughput, exec p99, queue p99, shed rate}, ascending.
+  const std::vector<LoadPoint> points = {
+      {100, 100, 50, 10, 0.0},   // sustained
+      {200, 200, 50, 80, 0.0},   // queue p99 above exec p99
+      {300, 290, 60, 60, 0.0},   // queue p99 equal to exec p99: sustained
+      {400, 350, 60, 10, 1e-6},  // sheds: not sustained
+  };
+  // The last sustained point wins, even after an unsustained one.
+  EXPECT_DOUBLE_EQ(Knee(points), 300.0);
+  EXPECT_DOUBLE_EQ(Knee({points[0], points[1]}), 100.0);
+  // Any shed point is not sustained, however short its queue.
+  EXPECT_DOUBLE_EQ(Knee({points[3]}), 0.0);
+  EXPECT_DOUBLE_EQ(Knee({}), 0.0);
 }
 
 // ---------------------------------------------------------------------------
