@@ -290,7 +290,16 @@ BenchFlags ParseBenchFlagsOrExit(
     }
     std::exit(0);
   }
-  const Status refused = RejectUnreadFlags(flags, unread);
+  Status refused = RejectUnreadFlags(flags, unread);
+  // A scheduler every scenario would reject (hash-affinity under the closed
+  // loop) fails here, once and before any output, not once per scenario.
+  // It runs after the refusal so a bench that never reads --scheduler says
+  // so instead.
+  if (refused.ok()) {
+    const runner::ScenarioSpec spec = flags.BaseSpec();
+    refused = schedule::ValidateSchedulerParams(spec.scheduler,
+                                                 spec.load_model);
+  }
   if (!refused.ok()) {
     std::fprintf(stderr, "%s: %s\n", bench_name.c_str(),
                  refused.message().c_str());

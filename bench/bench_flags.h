@@ -117,6 +117,12 @@ inline const std::initializer_list<std::string_view> kNoSimulatorFlags = {
     "arrival",   "queue-cap",   "scheduler",  "shards",
     "trace-out", "trace-sample-every"};
 
+/// What a bench that compares layouts by closed-loop throughput does not
+/// read: its grid fixes the closed loop, where --scheduler can only name
+/// the default fifo and the open-loop knobs do nothing.
+inline const std::initializer_list<std::string_view> kClosedLoopOnlyFlags = {
+    "load-model", "offered-tps", "arrival", "queue-cap", "scheduler"};
+
 /// Refuses the flags a bench does not read: InvalidArgument naming the
 /// first flag argv gave that is among `unread` (names without "--"). A
 /// flag is refused even at its default value: `--protocol=chiller` on a
@@ -141,7 +147,9 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out);
 /// or a parse error print usage to the right stream and exit (0 for
 /// --help, 1 for errors). `defaults` carries bench-specific defaults
 /// (e.g. fig7 measures 30 ms where the shared default is 15). Giving a
-/// flag of `unread` exits 1 (RejectUnreadFlags).
+/// flag of `unread` exits 1 (RejectUnreadFlags), and so does a scheduler
+/// the load model cannot host (schedule::ValidateSchedulerParams on
+/// BaseSpec()), both before the bench prints anything.
 BenchFlags ParseBenchFlagsOrExit(
     int argc, const char* const* argv, const std::string& bench_name,
     BenchFlags defaults = BenchFlags{},

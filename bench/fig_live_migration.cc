@@ -280,6 +280,9 @@ int main(int argc, char** argv) {
   defaults.engines = 4;
   defaults.warmup_ms = 2.0;
   defaults.duration_ms = 10.0;
+  // Every mode is compared by closed-loop throughput; under an open loop
+  // below the knee each row would just serve the offered rate.
   chiller::bench::Main(chiller::bench::ParseBenchFlagsOrExit(
-      argc, argv, "migration", defaults));
+      argc, argv, "migration", defaults,
+      chiller::bench::kClosedLoopOnlyFlags));
 }

@@ -4,9 +4,13 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "cc/driver.h"
+#include "cc/exec_common.h"
 #include "cc/replication.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -25,6 +29,7 @@
 #include "storage/lock_word.h"
 #include "storage/partition_store.h"
 #include "txn/dependency_graph.h"
+#include "workload/tpcc/tpcc_workload.h"
 
 namespace chiller {
 namespace {
@@ -173,7 +178,6 @@ void BM_SchedulerRoute(benchmark::State& state) {
   for (int i = 0; i < 256; ++i) {
     auto t = env->bundle->source()->Next(
         static_cast<PartitionId>(i % spec.partitions()), &rng);
-    if (t->accesses.empty()) t->InitAccesses();
     t->ResolveReadyKeys();
     pool.push_back(std::move(t));
   }
@@ -313,6 +317,52 @@ void BM_StoreProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_StoreProbe)->Unit(benchmark::kMicrosecond);
+
+/// One logical transaction's host work over two attempts on the
+/// benchmark's TPC-C cluster: build a NewOrder from drawn params, place and
+/// plan it as Chiller's setup slice does, make its retry
+/// (Driver::RebuildForRetry, which shares the op list), then place and
+/// plan the retry. Report only. Items are logical transactions.
+void BM_TxnAttemptLifecycle(benchmark::State& state) {
+  runner::ScenarioEnv env = WireBenchmarkTpcc();
+  const partition::RecordPartitioner* part = env.bundle->partitioner();
+  const cc::exec::Deps deps{env.cluster.get(), part};
+  const txn::HotFn is_hot = [part](const RecordId& r) {
+    return part->IsHot(r);
+  };
+  Rng rng(37);
+  std::vector<std::vector<int64_t>> pool;
+  while (pool.size() < 256) {
+    auto t = env.bundle->source()->Next(
+        static_cast<PartitionId>(pool.size() % 16), &rng);
+    if (t->txn_class == workload::tpcc::kNewOrderTxn) {
+      pool.push_back(t->ctx.params);
+    }
+  }
+  auto place_and_plan = [&](txn::Transaction* t) {
+    t->ResolveReadyKeys();
+    for (size_t i = 0; i < t->accesses.size(); ++i) {
+      if (t->accesses[i].key_resolved) {
+        t->accesses[i].partition = cc::exec::ResolvePartition(deps, *t, i);
+      }
+    }
+    return txn::DependencyAnalysis::Plan(*t, is_hot);
+  };
+  size_t k = 0;
+  for (auto _ : state) {
+    std::shared_ptr<txn::Transaction> first =
+        workload::tpcc::BuildNewOrder(pool[k]);
+    first->home = static_cast<PartitionId>(pool[k][0]);  // its warehouse
+    benchmark::DoNotOptimize(place_and_plan(first.get()).inner_host);
+    std::shared_ptr<txn::Transaction> retry =
+        cc::Driver::RebuildForRetry(*first);
+    retry->home = first->home;
+    benchmark::DoNotOptimize(place_and_plan(retry.get()).inner_host);
+    k = (k + 1) % pool.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TxnAttemptLifecycle);
 
 /// A replica applying a commit's update batch: 12 puts per batch (the mean
 /// batch of the benchmark's tpcc-chiller run) to random records of one

@@ -6,6 +6,7 @@
 //
 //   $ ./build/examples/flight_booking
 #include <cstdio>
+#include <string>
 
 #include "chiller/two_region.h"
 #include "runner/runner.h"
@@ -28,7 +29,6 @@ int main() {
   // --- static analysis: the dependency graph ---
   auto status = txn::DependencyAnalysis::Validate(txn->ops);
   std::printf("static analysis: %s\n\n", status.ToString().c_str());
-  auto children = txn::DependencyAnalysis::PkChildren(txn->ops);
   for (size_t i = 0; i < txn->ops.size(); ++i) {
     std::printf("  op %zu %-6s table=%u pk-deps:[", i, kOpNames[i],
                 txn->ops[i].table);
@@ -40,7 +40,6 @@ int main() {
   }
 
   // --- run-time decision (Section 3.3 steps 1-2) ---
-  txn->InitAccesses();
   txn->ResolveReadyKeys();
   for (auto& a : txn->accesses) {
     if (a.key_resolved) a.partition = partitioner.PartitionOf(a.rid);
@@ -50,7 +49,7 @@ int main() {
 
   std::printf("\nrun-time decision: %s\n",
               plan.two_region ? "two-region execution"
-                              : plan.fallback_reason.c_str());
+                              : std::string(plan.fallback_reason).c_str());
   std::printf("  inner host: partition %u\n", plan.inner_host);
   std::printf("  inner region:");
   for (int i : plan.inner_ops) std::printf(" %s", kOpNames[i]);

@@ -50,7 +50,6 @@ void Driver::set_scheduler(const schedule::Scheduler* scheduler) {
 
 std::shared_ptr<txn::Transaction> Driver::Draw(EngineId e) {
   std::shared_ptr<txn::Transaction> t = source_->Next(e, rng(e));
-  if (t->accesses.empty()) t->InitAccesses();
   t->ResolveReadyKeys();
   // Identity is assigned at draw time, before classification, so the
   // scheduler's classify/route decisions are traceable too. Same striping
@@ -74,13 +73,15 @@ void Driver::Launch(EngineId e, std::shared_ptr<txn::Transaction> t) {
   t->home = e;
   t->outcome = txn::Outcome::kPending;
   t->start_time = cluster_->sim()->now();
-  if (t->accesses.empty()) t->InitAccesses();  // a rebuilt retry
   protocol_->Execute(t, [this, e, t]() { OnDone(e, t); });
 }
 
 std::shared_ptr<txn::Transaction> Driver::RebuildForRetry(
     const txn::Transaction& t) {
-  std::shared_ptr<txn::Transaction> retry = source_->Rebuild(t);
+  auto retry = std::make_shared<txn::Transaction>();
+  retry->txn_class = t.txn_class;
+  retry->ctx.params = t.ctx.params;
+  retry->ShareOps(t);
   retry->attempt = t.attempt + 1;
   retry->admission_delay = t.admission_delay;
   // A co-location violation is a property of the logical transaction under

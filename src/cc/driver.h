@@ -26,14 +26,11 @@ class WorkloadSource {
  public:
   virtual ~WorkloadSource() = default;
 
-  /// Builds a fresh transaction homed at partition `home`.
+  /// Builds a fresh transaction homed at partition `home`. Its op list
+  /// (Transaction::SetOps) serves every retry of it: Driver::RebuildForRetry
+  /// shares it rather than asking the source again.
   virtual std::unique_ptr<txn::Transaction> Next(PartitionId home,
                                                  Rng* rng) = 0;
-
-  /// Rebuilds the same logical transaction (same class, same parameters)
-  /// for a retry after a conflict abort.
-  virtual std::unique_ptr<txn::Transaction> Rebuild(
-      const txn::Transaction& t) = 0;
 
   virtual uint32_t NumClasses() const = 0;
   virtual std::string ClassName(uint32_t cls) const = 0;
@@ -178,9 +175,12 @@ class Driver {
   /// RebuildForRetry() result); debug builds check it.
   void Launch(EngineId e, std::shared_ptr<txn::Transaction> t);
 
-  /// Rebuilds `t` for its next attempt (same logical transaction,
-  /// attempt + 1, admission delay carried over).
-  std::shared_ptr<txn::Transaction> RebuildForRetry(const txn::Transaction& t);
+  /// The next attempt of `t`'s logical transaction: the same class and op
+  /// list (shared, not rebuilt), a copy of the params, vars zeroed at their
+  /// built size, fresh per-attempt state, and attempt + 1. The admission
+  /// delay, force_fallback, sched_class, logical_id and traced carry over.
+  static std::shared_ptr<txn::Transaction> RebuildForRetry(
+      const txn::Transaction& t);
 
   /// Open-loop accounting for engine `e`, counted only while measuring: an
   /// arrival was admitted (launched or queued) / shed at a full queue / a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <ranges>
 #include <utility>
 
 #include "common/logging.h"
@@ -300,6 +301,21 @@ bool IsHeld(const Access& acc) {
   return acc.lock_held || acc.bucket_piggyback;
 }
 
+/// The held accesses among `ops` (any range of op indices), in `ops` order,
+/// in a vector sized exactly.
+template <typename Range>
+std::vector<size_t> HeldAmong(const Transaction& t, const Range& ops) {
+  auto held_at = [&t](auto i) {
+    return IsHeld(t.accesses[static_cast<size_t>(i)]);
+  };
+  std::vector<size_t> held;
+  held.reserve(static_cast<size_t>(std::ranges::count_if(ops, held_at)));
+  for (auto i : ops) {
+    if (held_at(i)) held.push_back(static_cast<size_t>(i));
+  }
+  return held;
+}
+
 /// The store half of commit (`apply`) or abort for one held access: writes
 /// its buffered image back when applying a write, then releases the lock it
 /// holds — a piggybacked access holds none; its holder unlocks later. Once
@@ -338,23 +354,23 @@ void FinishAtStore(const Deps& d, Transaction* t, size_t i, bool apply) {
 void FinishLocks(const Deps& d, Transaction* t,
                  const std::vector<size_t>& indices, Engine* eng, bool apply,
                  sim::Task cb) {
-  std::vector<size_t> local, remote;
+  // A piggybacked access holds no lock of its own; only a committed write
+  // of it needs applying.
+  auto visits = [t, apply](size_t i) {
+    const Access& acc = t->accesses[i];
+    return !acc.bucket_piggyback || (apply && acc.wrote);
+  };
+  CHILLER_DCHECK(std::ranges::is_sorted(indices));
+  size_t num_local = 0;
+  size_t num_remote = 0;
   for (size_t i : indices) {
-    Access& acc = t->accesses[i];
-    if (acc.bucket_piggyback) {
-      // No lock of its own; only a committed write needs applying.
-      if (!apply || !acc.wrote) continue;
-    } else {
-      CHILLER_CHECK(acc.lock_held) << "op " << i << " does not hold its lock";
-    }
-    (acc.partition == eng->id() ? local : remote).push_back(i);
+    const Access& acc = t->accesses[i];
+    if (!visits(i)) continue;
+    CHILLER_CHECK(acc.bucket_piggyback || acc.lock_held)
+        << "op " << i << " does not hold its lock";
+    ++(acc.partition == eng->id() ? num_local : num_remote);
   }
-  // Descending index order: a piggybacked write (which always has a higher
-  // index than its bucket's lock holder) must land before the holder's
-  // unlock — both locally and on the FIFO queue pair to the remote node.
-  std::sort(local.begin(), local.end(), std::greater<size_t>());
-  std::sort(remote.begin(), remote.end(), std::greater<size_t>());
-  const size_t arrivals = (local.empty() ? 0 : 1) + remote.size();
+  const size_t arrivals = (num_local == 0 ? 0 : 1) + num_remote;
   if (arrivals == 0) {
     cb();
     return;
@@ -369,10 +385,21 @@ void FinishLocks(const Deps& d, Transaction* t,
     if (--join->pending == 0) join->cb();
   };
 
+  // Descending index order: a piggybacked write (which always has a higher
+  // index than its bucket's lock holder) must land before the holder's
+  // unlock — both locally and on the FIFO queue pair to the remote node.
+  // `indices` is ascending, so walking it backwards gives that order.
+  const auto descending = std::views::reverse(indices);
   const ExecCosts& costs = d.cluster->costs();
-  if (!local.empty()) {
-    const SimTime cost = costs.op_commit * local.size();
-    eng->cpu()->Submit(cost,
+  if (num_local > 0) {
+    std::vector<size_t> local;
+    local.reserve(num_local);
+    for (size_t i : descending) {
+      if (visits(i) && t->accesses[i].partition == eng->id()) {
+        local.push_back(i);
+      }
+    }
+    eng->cpu()->Submit(costs.op_commit * num_local,
                        [d, t, local = std::move(local), apply, arrive]() {
                          storage::PartitionStore* store =
                              StoreOf(d, t->accesses[local[0]].partition);
@@ -387,8 +414,9 @@ void FinishLocks(const Deps& d, Transaction* t,
                        });
   }
   const NodeId src = d.cluster->topology().NodeOfEngine(eng->id());
-  for (size_t i : remote) {
+  for (size_t i : descending) {
     Access& acc = t->accesses[i];
+    if (!visits(i) || acc.partition == eng->id()) continue;
     const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
     const size_t req =
         kReadReq + (apply && acc.wrote ? acc.local_copy.wire_bytes() : 0);
@@ -510,22 +538,12 @@ void ValidateRead(const Deps& d, Transaction* t, size_t i, Engine* eng,
 }
 
 std::vector<size_t> HeldIndices(const Transaction& t) {
-  std::vector<size_t> held;
-  for (size_t i = 0; i < t.accesses.size(); ++i) {
-    if (IsHeld(t.accesses[i])) held.push_back(i);
-  }
-  return held;
+  return HeldAmong(t, std::views::iota(size_t{0}, t.accesses.size()));
 }
 
 std::vector<size_t> HeldIndices(const Transaction& t,
                                 const std::vector<int>& ops) {
-  std::vector<size_t> held;
-  for (int i : ops) {
-    if (IsHeld(t.accesses[static_cast<size_t>(i)])) {
-      held.push_back(static_cast<size_t>(i));
-    }
-  }
-  return held;
+  return HeldAmong(t, ops);
 }
 
 void ApplyAndUnlock(const Deps& d, Transaction* t,

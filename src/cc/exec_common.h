@@ -157,9 +157,9 @@ void ValidateRead(const Deps& d, txn::Transaction* t, size_t i, Engine* eng,
                   sim::Fn<void(bool)> cb);
 
 /// Applies buffered effects and releases locks for the held accesses in
-/// `indices` (see "Held set" above); cb() after every completion (local and
-/// remote) lands. Locks of read-only holders are released without a version
-/// bump.
+/// `indices` (see "Held set" above; ascending, as HeldIndices gives them);
+/// cb() after every completion (local and remote) lands. Locks of
+/// read-only holders are released without a version bump.
 void ApplyAndUnlock(const Deps& d, txn::Transaction* t,
                     const std::vector<size_t>& indices, Engine* eng,
                     sim::Task cb);
@@ -169,7 +169,7 @@ void Release(const Deps& d, txn::Transaction* t,
              const std::vector<size_t>& indices, Engine* eng,
              sim::Task cb);
 
-/// Indices of the held accesses (see "Held set" above).
+/// Indices of the held accesses, ascending (see "Held set" above).
 std::vector<size_t> HeldIndices(const txn::Transaction& t);
 
 /// The held accesses among `ops`, in `ops` order.

@@ -74,10 +74,11 @@ class LoadModel {
  protected:
   virtual void OnBind() {}
 
-  /// The shared conflict-retry policy: rebuild the same logical transaction
-  /// and relaunch it after a jittered backoff that grows with consecutive
-  /// aborts (NO_WAIT livelock avoidance without letting retries saturate a
-  /// contended record). The retry occupies its engine slot throughout.
+  /// The shared conflict-retry policy: make the next attempt of the same
+  /// logical transaction (Driver::RebuildForRetry) and relaunch it after a
+  /// jittered backoff that grows with consecutive aborts (NO_WAIT livelock
+  /// avoidance without letting retries saturate a contended record). The
+  /// retry occupies its engine slot throughout.
   void RetryAfterBackoff(EngineId e, const txn::Transaction& t);
 
   Driver* driver_ = nullptr;

@@ -1,24 +1,14 @@
 #include "txn/dependency_graph.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace chiller::txn {
 
-std::vector<std::vector<int>> DependencyAnalysis::PkChildren(
-    const std::vector<Operation>& ops) {
-  std::vector<std::vector<int>> children(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    for (int d : ops[i].pk_deps) {
-      children[static_cast<size_t>(d)].push_back(static_cast<int>(i));
-    }
-  }
-  return children;
-}
-
-Status DependencyAnalysis::Validate(const std::vector<Operation>& ops) {
+Status DependencyAnalysis::Validate(std::span<const Operation> ops) {
   for (size_t i = 0; i < ops.size(); ++i) {
     const Operation& op = ops[i];
     if (!op.key_fn) {
@@ -63,9 +53,7 @@ namespace {
 /// Recursively requires every pk-descendant to be placeable there too
 /// (Section 3.3 step 1: a record cannot move to the inner region if any
 /// child's key is unknown or lives on another partition).
-bool CanJoinInner(const Transaction& txn,
-                  const std::vector<std::vector<int>>& children, size_t i,
-                  PartitionId host) {
+bool CanJoinInner(const Transaction& txn, size_t i, PartitionId host) {
   const Access& acc = txn.accesses[i];
   if (acc.key_resolved) {
     if (acc.partition != host) return false;
@@ -73,10 +61,8 @@ bool CanJoinInner(const Transaction& txn,
     // Unresolved key: only a static co-location guarantee makes this legal.
     if (!txn.ops[i].co_located_with_dep) return false;
   }
-  for (int c : children[i]) {
-    if (!CanJoinInner(txn, children, static_cast<size_t>(c), host)) {
-      return false;
-    }
+  for (int c : txn.op_list()->PkChildren(i)) {
+    if (!CanJoinInner(txn, static_cast<size_t>(c), host)) return false;
   }
   return true;
 }
@@ -87,16 +73,27 @@ TwoRegionPlan DependencyAnalysis::Plan(const Transaction& txn,
                                        const HotFn& is_hot) {
   TwoRegionPlan plan;
   const size_t n = txn.ops.size();
-  CHILLER_CHECK(txn.accesses.size() == n) << "InitAccesses not called";
-  const auto children = PkChildren(txn.ops);
+  CHILLER_CHECK(txn.accesses.size() == n) << "op list not set";
+  // Per-thread scratch, reused across calls: Plan runs on simulator shard
+  // threads and never re-enters itself.
+  thread_local std::vector<std::pair<PartitionId, int>> hot_per_partition;
+  thread_local std::vector<uint8_t> inner;
 
-  // Step 1: hot records eligible for an inner region, grouped by partition.
-  std::map<PartitionId, int> hot_per_partition;
+  // Step 1: hot records eligible for an inner region, counted per
+  // partition.
+  hot_per_partition.clear();
   for (size_t i = 0; i < n; ++i) {
     const Access& acc = txn.accesses[i];
     if (!acc.key_resolved || !is_hot(acc.rid)) continue;
     const PartitionId p = acc.partition;
-    if (CanJoinInner(txn, children, i, p)) ++hot_per_partition[p];
+    if (!CanJoinInner(txn, i, p)) continue;
+    auto it = std::find_if(hot_per_partition.begin(), hot_per_partition.end(),
+                           [p](const auto& e) { return e.first == p; });
+    if (it == hot_per_partition.end()) {
+      hot_per_partition.emplace_back(p, 1);
+    } else {
+      ++it->second;
+    }
   }
   if (hot_per_partition.empty()) {
     plan.fallback_reason = "no eligible hot records";
@@ -108,7 +105,7 @@ TwoRegionPlan DependencyAnalysis::Plan(const Transaction& txn,
   PartitionId host = kInvalidPartition;
   int best = -1;
   for (const auto& [p, cnt] : hot_per_partition) {
-    if (cnt > best) {
+    if (cnt > best || (cnt == best && p < host)) {
       best = cnt;
       host = p;
     }
@@ -116,41 +113,35 @@ TwoRegionPlan DependencyAnalysis::Plan(const Transaction& txn,
 
   // Closure: every op on the host partition joins the inner region when its
   // pk-descendant closure allows; everything else is outer. Membership of
-  // unresolved-key ops follows their co-location parent.
-  std::vector<bool> inner(n, false);
+  // unresolved-key ops follows their co-location parent, which comes
+  // earlier in program order, so one forward pass settles it.
+  inner.assign(n, 0);
+  size_t num_inner = 0;
   for (size_t i = 0; i < n; ++i) {
     const Access& acc = txn.accesses[i];
-    if (acc.key_resolved && acc.partition == host &&
-        CanJoinInner(txn, children, i, host)) {
-      inner[i] = true;
+    if (acc.key_resolved) {
+      inner[i] = acc.partition == host && CanJoinInner(txn, i, host);
+    } else if (txn.ops[i].co_located_with_dep) {
+      // Its key resolves inside the inner region; the guarantee says it
+      // lands on the host partition.
+      inner[i] = inner[static_cast<size_t>(txn.ops[i].pk_deps.front())];
     }
+    num_inner += inner[i];
   }
-  // Pull in co-located children of inner ops (keys resolve inside the
-  // inner region; the guarantee says they land on the host partition).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (inner[i] || txn.accesses[i].key_resolved) continue;
-      if (!txn.ops[i].co_located_with_dep) continue;
-      const int parent = txn.ops[i].pk_deps.front();
-      if (inner[static_cast<size_t>(parent)]) {
-        inner[i] = true;
-        changed = true;
-      }
-    }
-  }
+  // The host's own eligible hot records joined above.
+  CHILLER_DCHECK(num_inner > 0);
+
+  auto any_inner = [](const std::vector<int>& deps) {
+    return std::ranges::any_of(
+        deps, [](int d) { return inner[static_cast<size_t>(d)] != 0; });
+  };
 
   // Guard legality: every guard must run before the inner region commits.
   // An outer op's guard may only depend on outer reads.
   for (size_t i = 0; i < n; ++i) {
-    if (inner[i] || !txn.ops[i].guard) continue;
-    for (int d : txn.ops[i].v_deps) {
-      if (inner[static_cast<size_t>(d)]) {
-        plan.fallback_reason =
-            "outer guard depends on inner read (op " + std::to_string(i) + ")";
-        return plan;
-      }
+    if (!inner[i] && txn.ops[i].guard && any_inner(txn.ops[i].v_deps)) {
+      plan.fallback_reason = "outer guard depends on inner read";
+      return plan;
     }
   }
 
@@ -163,52 +154,42 @@ TwoRegionPlan DependencyAnalysis::Plan(const Transaction& txn,
     for (size_t j = 0; j < i; ++j) {
       if (inner[j] && txn.ops[j].may_be_missing &&
           txn.ops[j].skip_group == txn.ops[i].skip_group) {
-        plan.fallback_reason = "outer op in a skip group guarded by an inner "
-                               "probe (op " +
-                               std::to_string(i) + ")";
+        plan.fallback_reason =
+            "outer op in a skip group guarded by an inner probe";
         return plan;
       }
     }
   }
 
   // An outer op whose *key* depends on an inner read is illegal: its lock
-  // could only be taken after the inner region committed.
+  // could only be taken after the inner region committed. Outer writes that
+  // consume inner results defer their apply (outer phase 2).
+  auto deferred = [&](size_t i) {
+    return txn.ops[i].IsWrite() && any_inner(txn.ops[i].v_deps);
+  };
+  size_t num_deferred = 0;
   for (size_t i = 0; i < n; ++i) {
     if (inner[i]) continue;
-    for (int d : txn.ops[i].pk_deps) {
-      if (inner[static_cast<size_t>(d)]) {
-        plan.fallback_reason =
-            "outer op pk-depends on inner op (op " + std::to_string(i) + ")";
-        return plan;
-      }
+    if (any_inner(txn.ops[i].pk_deps)) {
+      plan.fallback_reason = "outer op pk-depends on inner op";
+      return plan;
     }
+    num_deferred += deferred(i);
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    if (inner[i]) {
-      plan.inner_ops.push_back(static_cast<int>(i));
-    } else {
-      plan.outer_ops.push_back(static_cast<int>(i));
-      // Defer the apply of outer writes that consume inner results.
-      bool deferred = false;
-      for (int d : txn.ops[i].v_deps) {
-        if (inner[static_cast<size_t>(d)]) deferred = true;
-      }
-      if (deferred && txn.ops[i].IsWrite()) {
-        plan.deferred_apply.push_back(static_cast<int>(i));
-      }
-    }
-  }
-
-  plan.two_region = !plan.inner_ops.empty();
+  plan.two_region = true;
   plan.inner_host = host;
-  if (!plan.two_region) {
-    // Fallback plans carry no op lists: the transaction executes whole
-    // under plain 2PL + 2PC.
-    plan.fallback_reason = "empty inner region";
-    plan.inner_host = kInvalidPartition;
-    plan.outer_ops.clear();
-    plan.deferred_apply.clear();
+  plan.inner_ops.reserve(num_inner);
+  plan.outer_ops.reserve(n - num_inner);
+  plan.deferred_apply.reserve(num_deferred);
+  for (size_t i = 0; i < n; ++i) {
+    const int op = static_cast<int>(i);
+    if (inner[i]) {
+      plan.inner_ops.push_back(op);
+      continue;
+    }
+    plan.outer_ops.push_back(op);
+    if (deferred(i)) plan.deferred_apply.push_back(op);
   }
   return plan;
 }

@@ -4,7 +4,8 @@
 #define CHILLER_TXN_DEPENDENCY_GRAPH_H_
 
 #include <functional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -23,15 +24,16 @@ struct TwoRegionPlan {
   /// False => execute as a normal transaction (plain 2PL + 2PC).
   bool two_region = false;
   PartitionId inner_host = kInvalidPartition;
-  /// Instance indices, preserving original relative order.
+  /// Instance indices, preserving original relative order. Sized exactly.
   std::vector<int> inner_ops;
   std::vector<int> outer_ops;
   /// Subset of outer_ops whose on_apply must run after the inner region
   /// returns (their new values depend on inner reads), i.e. "outer region
   /// phase 2" in Figure 4.
   std::vector<int> deferred_apply;
-  /// Human-readable reason when two_region is false (for tests/diagnostics).
-  std::string fallback_reason;
+  /// Human-readable reason when two_region is false (for tests/diagnostics);
+  /// always a string literal.
+  std::string_view fallback_reason;
 };
 
 /// Static + runtime dependency analysis over a transaction's op list.
@@ -39,14 +41,10 @@ struct TwoRegionPlan {
 /// indices, so the instance graph is a DAG by construction (validated).
 class DependencyAnalysis {
  public:
-  /// children[i] = indices of ops with a pk-dependency on op i.
-  static std::vector<std::vector<int>> PkChildren(
-      const std::vector<Operation>& ops);
-
   /// Checks the structural invariants of an op list: dependency indices in
   /// range and strictly smaller than the dependent op (program order is a
   /// topological order), insert/update closures present, key_fn set.
-  static Status Validate(const std::vector<Operation>& ops);
+  static Status Validate(std::span<const Operation> ops);
 
   /// The run-time decision of Section 3.3:
   ///  step 1 — find hot records that may move to the inner region: a hot
@@ -63,7 +61,8 @@ class DependencyAnalysis {
   ///  phase 2 — outer updates value-depending on inner reads are deferred.
   ///
   /// Requires txn.ResolveReadyKeys() to have run and every resolved access
-  /// to carry its partition.
+  /// to carry its partition. Reads pk-children from the shared op list and
+  /// allocates nothing beyond the plan it returns (per-thread scratch).
   static TwoRegionPlan Plan(const Transaction& txn, const HotFn& is_hot);
 };
 

@@ -2,8 +2,9 @@
 #ifndef CHILLER_TXN_TRANSACTION_H_
 #define CHILLER_TXN_TRANSACTION_H_
 
+#include <memory>
 #include <set>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -52,8 +53,9 @@ struct Access {
   storage::Record local_copy;
 };
 
-/// One transaction attempt: the op list (instance-level dependency DAG),
-/// its context, and per-op access state.
+/// One transaction attempt: the op list (instance-level dependency DAG,
+/// shared by every attempt of the logical transaction), its context, and
+/// per-op access state.
 class Transaction {
  public:
   TxnId id = 0;
@@ -62,7 +64,8 @@ class Transaction {
   /// Partition whose engine coordinates this transaction (the "home").
   PartitionId home = 0;
 
-  std::vector<Operation> ops;
+  /// Set by SetOps (a fresh build) or ShareOps (a retry).
+  OpView ops;
   TxnContext ctx;
   std::vector<Access> accesses;  // sized 1:1 with ops
 
@@ -111,8 +114,22 @@ class Transaction {
   /// span/instant recording site checks this flag. Carried across retries.
   bool traced = false;
 
-  /// Must be called once after `ops` is filled.
-  void InitAccesses() { accesses.assign(ops.size(), Access{}); }
+  /// Builds this logical transaction's op list, once, and sizes
+  /// `accesses` to it. Call when ctx.vars has its built size: retries
+  /// reset vars to that size.
+  void SetOps(std::vector<Operation> built) {
+    Adopt(std::make_shared<const OpList>(std::move(built), ctx.vars.size()));
+  }
+
+  /// Makes this attempt run `prev`'s op list: ctx.vars back at its built
+  /// size, zeroed, and fresh accesses. Params are the caller's to copy.
+  void ShareOps(const Transaction& prev) {
+    ctx.vars.assign(prev.op_list_->num_vars(), 0);
+    Adopt(prev.op_list_);
+  }
+
+  /// The shared op list (null before SetOps / ShareOps).
+  const std::shared_ptr<const OpList>& op_list() const { return op_list_; }
 
   /// True when all pk-dependencies of op `i` have been applied, i.e. its
   /// key function may run.
@@ -138,6 +155,16 @@ class Transaction {
   }
 
   bool HasConflictAbort() const { return outcome == Outcome::kAbortConflict; }
+
+ private:
+  void Adopt(std::shared_ptr<const OpList> list) {
+    op_list_ = std::move(list);
+    ops.data_ = op_list_->ops().data();
+    ops.size_ = op_list_->ops().size();
+    accesses.assign(ops.size(), Access{});
+  }
+
+  std::shared_ptr<const OpList> op_list_;
 };
 
 }  // namespace chiller::txn

@@ -136,9 +136,12 @@ std::unique_ptr<txn::Transaction> MakeBookingTxn(Key flight_id, Key cust_id) {
     return r;
   };
 
-  t->ops = {std::move(fread), std::move(cread), std::move(tread),
-            std::move(fupd), std::move(cupd), std::move(sins)};
-  t->InitAccesses();
+  std::vector<Operation> ops;
+  ops.reserve(6);
+  for (Operation* op : {&fread, &cread, &tread, &fupd, &cupd, &sins}) {
+    ops.push_back(std::move(*op));
+  }
+  t->SetOps(std::move(ops));
   return t;
 }
 
@@ -197,12 +200,6 @@ std::unique_ptr<txn::Transaction> FlightWorkload::Next(PartitionId home,
   }
   const Key cust = rng->Uniform(options_.num_customers);
   return MakeBookingTxn(flight, cust);
-}
-
-std::unique_ptr<txn::Transaction> FlightWorkload::Rebuild(
-    const txn::Transaction& t) {
-  return MakeBookingTxn(static_cast<Key>(t.ctx.params[0]),
-                        static_cast<Key>(t.ctx.params[1]));
 }
 
 }  // namespace chiller::workload

@@ -100,8 +100,6 @@ class FlightWorkload : public cc::WorkloadSource {
           load) const;
 
   std::unique_ptr<txn::Transaction> Next(PartitionId home, Rng* rng) override;
-  std::unique_ptr<txn::Transaction> Rebuild(
-      const txn::Transaction& t) override;
   uint32_t NumClasses() const override { return 1; }
   std::string ClassName(uint32_t) const override { return "book"; }
 

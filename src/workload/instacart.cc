@@ -73,8 +73,7 @@ std::unique_ptr<Transaction> BuildOrderTxn(std::vector<int64_t> params) {
     };
     ops.push_back(std::move(op));
   }
-  t->ops = std::move(ops);
-  t->InitAccesses();
+  t->SetOps(std::move(ops));
   return t;
 }
 
@@ -181,11 +180,6 @@ std::unique_ptr<Transaction> InstacartWorkload::Next(PartitionId home,
                                  static_cast<int64_t>(basket.size())};
   for (uint64_t item : basket) params.push_back(static_cast<int64_t>(item));
   return BuildOrderTxn(std::move(params));
-}
-
-std::unique_ptr<Transaction> InstacartWorkload::Rebuild(
-    const Transaction& t) {
-  return BuildOrderTxn(t.ctx.params);
 }
 
 InstacartLayouts BuildInstacartLayouts(InstacartWorkload* workload, uint32_t k,

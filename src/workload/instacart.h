@@ -99,8 +99,6 @@ class InstacartWorkload : public cc::WorkloadSource {
   std::vector<partition::TxnAccessTrace> GenerateTrace(size_t n, Rng* rng);
 
   std::unique_ptr<txn::Transaction> Next(PartitionId home, Rng* rng) override;
-  std::unique_ptr<txn::Transaction> Rebuild(
-      const txn::Transaction& t) override;
   uint32_t NumClasses() const override { return 1; }
   std::string ClassName(uint32_t) const override { return "GroceryOrder"; }
 

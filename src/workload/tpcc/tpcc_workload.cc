@@ -190,8 +190,7 @@ std::unique_ptr<Transaction> BuildNewOrder(std::vector<int64_t> params) {
     ops.push_back(std::move(ol));
   }
 
-  t->ops = std::move(ops);
-  t->InitAccesses();
+  t->SetOps(std::move(ops));
   return t;
 }
 
@@ -249,8 +248,7 @@ std::unique_ptr<Transaction> BuildPayment(std::vector<int64_t> params) {
                            r.Set(HistoryF::kAmount, amount);
                            return r;
                          }));
-  t->ops = std::move(ops);
-  t->InitAccesses();
+  t->SetOps(std::move(ops));
   return t;
 }
 
@@ -289,8 +287,7 @@ std::unique_ptr<Transaction> BuildOrderStatus(std::vector<int64_t> params) {
     ol.skip_group = 0;
     ops.push_back(std::move(ol));
   }
-  t->ops = std::move(ops);
-  t->InitAccesses();
+  t->SetOps(std::move(ops));
   return t;
 }
 
@@ -372,8 +369,7 @@ std::unique_ptr<Transaction> BuildDelivery(std::vector<int64_t> params) {
     cust.skip_group = group;
     ops.push_back(std::move(cust));
   }
-  t->ops = std::move(ops);
-  t->InitAccesses();
+  t->SetOps(std::move(ops));
   return t;
 }
 
@@ -442,8 +438,7 @@ std::unique_ptr<Transaction> BuildStockLevel(std::vector<int64_t> params) {
       ops.push_back(std::move(stock));
     }
   }
-  t->ops = std::move(ops);
-  t->InitAccesses();
+  t->SetOps(std::move(ops));
   return t;
 }
 
@@ -563,23 +558,6 @@ std::unique_ptr<Transaction> TpccWorkload::Next(PartitionId home, Rng* rng) {
                               rng->Uniform(kDistrictsPerWarehouse)),
                           static_cast<int64_t>(rng->UniformRange(10, 20)),
                           static_cast<int64_t>(options_.stock_level_orders)});
-}
-
-std::unique_ptr<Transaction> TpccWorkload::Rebuild(const Transaction& t) {
-  switch (t.txn_class) {
-    case kNewOrderTxn:
-      return BuildNewOrder(t.ctx.params);
-    case kPaymentTxn:
-      return BuildPayment(t.ctx.params);
-    case kOrderStatusTxn:
-      return BuildOrderStatus(t.ctx.params);
-    case kDeliveryTxn:
-      return BuildDelivery(t.ctx.params);
-    case kStockLevelTxn:
-      return BuildStockLevel(t.ctx.params);
-  }
-  CHILLER_CHECK(false) << "unknown txn class " << t.txn_class;
-  return nullptr;
 }
 
 std::vector<partition::TxnAccessTrace> TpccWorkload::GenerateTrace(

@@ -23,8 +23,8 @@ enum TxnClass : uint32_t {
   kStockLevelTxn = 4,
 };
 
-/// Builders: parameters fully describe a transaction, so retries rebuild
-/// the same logical transaction. Layouts are documented in the .cc.
+/// Builders: parameters fully describe a transaction; retries share the
+/// op list built here. Layouts are documented in the .cc.
 std::unique_ptr<txn::Transaction> BuildNewOrder(std::vector<int64_t> params);
 std::unique_ptr<txn::Transaction> BuildPayment(std::vector<int64_t> params);
 std::unique_ptr<txn::Transaction> BuildOrderStatus(
@@ -63,8 +63,6 @@ class TpccWorkload : public cc::WorkloadSource {
   const Options& options() const { return options_; }
 
   std::unique_ptr<txn::Transaction> Next(PartitionId home, Rng* rng) override;
-  std::unique_ptr<txn::Transaction> Rebuild(
-      const txn::Transaction& t) override;
   uint32_t NumClasses() const override { return 5; }
   std::string ClassName(uint32_t cls) const override;
 

@@ -61,8 +61,7 @@ std::unique_ptr<Transaction> BuildYcsbTxn(std::vector<int64_t> params) {
     }
     ops.push_back(std::move(op));
   }
-  t->ops = std::move(ops);
-  t->InitAccesses();
+  t->SetOps(std::move(ops));
   return t;
 }
 
@@ -143,10 +142,6 @@ std::unique_ptr<Transaction> YcsbWorkload::Next(PartitionId home, Rng* rng) {
     params.push_back(rng->Bernoulli(options_.read_ratio) ? 0 : 1);
   }
   return BuildYcsbTxn(std::move(params));
-}
-
-std::unique_ptr<Transaction> YcsbWorkload::Rebuild(const Transaction& t) {
-  return BuildYcsbTxn(t.ctx.params);
 }
 
 }  // namespace chiller::workload::ycsb

@@ -82,9 +82,9 @@ class YcsbWorkload : public cc::WorkloadSource {
     /// keys_per_partition), so yesterday's cold keys become today's hot
     /// ones — the diurnal/hot-set-rotation regime the adaptive
     /// controller's re-arm exists for. 0 (the default) disables shifting;
-    /// enabling it requires SetClock. Retries rebuild from absolute keys
-    /// in the params, so a transaction straddling a shift keeps its
-    /// original keys.
+    /// enabling it requires SetClock. Keys are drawn once, into the
+    /// params and the shared op list, so a transaction straddling a shift
+    /// keeps its original keys across retries.
     SimTime shift_every = 0;
     uint64_t shift_stride = 0;
   };
@@ -108,8 +108,6 @@ class YcsbWorkload : public cc::WorkloadSource {
   std::vector<partition::TxnAccessTrace> GenerateTrace(size_t n, Rng* rng);
 
   std::unique_ptr<txn::Transaction> Next(PartitionId home, Rng* rng) override;
-  std::unique_ptr<txn::Transaction> Rebuild(
-      const txn::Transaction& t) override;
   uint32_t NumClasses() const override { return 1; }
   std::string ClassName(uint32_t) const override { return "YcsbMix"; }
 

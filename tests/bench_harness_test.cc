@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -282,6 +283,62 @@ TEST(BenchFlagsTest, AnalysisBenchesRefuseSimulatorFlags) {
       Parse({"--jobs=2", "--seed=3", "--theta=0.6", "--json=x.json"}, &f)
           .ok());
   EXPECT_TRUE(RejectUnreadFlags(f, kNoSimulatorFlags).ok());
+}
+
+TEST(BenchFlagsTest, RelayoutBenchesRefuseTheOpenLoopFlags) {
+  // fig_live_migration and fig_adaptive_relayout compare layouts by
+  // closed-loop throughput: each open-loop knob, and --scheduler, is
+  // refused alone and named.
+  const std::vector<std::vector<const char*>> cases = {
+      {"--load-model=open", "--offered-tps=1000"},
+      {"--offered-tps=1000"},
+      {"--arrival=uniform"},
+      {"--queue-cap=8"},
+      {"--scheduler=fifo"}};
+  for (const auto& argv : cases) {
+    BenchFlags f;
+    ASSERT_TRUE(Parse(argv, &f).ok()) << argv[0];
+    const Status refused = RejectUnreadFlags(f, kClosedLoopOnlyFlags);
+    ASSERT_TRUE(refused.IsInvalidArgument()) << argv[0];
+    const std::string flag(argv[0], std::string_view(argv[0]).find('='));
+    EXPECT_EQ(refused.message().rfind(flag + " ", 0), 0u)
+        << refused.message();
+  }
+  // Topology, protocol, theta, concurrency and the sweep knobs stay read.
+  BenchFlags f;
+  ASSERT_TRUE(Parse({"--protocol=2pl", "--nodes=2", "--engines=2",
+                     "--concurrency=2", "--theta=0.5", "--seed=3",
+                     "--warmup-ms=1", "--duration-ms=2", "--jobs=2",
+                     "--shards=2", "--trace-sample-every=4"},
+                    &f)
+                  .ok());
+  EXPECT_TRUE(RejectUnreadFlags(f, kClosedLoopOnlyFlags).ok());
+}
+
+TEST(BenchFlagsTest, UnhostableSchedulerExitsBeforeAnyOutput) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"fig9", "--scheduler=hash-affinity"};
+  // A closed-loop bench exits 1 at parse time, naming the mismatch: it
+  // never returns to print a banner or run a scenario.
+  EXPECT_EXIT(
+      {
+        ParseBenchFlagsOrExit(2, argv, "fig9", {},
+                              {"protocol", "concurrency", "theta"});
+        std::fputs("banner", stdout);
+        std::exit(0);
+      },
+      testing::ExitedWithCode(1),
+      "fig9: scheduler 'hash-affinity' steers an admission queue and needs "
+      "the open load model");
+  // A bench that never reads --scheduler keeps its refusal message.
+  EXPECT_EXIT(ParseBenchFlagsOrExit(2, argv, "latency", {}, {"scheduler"}),
+              testing::ExitedWithCode(1),
+              "latency: --scheduler has no effect in this bench");
+  // Under the open loop the same scheduler parses.
+  const char* open_argv[] = {"fig9", "--scheduler=hash-affinity",
+                             "--load-model=open", "--offered-tps=1000"};
+  const BenchFlags f = ParseBenchFlagsOrExit(4, open_argv, "fig9");
+  EXPECT_EQ(f.scheduler, "hash-affinity");
 }
 
 // ---------------------------------------------------------------------------

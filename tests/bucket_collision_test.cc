@@ -81,9 +81,8 @@ class BucketCollisionTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(BucketCollisionTest, TwoKeysOneBucketCommits) {
   MiniEnv env = MakeMini(GetParam());
   auto t = std::make_shared<Transaction>();
-  t->ops = {UpdateKey(1, 5), UpdateKey(2, 7)};
+  t->SetOps({UpdateKey(1, 5), UpdateKey(2, 7)});
   t->home = 0;
-  t->InitAccesses();
   bool done = false;
   env.protocol->Execute(t, [&] { done = true; });
   env.cluster->sim()->Run();
@@ -100,10 +99,9 @@ TEST_P(BucketCollisionTest, TwoKeysOneBucketCommits) {
 TEST_P(BucketCollisionTest, FourKeysOneBucketCommits) {
   MiniEnv env = MakeMini(GetParam());
   auto t = std::make_shared<Transaction>();
-  t->ops = {UpdateKey(1, 1), UpdateKey(2, 2), UpdateKey(3, 3),
-            UpdateKey(4, 4)};
+  t->SetOps({UpdateKey(1, 1), UpdateKey(2, 2), UpdateKey(3, 3),
+             UpdateKey(4, 4)});
   t->home = 0;
-  t->InitAccesses();
   bool done = false;
   env.protocol->Execute(t, [&] { done = true; });
   env.cluster->sim()->Run();
@@ -121,9 +119,8 @@ TEST_P(BucketCollisionTest, AbortReleasesEverything) {
   auto t = std::make_shared<Transaction>();
   Operation guarded = UpdateKey(2, 7);
   guarded.guard = [](const txn::TxnContext&) { return false; };  // user abort
-  t->ops = {UpdateKey(1, 5), std::move(guarded)};
+  t->SetOps({UpdateKey(1, 5), std::move(guarded)});
   t->home = 0;
-  t->InitAccesses();
   bool done = false;
   env.protocol->Execute(t, [&] { done = true; });
   env.cluster->sim()->Run();
@@ -174,9 +171,8 @@ TEST(ChillerInnerRegionTest, PiggybackedHotWriteLandsBeforeTheInnerUnlock) {
 
   auto MakeTxn = [](PartitionId home, std::vector<Operation> ops) {
     auto t = std::make_shared<Transaction>();
-    t->ops = std::move(ops);
+    t->SetOps(std::move(ops));
     t->home = home;
-    t->InitAccesses();
     return t;
   };
   auto UpdateIn = [](TableId table, Key k, int64_t delta) {

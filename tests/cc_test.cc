@@ -325,8 +325,8 @@ TEST(LoadModelTest, OpenLoopIsDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-/// Forwards to a workload and counts fresh draws (Next) separately from
-/// retry rebuilds.
+/// Forwards to a workload and counts its fresh draws (Next); retries never
+/// reach the source.
 class CountingSource final : public cc::WorkloadSource {
  public:
   explicit CountingSource(cc::WorkloadSource* inner) : inner_(inner) {}
@@ -335,10 +335,6 @@ class CountingSource final : public cc::WorkloadSource {
                                          Rng* rng) override {
     ++next_calls;
     return inner_->Next(home, rng);
-  }
-  std::unique_ptr<txn::Transaction> Rebuild(
-      const txn::Transaction& t) override {
-    return inner_->Rebuild(t);
   }
   uint32_t NumClasses() const override { return inner_->NumClasses(); }
   std::string ClassName(uint32_t cls) const override {
@@ -524,8 +520,7 @@ TEST_P(AttemptLifecycleTest, DoneSeesAStampedAttemptHoldingNoLock) {
   auto t = std::make_shared<txn::Transaction>();
   t->id = 1;
   t->home = 0;
-  t->ops = c.ops();
-  t->InitAccesses();
+  t->SetOps(c.ops());
 
   bool fired = false;
   env->protocol->Execute(t, [&]() {

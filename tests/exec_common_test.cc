@@ -159,9 +159,8 @@ Result RunCase(const Case& c, EngineId acting) {
   // ignored the stored version could not pass by accident.
   BumpVersion(cluster, kWide, 1);
   auto t = std::make_shared<Transaction>();
-  t->ops = c.ops();
+  t->SetOps(c.ops());
   t->home = acting;
-  t->InitAccesses();
   const cc::exec::Deps d{cluster, &env.partitioner};
   cc::Engine* eng = cluster->engine(acting);
   Result r;

@@ -128,8 +128,7 @@ TEST(StatsCollectorTest, SamplingReducesVolume) {
     op.mode = storage::LockMode::kExclusive;
     op.key_fn = [](const txn::TxnContext&) { return Key{1}; };
     op.on_apply = [](txn::TxnContext&, storage::Record*) {};
-    tx.ops = {op};
-    tx.InitAccesses();
+    tx.SetOps({op});
     tx.ResolveReadyKeys();
     s.Observe(tx);
   }
@@ -143,13 +142,14 @@ txn::Transaction Txn(PartitionId home,
                      std::vector<std::pair<Key, bool>> keys) {
   txn::Transaction tx;
   tx.home = home;
+  std::vector<txn::Operation> ops;
   for (auto [k, w] : keys) {
     txn::Operation op;
     op.type = w ? txn::OpType::kUpdate : txn::OpType::kRead;
     op.table = 0;
-    tx.ops.push_back(op);
+    ops.push_back(op);
   }
-  tx.InitAccesses();
+  tx.SetOps(std::move(ops));
   for (size_t i = 0; i < keys.size(); ++i) {
     tx.accesses[i].rid = RecordId{0, keys[i].first};
     tx.accesses[i].key_resolved = true;

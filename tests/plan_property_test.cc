@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "txn/dependency_graph.h"
@@ -33,6 +34,7 @@ Transaction RandomTxn(uint64_t seed) {
   Rng rng(seed);
   const size_t n = 3 + rng.Uniform(10);
   Transaction t;
+  std::vector<Operation> ops;
   for (size_t i = 0; i < n; ++i) {
     Operation op;
     op.template_id = static_cast<int>(i);
@@ -60,9 +62,9 @@ Transaction RandomTxn(uint64_t seed) {
     if (op.type == OpType::kUpdate) {
       op.on_apply = [](TxnContext&, storage::Record* r) { r->Add(0, 1); };
     }
-    t.ops.push_back(std::move(op));
+    ops.push_back(std::move(op));
   }
-  t.InitAccesses();
+  t.SetOps(std::move(ops));
   t.ResolveReadyKeys();
   for (auto& a : t.accesses) {
     if (a.key_resolved) a.partition = PartOf(a.rid);
@@ -70,7 +72,44 @@ Transaction RandomTxn(uint64_t seed) {
   return t;
 }
 
+/// The planner's former per-attempt children lists, kept as the reference
+/// for the shared index: children[i] = the ops with a pk-dep on op i, found
+/// by inverting every op's pk_deps.
+std::vector<std::vector<int>> InvertedPkDeps(OpView ops) {
+  std::vector<std::vector<int>> children(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    for (int d : ops[i].pk_deps) {
+      children[static_cast<size_t>(d)].push_back(static_cast<int>(i));
+    }
+  }
+  return children;
+}
+
+void ExpectIndexMatchesReference(const Transaction& t) {
+  const auto reference = InvertedPkDeps(t.ops);
+  for (size_t i = 0; i < t.ops.size(); ++i) {
+    const auto c = t.op_list()->PkChildren(i);
+    EXPECT_EQ(std::vector<int>(c.begin(), c.end()), reference[i])
+        << "op " << i;
+  }
+}
+
 class PlanPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PlanPropertyTest, SharedChildrenIndexMatchesInvertedLists) {
+  ExpectIndexMatchesReference(RandomTxn(GetParam()));
+  // RandomTxn gives each op at most one parent; give some up to three.
+  Rng rng(GetParam() + 1000);
+  std::vector<Operation> ops(3 + rng.Uniform(20));
+  for (size_t i = 1; i < ops.size(); ++i) {
+    for (uint64_t k = rng.Uniform(4); k > 0; --k) {
+      ops[i].pk_deps.push_back(static_cast<int>(rng.Uniform(i)));
+    }
+  }
+  Transaction multi;
+  multi.SetOps(std::move(ops));
+  ExpectIndexMatchesReference(multi);
+}
 
 TEST_P(PlanPropertyTest, InvariantsHold) {
   Transaction t = RandomTxn(GetParam());

@@ -30,6 +30,7 @@ namespace {
 txn::Transaction MakeTxn(
     const std::vector<std::pair<Key, bool>>& keys /* (key, is_write) */) {
   txn::Transaction t;
+  std::vector<txn::Operation> ops;
   for (const auto& [key, is_write] : keys) {
     txn::Operation op;
     op.type = is_write ? txn::OpType::kUpdate : txn::OpType::kRead;
@@ -37,9 +38,9 @@ txn::Transaction MakeTxn(
     op.mode = is_write ? storage::LockMode::kExclusive
                        : storage::LockMode::kShared;
     op.key_fn = [key](const txn::TxnContext&) { return key; };
-    t.ops.push_back(std::move(op));
+    ops.push_back(std::move(op));
   }
-  t.InitAccesses();
+  t.SetOps(std::move(ops));
   t.ResolveReadyKeys();
   return t;
 }

@@ -36,8 +36,7 @@ Operation SimpleOp(int tmpl, Key key, OpType type = OpType::kUpdate) {
 
 Transaction MakeTxn(std::vector<Operation> ops) {
   Transaction t;
-  t.ops = std::move(ops);
-  t.InitAccesses();
+  t.SetOps(std::move(ops));
   return t;
 }
 
@@ -89,10 +88,18 @@ TEST(PkChildrenTest, InvertsEdges) {
                                     SimpleOp(2, 3)};
   ops[1].pk_deps = {0};
   ops[2].pk_deps = {0, 1};
-  auto children = DependencyAnalysis::PkChildren(ops);
-  EXPECT_EQ(children[0], (std::vector<int>{1, 2}));
-  EXPECT_EQ(children[1], (std::vector<int>{2}));
-  EXPECT_TRUE(children[2].empty());
+  const OpList list(std::move(ops), /*num_vars=*/0);
+  auto children = [&](size_t i) {
+    auto c = list.PkChildren(i);
+    return std::vector<int>(c.begin(), c.end());
+  };
+  EXPECT_EQ(children(0), (std::vector<int>{1, 2}));
+  EXPECT_EQ(children(1), (std::vector<int>{2}));
+  EXPECT_TRUE(children(2).empty());
+  // No pk-deps at all: every op has no children.
+  const OpList flat({SimpleOp(0, 1), SimpleOp(1, 2)}, /*num_vars=*/0);
+  EXPECT_TRUE(flat.PkChildren(0).empty());
+  EXPECT_TRUE(flat.PkChildren(1).empty());
 }
 
 // ---------- Plan on synthetic transactions ----------
@@ -138,6 +145,17 @@ TEST(PlanTest, HostWithMostHotRecordsWins) {
   EXPECT_EQ(plan.outer_ops, (std::vector<int>{2}));
 }
 
+TEST(PlanTest, TiedHostsGoToTheLowestPartition) {
+  // One hot record each on partitions 1 and 0, partition 1 seen first.
+  auto t = MakeTxn({SimpleOp(0, 5), SimpleOp(1, 4)});
+  t.ResolveReadyKeys();
+  for (auto& a : t.accesses) a.partition = a.rid.key % 4;
+  auto plan = DependencyAnalysis::Plan(t, KeysBelow(100));
+  ASSERT_TRUE(plan.two_region);
+  EXPECT_EQ(plan.inner_host, 0u);
+  EXPECT_EQ(plan.inner_ops, (std::vector<int>{1}));
+}
+
 TEST(PlanTest, ColdOpOnInnerHostJoinsInner) {
   // Key 4 hot on partition 0; key 8 cold but also on partition 0.
   auto t = MakeTxn({SimpleOp(0, 4), SimpleOp(1, 8)});
@@ -162,6 +180,7 @@ TEST(PlanTest, HotRecordWithRemoteChildStaysOuter) {
   t.accesses[0].partition = 0;
   auto plan = DependencyAnalysis::Plan(t, KeysBelow(5));
   EXPECT_FALSE(plan.two_region);
+  EXPECT_EQ(plan.fallback_reason, "no eligible hot records");
 }
 
 TEST(PlanTest, CoLocatedChildFollowsParentIntoInner) {
@@ -188,6 +207,7 @@ TEST(PlanTest, OuterGuardOnInnerReadForcesFallback) {
   for (auto& a : t.accesses) a.partition = a.rid.key % 4;
   auto plan = DependencyAnalysis::Plan(t, KeysBelow(5));
   EXPECT_FALSE(plan.two_region);
+  EXPECT_EQ(plan.fallback_reason, "outer guard depends on inner read");
 }
 
 TEST(PlanTest, OuterWriteWithInnerVDepIsDeferred) {

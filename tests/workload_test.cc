@@ -1,10 +1,13 @@
 // Workload tests: TPC-C generator conformance and spec consistency
-// conditions under all three protocols; Instacart-like generator marginals.
+// conditions under all three protocols; Instacart-like generator marginals;
+// retries of every workload's transactions.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "cc/cluster.h"
 #include "cc/driver.h"
@@ -14,8 +17,10 @@
 #include "partition/chiller_partitioner.h"
 #include "partition/metrics.h"
 #include "txn/dependency_graph.h"
+#include "workload/flight.h"
 #include "workload/instacart.h"
 #include "workload/tpcc/tpcc_workload.h"
+#include "workload/ycsb.h"
 
 namespace chiller {
 namespace {
@@ -116,16 +121,153 @@ TEST(TpccGenTest, AllBuildersValidate) {
   }
 }
 
-TEST(TpccGenTest, RebuildPreservesClassAndParams) {
-  tpcc::TpccWorkload wl(tpcc::TpccWorkload::Options{.num_warehouses = 4});
-  Rng rng(9);
-  for (int i = 0; i < 100; ++i) {
-    auto t = wl.Next(i % 4, &rng);
-    auto r = wl.Rebuild(*t);
-    EXPECT_EQ(r->txn_class, t->txn_class);
-    EXPECT_EQ(r->ctx.params, t->ctx.params);
-    EXPECT_EQ(r->ops.size(), t->ops.size());
+// ---------- Retries share the op list of their first attempt ----------
+
+/// Dirties every piece of per-attempt state of `t`, as an aborted attempt
+/// leaves it, and sets the fields a retry carries over.
+void AbortAttempt(txn::Transaction* t) {
+  t->id = 99;
+  t->home = 3;
+  const size_t built_vars = t->ctx.vars.size();
+  for (size_t v = 0; v <= built_vars; ++v) {
+    t->ctx.SetVar(v, static_cast<int64_t>(v) + 17);  // and one slot beyond
   }
+  for (txn::Access& acc : t->accesses) {
+    acc.key_resolved = acc.lock_held = acc.fetched = acc.wrote = true;
+    acc.partition = 2;
+    acc.alias_of = 0;
+  }
+  t->dead_groups.insert(1);
+  t->outcome = txn::Outcome::kAbortConflict;
+  t->blocked_by_migration = true;
+  t->start_time = 10;
+  t->end_time = 20;
+  t->attempt = 2;
+  t->admission_delay = 7;
+  t->force_fallback = true;
+  t->sched_class = 5;
+  t->logical_id = 42;
+  t->traced = true;
+}
+
+/// The retry of `aborted` must be the attempt a fresh build of its params
+/// would have made, on the first attempt's shared op list, carrying the
+/// logical transaction's fields.
+void ExpectRetryIsAFreshAttempt(const txn::Transaction& aborted,
+                                const txn::Transaction& fresh) {
+  const auto retry = cc::Driver::RebuildForRetry(aborted);
+  EXPECT_EQ(retry->txn_class, fresh.txn_class);
+  EXPECT_EQ(retry->ctx.params, fresh.ctx.params);
+  EXPECT_EQ(retry->ctx.vars, fresh.ctx.vars);  // built size, zeroed
+  EXPECT_EQ(retry->op_list(), aborted.op_list());
+  ASSERT_EQ(retry->ops.size(), fresh.ops.size());
+  for (size_t i = 0; i < fresh.ops.size(); ++i) {
+    const txn::Operation& a = retry->ops[i];
+    const txn::Operation& b = fresh.ops[i];
+    EXPECT_EQ(a.template_id, b.template_id) << "op " << i;
+    EXPECT_EQ(a.type, b.type) << "op " << i;
+    EXPECT_EQ(a.table, b.table) << "op " << i;
+    EXPECT_EQ(a.mode, b.mode) << "op " << i;
+    EXPECT_EQ(a.pk_deps, b.pk_deps) << "op " << i;
+    EXPECT_EQ(a.v_deps, b.v_deps) << "op " << i;
+    EXPECT_EQ(a.co_located_with_dep, b.co_located_with_dep) << "op " << i;
+    EXPECT_EQ(a.access_local_replica, b.access_local_replica) << "op " << i;
+    EXPECT_EQ(a.may_be_missing, b.may_be_missing) << "op " << i;
+    EXPECT_EQ(a.skip_group, b.skip_group) << "op " << i;
+    EXPECT_EQ(!a.guard, !b.guard) << "op " << i;
+    EXPECT_EQ(!a.on_read, !b.on_read) << "op " << i;
+    EXPECT_EQ(!a.on_apply, !b.on_apply) << "op " << i;
+    EXPECT_EQ(!a.make_record, !b.make_record) << "op " << i;
+    EXPECT_EQ(a.key_fn(retry->ctx), b.key_fn(fresh.ctx)) << "op " << i;
+  }
+  // Fresh per-attempt state.
+  ASSERT_EQ(retry->accesses.size(), retry->ops.size());
+  for (const txn::Access& acc : retry->accesses) {
+    EXPECT_FALSE(acc.key_resolved || acc.lock_held || acc.fetched ||
+                 acc.wrote);
+    EXPECT_EQ(acc.partition, kInvalidPartition);
+    EXPECT_EQ(acc.alias_of, -1);
+  }
+  EXPECT_TRUE(retry->dead_groups.empty());
+  EXPECT_EQ(retry->outcome, txn::Outcome::kPending);
+  EXPECT_FALSE(retry->blocked_by_migration);
+  EXPECT_EQ(retry->id, 0u);
+  EXPECT_EQ(retry->start_time, 0u);
+  EXPECT_EQ(retry->end_time, 0u);
+  // Carried across retries.
+  EXPECT_EQ(retry->attempt, aborted.attempt + 1);
+  EXPECT_EQ(retry->admission_delay, aborted.admission_delay);
+  EXPECT_EQ(retry->force_fallback, aborted.force_fallback);
+  EXPECT_EQ(retry->sched_class, aborted.sched_class);
+  EXPECT_EQ(retry->logical_id, aborted.logical_id);
+  EXPECT_EQ(retry->traced, aborted.traced);
+}
+
+TEST(RetryTest, TpccRetryOfEveryClassIsAFreshAttempt) {
+  tpcc::TpccWorkload wl(tpcc::TpccWorkload::Options{.num_warehouses = 4});
+  using Builder = std::unique_ptr<txn::Transaction> (*)(std::vector<int64_t>);
+  const Builder builders[] = {tpcc::BuildNewOrder, tpcc::BuildPayment,
+                              tpcc::BuildOrderStatus, tpcc::BuildDelivery,
+                              tpcc::BuildStockLevel};
+  Rng rng(9);
+  std::set<uint32_t> classes;
+  for (int i = 0; i < 400; ++i) {
+    auto t = wl.Next(i % 4, &rng);
+    classes.insert(t->txn_class);
+    auto fresh = builders[t->txn_class](t->ctx.params);
+    AbortAttempt(t.get());
+    ExpectRetryIsAFreshAttempt(*t, *fresh);
+  }
+  EXPECT_EQ(classes.size(), 5u);
+}
+
+TEST(RetryTest, YcsbRetryIsAFreshAttempt) {
+  workload::ycsb::YcsbWorkload wl(workload::ycsb::YcsbWorkload::Options{
+      .num_partitions = 2, .keys_per_partition = 1000});
+  Rng rng(11);
+  for (int i = 0; i < 50; ++i) {
+    auto t = wl.Next(i % 2, &rng);
+    auto fresh = workload::ycsb::BuildYcsbTxn(t->ctx.params);
+    AbortAttempt(t.get());
+    ExpectRetryIsAFreshAttempt(*t, *fresh);
+  }
+}
+
+TEST(RetryTest, FlightRetryIsAFreshAttempt) {
+  workload::FlightWorkload wl(workload::FlightWorkload::Options{});
+  Rng rng(13);
+  for (int i = 0; i < 50; ++i) {
+    auto t = wl.Next(0, &rng);
+    auto fresh = workload::MakeBookingTxn(static_cast<Key>(t->ctx.params[0]),
+                                          static_cast<Key>(t->ctx.params[1]));
+    AbortAttempt(t.get());
+    ExpectRetryIsAFreshAttempt(*t, *fresh);
+  }
+}
+
+TEST(RetryTest, InstacartRetryIsAFreshAttempt) {
+  instacart::InstacartWorkload::Options opts;
+  opts.num_products = 2000;
+  instacart::InstacartWorkload wl(opts);
+  Rng rng(15);
+  for (int i = 0; i < 50; ++i) {
+    auto t = wl.Next(i % 4, &rng);
+    auto fresh = instacart::BuildOrderTxn(t->ctx.params);
+    AbortAttempt(t.get());
+    ExpectRetryIsAFreshAttempt(*t, *fresh);
+  }
+}
+
+TEST(RetryTest, RetryOfARetrySharesTheFirstOpList) {
+  auto first = workload::MakeBookingTxn(/*flight_id=*/5, /*cust_id=*/1234);
+  AbortAttempt(first.get());
+  auto second = cc::Driver::RebuildForRetry(*first);
+  AbortAttempt(second.get());
+  second->attempt = 3;
+  auto third = cc::Driver::RebuildForRetry(*second);
+  EXPECT_EQ(third->op_list(), first->op_list());
+  EXPECT_EQ(&third->ops[0], &first->ops[0]);
+  EXPECT_EQ(third->attempt, 4u);
 }
 
 // ---------- TPC-C consistency under every protocol ----------
@@ -345,8 +487,6 @@ TEST(InstacartTest, TraceAndTxnAgree) {
   EXPECT_TRUE(txn::DependencyAnalysis::Validate(t->ops).ok());
   // ops: one stock update per item + 1 order insert
   EXPECT_EQ(t->ops.size(), static_cast<size_t>(t->ctx.params[2]) + 1);
-  auto r = wl.Rebuild(*t);
-  EXPECT_EQ(r->ctx.params, t->ctx.params);
 }
 
 TEST(InstacartTest, StockConservationUnderChiller) {
