@@ -79,8 +79,6 @@ void Driver::Launch(EngineId e, std::shared_ptr<txn::Transaction> t) {
 std::shared_ptr<txn::Transaction> Driver::RebuildForRetry(
     const txn::Transaction& t) {
   auto retry = std::make_shared<txn::Transaction>();
-  retry->txn_class = t.txn_class;
-  retry->ctx.params = t.ctx.params;
   retry->ShareOps(t);
   retry->attempt = t.attempt + 1;
   retry->admission_delay = t.admission_delay;

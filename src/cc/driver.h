@@ -26,9 +26,8 @@ class WorkloadSource {
  public:
   virtual ~WorkloadSource() = default;
 
-  /// Builds a fresh transaction homed at partition `home`. Its op list
-  /// (Transaction::SetOps) serves every retry of it: Driver::RebuildForRetry
-  /// shares it rather than asking the source again.
+  /// Builds a fresh transaction homed at partition `home`. Its retries
+  /// share its op list (Driver::RebuildForRetry).
   virtual std::unique_ptr<txn::Transaction> Next(PartitionId home,
                                                  Rng* rng) = 0;
 
@@ -176,9 +175,8 @@ class Driver {
   void Launch(EngineId e, std::shared_ptr<txn::Transaction> t);
 
   /// The next attempt of `t`'s logical transaction: the same class and op
-  /// list (shared, not rebuilt), a copy of the params, vars zeroed at their
-  /// built size, fresh per-attempt state, and attempt + 1. The admission
-  /// delay, force_fallback, sched_class, logical_id and traced carry over.
+  /// list (shared, not rebuilt), fresh per-attempt state, attempt + 1, and
+  /// the carried fields.
   static std::shared_ptr<txn::Transaction> RebuildForRetry(
       const txn::Transaction& t);
 

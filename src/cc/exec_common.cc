@@ -1,7 +1,7 @@
 #include "cc/exec_common.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
 #include <memory>
 #include <ranges>
 #include <utility>
@@ -358,17 +358,18 @@ void FinishLocks(const Deps& d, Transaction* t,
   // of it needs applying.
   auto visits = [t, apply](size_t i) {
     const Access& acc = t->accesses[i];
+    CHILLER_CHECK(acc.bucket_piggyback || acc.lock_held)
+        << "op " << i << " does not hold its lock";
     return !acc.bucket_piggyback || (apply && acc.wrote);
+  };
+  auto is_local = [t, eng](size_t i) {
+    return t->accesses[i].partition == eng->id();
   };
   CHILLER_DCHECK(std::ranges::is_sorted(indices));
   size_t num_local = 0;
   size_t num_remote = 0;
   for (size_t i : indices) {
-    const Access& acc = t->accesses[i];
-    if (!visits(i)) continue;
-    CHILLER_CHECK(acc.bucket_piggyback || acc.lock_held)
-        << "op " << i << " does not hold its lock";
-    ++(acc.partition == eng->id() ? num_local : num_remote);
+    if (visits(i)) ++(is_local(i) ? num_local : num_remote);
   }
   const size_t arrivals = (num_local == 0 ? 0 : 1) + num_remote;
   if (arrivals == 0) {
@@ -394,11 +395,8 @@ void FinishLocks(const Deps& d, Transaction* t,
   if (num_local > 0) {
     std::vector<size_t> local;
     local.reserve(num_local);
-    for (size_t i : descending) {
-      if (visits(i) && t->accesses[i].partition == eng->id()) {
-        local.push_back(i);
-      }
-    }
+    std::ranges::copy_if(descending, std::back_inserter(local),
+                         [&](size_t i) { return visits(i) && is_local(i); });
     eng->cpu()->Submit(costs.op_commit * num_local,
                        [d, t, local = std::move(local), apply, arrive]() {
                          storage::PartitionStore* store =
@@ -415,8 +413,8 @@ void FinishLocks(const Deps& d, Transaction* t,
   }
   const NodeId src = d.cluster->topology().NodeOfEngine(eng->id());
   for (size_t i : descending) {
+    if (is_local(i) || !visits(i)) continue;
     Access& acc = t->accesses[i];
-    if (!visits(i) || acc.partition == eng->id()) continue;
     const NodeId dst = d.cluster->topology().NodeOfPartition(acc.partition);
     const size_t req =
         kReadReq + (apply && acc.wrote ? acc.local_copy.wire_bytes() : 0);

@@ -74,11 +74,10 @@ class LoadModel {
  protected:
   virtual void OnBind() {}
 
-  /// The shared conflict-retry policy: make the next attempt of the same
-  /// logical transaction (Driver::RebuildForRetry) and relaunch it after a
-  /// jittered backoff that grows with consecutive aborts (NO_WAIT livelock
-  /// avoidance without letting retries saturate a contended record). The
-  /// retry occupies its engine slot throughout.
+  /// The shared conflict-retry policy: relaunch the logical transaction's
+  /// next attempt after a jittered backoff that grows with consecutive
+  /// aborts (NO_WAIT livelock avoidance without letting retries saturate a
+  /// contended record). The retry occupies its engine slot throughout.
   void RetryAfterBackoff(EngineId e, const txn::Transaction& t);
 
   Driver* driver_ = nullptr;

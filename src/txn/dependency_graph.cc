@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 
 #include "common/logging.h"
 
@@ -73,27 +72,22 @@ TwoRegionPlan DependencyAnalysis::Plan(const Transaction& txn,
                                        const HotFn& is_hot) {
   TwoRegionPlan plan;
   const size_t n = txn.ops.size();
-  CHILLER_CHECK(txn.accesses.size() == n) << "op list not set";
   // Per-thread scratch, reused across calls: Plan runs on simulator shard
   // threads and never re-enters itself.
-  thread_local std::vector<std::pair<PartitionId, int>> hot_per_partition;
+  thread_local std::vector<int> hot_per_partition;
   thread_local std::vector<uint8_t> inner;
 
   // Step 1: hot records eligible for an inner region, counted per
-  // partition.
+  // partition (indexed by partition id).
   hot_per_partition.clear();
   for (size_t i = 0; i < n; ++i) {
     const Access& acc = txn.accesses[i];
     if (!acc.key_resolved || !is_hot(acc.rid)) continue;
     const PartitionId p = acc.partition;
+    CHILLER_DCHECK(p != kInvalidPartition) << "op " << i << " is unplaced";
     if (!CanJoinInner(txn, i, p)) continue;
-    auto it = std::find_if(hot_per_partition.begin(), hot_per_partition.end(),
-                           [p](const auto& e) { return e.first == p; });
-    if (it == hot_per_partition.end()) {
-      hot_per_partition.emplace_back(p, 1);
-    } else {
-      ++it->second;
-    }
+    if (p >= hot_per_partition.size()) hot_per_partition.resize(p + 1, 0);
+    ++hot_per_partition[p];
   }
   if (hot_per_partition.empty()) {
     plan.fallback_reason = "no eligible hot records";
@@ -101,15 +95,9 @@ TwoRegionPlan DependencyAnalysis::Plan(const Transaction& txn,
   }
 
   // Step 2: single inner host = candidate partition with most hot records
-  // (ties broken toward the lowest id for determinism).
-  PartitionId host = kInvalidPartition;
-  int best = -1;
-  for (const auto& [p, cnt] : hot_per_partition) {
-    if (cnt > best || (cnt == best && p < host)) {
-      best = cnt;
-      host = p;
-    }
-  }
+  // (ties broken toward the lowest id for determinism: the first maximum).
+  const auto host = static_cast<PartitionId>(
+      std::ranges::max_element(hot_per_partition) - hot_per_partition.begin());
 
   // Closure: every op on the host partition joins the inner region when its
   // pk-descendant closure allows; everything else is outer. Membership of
@@ -184,12 +172,8 @@ TwoRegionPlan DependencyAnalysis::Plan(const Transaction& txn,
   plan.deferred_apply.reserve(num_deferred);
   for (size_t i = 0; i < n; ++i) {
     const int op = static_cast<int>(i);
-    if (inner[i]) {
-      plan.inner_ops.push_back(op);
-      continue;
-    }
-    plan.outer_ops.push_back(op);
-    if (deferred(i)) plan.deferred_apply.push_back(op);
+    (inner[i] ? plan.inner_ops : plan.outer_ops).push_back(op);
+    if (!inner[i] && deferred(i)) plan.deferred_apply.push_back(op);
   }
   return plan;
 }

@@ -31,8 +31,7 @@ struct TwoRegionPlan {
   /// returns (their new values depend on inner reads), i.e. "outer region
   /// phase 2" in Figure 4.
   std::vector<int> deferred_apply;
-  /// Human-readable reason when two_region is false (for tests/diagnostics);
-  /// always a string literal.
+  /// Why two_region is false, for tests and diagnostics (a literal).
   std::string_view fallback_reason;
 };
 
@@ -61,8 +60,7 @@ class DependencyAnalysis {
   ///  phase 2 — outer updates value-depending on inner reads are deferred.
   ///
   /// Requires txn.ResolveReadyKeys() to have run and every resolved access
-  /// to carry its partition. Reads pk-children from the shared op list and
-  /// allocates nothing beyond the plan it returns (per-thread scratch).
+  /// to carry its partition. Allocates only the plan it returns.
   static TwoRegionPlan Plan(const Transaction& txn, const HotFn& is_hot);
 };
 

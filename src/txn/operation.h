@@ -119,16 +119,15 @@ struct Operation {
   bool IsWrite() const { return type != OpType::kRead; }
 };
 
-/// A logical transaction's op list, built once and shared read-only by all
-/// of its attempts (a retry reuses it; shard threads only touch the
-/// refcount), with what derives from the ops alone.
+/// A logical transaction's op list and what derives from the ops alone,
+/// built once and shared read-only by all of its attempts.
 class OpList {
  public:
-  /// `num_vars`: the context's var slot count as the builder left it.
-  OpList(std::vector<Operation> ops, size_t num_vars);
+  OpList(std::vector<Operation> built, size_t built_vars);
 
-  const std::vector<Operation>& ops() const { return ops_; }
-  size_t num_vars() const { return num_vars_; }
+  const std::vector<Operation> ops;
+  /// Context var slots; every attempt starts with them zeroed.
+  const size_t num_vars;
 
   /// Indices of the ops with a pk-dependency on op `i`, ascending.
   std::span<const int> PkChildren(size_t i) const {
@@ -138,27 +137,9 @@ class OpList {
   }
 
  private:
-  std::vector<Operation> ops_;
   /// Entries [0, n] are offsets into this vector: op i's children are
   /// [children_[i], children_[i + 1]). Empty when no op has a pk-dep.
   std::vector<int> children_;
-  size_t num_vars_;
-};
-
-/// Read-only view of a transaction's shared op list: `t.ops[i]` costs what
-/// it did when each attempt owned its ops.
-class OpView {
- public:
-  const Operation& operator[](size_t i) const { return data_[i]; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const Operation* begin() const { return data_; }
-  const Operation* end() const { return data_ + size_; }
-
- private:
-  friend class Transaction;
-  const Operation* data_ = nullptr;
-  size_t size_ = 0;
 };
 
 }  // namespace chiller::txn

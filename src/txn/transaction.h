@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -53,9 +54,8 @@ struct Access {
   storage::Record local_copy;
 };
 
-/// One transaction attempt: the op list (instance-level dependency DAG,
-/// shared by every attempt of the logical transaction), its context, and
-/// per-op access state.
+/// One transaction attempt: the op list (instance-level dependency DAG),
+/// its context, and per-op access state.
 class Transaction {
  public:
   TxnId id = 0;
@@ -64,8 +64,9 @@ class Transaction {
   /// Partition whose engine coordinates this transaction (the "home").
   PartitionId home = 0;
 
-  /// Set by SetOps (a fresh build) or ShareOps (a retry).
-  OpView ops;
+  /// A view of the shared op list, so `t.ops[i]` costs what it did when
+  /// each attempt owned its ops. Set only by SetOps and ShareOps.
+  std::span<const Operation> ops;
   TxnContext ctx;
   std::vector<Access> accesses;  // sized 1:1 with ops
 
@@ -114,17 +115,17 @@ class Transaction {
   /// span/instant recording site checks this flag. Carried across retries.
   bool traced = false;
 
-  /// Builds this logical transaction's op list, once, and sizes
-  /// `accesses` to it. Call when ctx.vars has its built size: retries
-  /// reset vars to that size.
-  void SetOps(std::vector<Operation> built) {
-    Adopt(std::make_shared<const OpList>(std::move(built), ctx.vars.size()));
+  /// Builds this logical transaction's op list, once, with `num_vars`
+  /// context var slots; sizes `accesses` and zeroes ctx.vars to match.
+  void SetOps(std::vector<Operation> built, size_t num_vars = 0) {
+    Adopt(std::make_shared<const OpList>(std::move(built), num_vars));
   }
 
-  /// Makes this attempt run `prev`'s op list: ctx.vars back at its built
-  /// size, zeroed, and fresh accesses. Params are the caller's to copy.
+  /// Makes this attempt one of `prev`'s logical transaction: the same class
+  /// and op list, a copy of the params, fresh accesses and vars.
   void ShareOps(const Transaction& prev) {
-    ctx.vars.assign(prev.op_list_->num_vars(), 0);
+    txn_class = prev.txn_class;
+    ctx.params = prev.ctx.params;
     Adopt(prev.op_list_);
   }
 
@@ -154,13 +155,11 @@ class Transaction {
     }
   }
 
-  bool HasConflictAbort() const { return outcome == Outcome::kAbortConflict; }
-
  private:
   void Adopt(std::shared_ptr<const OpList> list) {
     op_list_ = std::move(list);
-    ops.data_ = op_list_->ops().data();
-    ops.size_ = op_list_->ops().size();
+    ops = op_list_->ops;
+    ctx.vars.assign(op_list_->num_vars, 0);
     accesses.assign(ops.size(), Access{});
   }
 

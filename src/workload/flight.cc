@@ -34,7 +34,6 @@ std::unique_ptr<txn::Transaction> MakeBookingTxn(Key flight_id, Key cust_id) {
   t->txn_class = 0;
   t->ctx.params = {static_cast<int64_t>(flight_id),
                    static_cast<int64_t>(cust_id)};
-  t->ctx.vars.assign(8, 0);
 
   // Op 0 (fread): read the flight with a write lock — it is updated below.
   Operation fread;
@@ -136,12 +135,9 @@ std::unique_ptr<txn::Transaction> MakeBookingTxn(Key flight_id, Key cust_id) {
     return r;
   };
 
-  std::vector<Operation> ops;
-  ops.reserve(6);
-  for (Operation* op : {&fread, &cread, &tread, &fupd, &cupd, &sins}) {
-    ops.push_back(std::move(*op));
-  }
-  t->SetOps(std::move(ops));
+  t->SetOps({std::move(fread), std::move(cread), std::move(tread),
+             std::move(fupd), std::move(cupd), std::move(sins)},
+            /*num_vars=*/8);
   return t;
 }
 

@@ -36,7 +36,6 @@ std::unique_ptr<Transaction> BuildOrderTxn(std::vector<int64_t> params) {
   auto t = std::make_unique<Transaction>();
   t->txn_class = 0;
   t->ctx.params = std::move(params);
-  t->ctx.vars.assign(2, 0);
   const auto& p = t->ctx.params;
   const PartitionId home = static_cast<PartitionId>(p[0]);
   const uint64_t seq = static_cast<uint64_t>(p[1]);
@@ -73,7 +72,7 @@ std::unique_ptr<Transaction> BuildOrderTxn(std::vector<int64_t> params) {
     };
     ops.push_back(std::move(op));
   }
-  t->SetOps(std::move(ops));
+  t->SetOps(std::move(ops), /*num_vars=*/2);
   return t;
 }
 

@@ -68,7 +68,6 @@ std::unique_ptr<Transaction> BuildNewOrder(std::vector<int64_t> params) {
   auto t = std::make_unique<Transaction>();
   t->txn_class = kNewOrderTxn;
   t->ctx.params = std::move(params);
-  t->ctx.vars.assign(32, 0);
   const auto& p = t->ctx.params;
   const uint64_t w = static_cast<uint64_t>(p[0]);
   const uint64_t d = static_cast<uint64_t>(p[1]);
@@ -190,7 +189,7 @@ std::unique_ptr<Transaction> BuildNewOrder(std::vector<int64_t> params) {
     ops.push_back(std::move(ol));
   }
 
-  t->SetOps(std::move(ops));
+  t->SetOps(std::move(ops), /*num_vars=*/32);
   return t;
 }
 
@@ -201,7 +200,6 @@ std::unique_ptr<Transaction> BuildPayment(std::vector<int64_t> params) {
   auto t = std::make_unique<Transaction>();
   t->txn_class = kPaymentTxn;
   t->ctx.params = std::move(params);
-  t->ctx.vars.assign(8, 0);
   const auto& p = t->ctx.params;
   const uint64_t w = static_cast<uint64_t>(p[0]);
   const uint64_t d = static_cast<uint64_t>(p[1]);
@@ -248,7 +246,7 @@ std::unique_ptr<Transaction> BuildPayment(std::vector<int64_t> params) {
                            r.Set(HistoryF::kAmount, amount);
                            return r;
                          }));
-  t->SetOps(std::move(ops));
+  t->SetOps(std::move(ops), /*num_vars=*/8);
   return t;
 }
 
@@ -259,7 +257,6 @@ std::unique_ptr<Transaction> BuildOrderStatus(std::vector<int64_t> params) {
   auto t = std::make_unique<Transaction>();
   t->txn_class = kOrderStatusTxn;
   t->ctx.params = std::move(params);
-  t->ctx.vars.assign(8, 0);
   const auto& p = t->ctx.params;
   const uint64_t w = static_cast<uint64_t>(p[0]);
   const uint64_t d = static_cast<uint64_t>(p[1]);
@@ -287,7 +284,7 @@ std::unique_ptr<Transaction> BuildOrderStatus(std::vector<int64_t> params) {
     ol.skip_group = 0;
     ops.push_back(std::move(ol));
   }
-  t->SetOps(std::move(ops));
+  t->SetOps(std::move(ops), /*num_vars=*/8);
   return t;
 }
 
@@ -298,7 +295,6 @@ std::unique_ptr<Transaction> BuildDelivery(std::vector<int64_t> params) {
   auto t = std::make_unique<Transaction>();
   t->txn_class = kDeliveryTxn;
   t->ctx.params = std::move(params);
-  t->ctx.vars.assign(32, 0);
   const auto& p = t->ctx.params;
   const uint64_t w = static_cast<uint64_t>(p[0]);
   const int64_t carrier = p[1];
@@ -369,7 +365,7 @@ std::unique_ptr<Transaction> BuildDelivery(std::vector<int64_t> params) {
     cust.skip_group = group;
     ops.push_back(std::move(cust));
   }
-  t->SetOps(std::move(ops));
+  t->SetOps(std::move(ops), /*num_vars=*/32);
   return t;
 }
 
@@ -380,7 +376,6 @@ std::unique_ptr<Transaction> BuildStockLevel(std::vector<int64_t> params) {
   auto t = std::make_unique<Transaction>();
   t->txn_class = kStockLevelTxn;
   t->ctx.params = std::move(params);
-  t->ctx.vars.assign(40, 0);
   const auto& p = t->ctx.params;
   const uint64_t w = static_cast<uint64_t>(p[0]);
   const uint64_t d = static_cast<uint64_t>(p[1]);
@@ -438,7 +433,7 @@ std::unique_ptr<Transaction> BuildStockLevel(std::vector<int64_t> params) {
       ops.push_back(std::move(stock));
     }
   }
-  t->SetOps(std::move(ops));
+  t->SetOps(std::move(ops), /*num_vars=*/40);
   return t;
 }
 

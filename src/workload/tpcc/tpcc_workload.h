@@ -23,8 +23,7 @@ enum TxnClass : uint32_t {
   kStockLevelTxn = 4,
 };
 
-/// Builders: parameters fully describe a transaction; retries share the
-/// op list built here. Layouts are documented in the .cc.
+/// Builders: parameters fully describe a transaction (layouts in the .cc).
 std::unique_ptr<txn::Transaction> BuildNewOrder(std::vector<int64_t> params);
 std::unique_ptr<txn::Transaction> BuildPayment(std::vector<int64_t> params);
 std::unique_ptr<txn::Transaction> BuildOrderStatus(

@@ -82,9 +82,8 @@ class YcsbWorkload : public cc::WorkloadSource {
     /// keys_per_partition), so yesterday's cold keys become today's hot
     /// ones — the diurnal/hot-set-rotation regime the adaptive
     /// controller's re-arm exists for. 0 (the default) disables shifting;
-    /// enabling it requires SetClock. Keys are drawn once, into the
-    /// params and the shared op list, so a transaction straddling a shift
-    /// keeps its original keys across retries.
+    /// enabling it requires SetClock. Retries share the first attempt's op
+    /// list, so a transaction straddling a shift keeps its keys.
     SimTime shift_every = 0;
     uint64_t shift_stride = 0;
   };

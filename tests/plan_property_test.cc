@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -75,7 +76,7 @@ Transaction RandomTxn(uint64_t seed) {
 /// The planner's former per-attempt children lists, kept as the reference
 /// for the shared index: children[i] = the ops with a pk-dep on op i, found
 /// by inverting every op's pk_deps.
-std::vector<std::vector<int>> InvertedPkDeps(OpView ops) {
+std::vector<std::vector<int>> InvertedPkDeps(std::span<const Operation> ops) {
   std::vector<std::vector<int>> children(ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
     for (int d : ops[i].pk_deps) {
