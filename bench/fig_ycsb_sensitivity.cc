@@ -51,17 +51,18 @@ void Main(const BenchFlags& flags) {
   Sweep sweep(flags, "ycsb");
   const auto results = sweep.Run(specs);
 
-  for (const runner::ScenarioResult& r : results) {
-    Json params = Json::MakeObject();
-    params["theta"] = r.spec.options.GetDouble("theta", 0.0);
-    params["distributed_ratio"] =
-        r.spec.options.GetDouble("distributed_ratio", 0.0);
-    report.AddRun(r.spec.protocol, std::move(params), r.stats);
-  }
-
   // results[] is in grid order: theta-major, then distributed_ratio, then
   // protocol — recover the indices instead of re-deriving the grid.
   const size_t per_theta = dist_ratios.size() * protocols.size();
+  for (size_t i = 0; i < results.size(); ++i) {
+    Json params = Json::MakeObject();
+    params["theta"] = thetas[i / per_theta];
+    params["distributed_ratio"] =
+        dist_ratios[i % per_theta / protocols.size()];
+    report.AddRun(results[i].spec.protocol, std::move(params),
+                  results[i].stats);
+  }
+
   for (size_t ti = 0; ti < thetas.size(); ++ti) {
     std::printf("theta = %.2f — throughput (M txns/sec) / abort rate\n",
                 thetas[ti]);

@@ -1,15 +1,17 @@
-// WorkloadBundle implementations for the built-in workloads, absorbing the
-// wiring that used to be hand-rolled per bench binary (MakeTpccEnv,
-// MakeInstacartEnv + BuildInstacartLayouts, and the example mains).
+// WorkloadBundle implementations for the built-in workloads.
 //
-// Each factory reads its knobs from ScenarioSpec::options (validated
-// against an allow-list, so a typo'd key fails the scenario instead of
-// silently running defaults) and returns a self-contained bundle: sweeps
-// run bundles on concurrent workers, so factories never share state.
+// Each factory declares its knobs once, as a Knob table over its Options
+// struct (whose initial values are the defaults), parses
+// ScenarioSpec::options through it, checks the cross-field rules next to
+// the table, and returns a self-contained bundle: sweeps run bundles on
+// concurrent workers, so factories never share state.
 #include "runner/registry.h"
 
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "workload/flight.h"
@@ -25,62 +27,50 @@ namespace instacart = chiller::workload::instacart;
 namespace tpcc = chiller::workload::tpcc;
 namespace ycsb = chiller::workload::ycsb;
 
+/// A cross-field rule: InvalidArgument "<workload> <must>" unless `holds`.
+struct Rule {
+  bool holds;
+  std::string must;
+};
+
+/// `st` if it already failed, else the first broken rule, else OK.
+Status CheckRules(Status st, const ScenarioSpec& spec,
+                  std::initializer_list<Rule> rules) {
+  if (!st.ok()) return st;
+  for (const Rule& r : rules) {
+    if (!r.holds) return Status::InvalidArgument(spec.workload + " " + r.must);
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // tpcc — one warehouse per engine, partitioned by warehouse (Figures 9/10)
 // ---------------------------------------------------------------------------
 
-/// Shared TPC-C knob parsing for the tpcc and adaptive-tpcc factories
-/// (same option surface; only the layout differs).
-StatusOr<tpcc::TpccWorkload::Options> ParseTpccOptions(
-    const ScenarioSpec& spec) {
-  const OptionMap& o = spec.options;
-  Status st = o.ExpectOnly(
-      {"num_warehouses", "remote_new_order_prob", "remote_payment_prob",
-       "pct_new_order", "pct_payment", "pct_order_status", "pct_delivery",
-       "pct_stock_level", "invalid_item_prob", "stock_level_orders"});
-  if (!st.ok()) return st;
-
+/// The tpcc and adaptive-tpcc knobs (same surface; only the layout
+/// differs).
+StatusOr<tpcc::TpccWorkload::Options> TpccOptions(const ScenarioSpec& spec) {
   tpcc::TpccWorkload::Options w;
   // The paper's setup: exactly one warehouse per engine/partition.
-  w.num_warehouses = static_cast<uint32_t>(
-      o.GetInt("num_warehouses", spec.partitions()));
-  if (w.num_warehouses == 0) {
-    return Status::InvalidArgument("tpcc num_warehouses must be >= 1");
-  }
-  w.remote_new_order_prob =
-      o.GetDouble("remote_new_order_prob", w.remote_new_order_prob);
-  w.remote_payment_prob =
-      o.GetDouble("remote_payment_prob", w.remote_payment_prob);
-  w.pct_new_order =
-      static_cast<uint32_t>(o.GetInt("pct_new_order", w.pct_new_order));
-  w.pct_payment =
-      static_cast<uint32_t>(o.GetInt("pct_payment", w.pct_payment));
-  w.pct_order_status =
-      static_cast<uint32_t>(o.GetInt("pct_order_status", w.pct_order_status));
-  w.pct_delivery =
-      static_cast<uint32_t>(o.GetInt("pct_delivery", w.pct_delivery));
-  w.pct_stock_level =
-      static_cast<uint32_t>(o.GetInt("pct_stock_level", w.pct_stock_level));
-  w.invalid_item_prob =
-      o.GetDouble("invalid_item_prob", w.invalid_item_prob);
-  w.stock_level_orders = static_cast<uint32_t>(
-      o.GetInt("stock_level_orders", w.stock_level_orders));
-  if (w.pct_new_order + w.pct_payment + w.pct_order_status + w.pct_delivery +
-          w.pct_stock_level !=
-      100) {
-    return Status::InvalidArgument("tpcc mix percentages must sum to 100");
-  }
-  const std::pair<const char*, double> probs[] = {
-      {"remote_new_order_prob", w.remote_new_order_prob},
-      {"remote_payment_prob", w.remote_payment_prob},
-      {"invalid_item_prob", w.invalid_item_prob},
-  };
-  for (const auto& [name, p] : probs) {
-    if (!(p >= 0.0 && p <= 1.0)) {
-      return Status::InvalidArgument(std::string("tpcc ") + name +
-                                     " must be in [0, 1]");
-    }
-  }
+  w.num_warehouses = spec.partitions();
+  Status st = ParseKnobs(
+      spec.options, spec.workload,
+      {{"num_warehouses", &w.num_warehouses, 1},
+       {"remote_new_order_prob", &w.remote_new_order_prob, 0.0, 1.0},
+       {"remote_payment_prob", &w.remote_payment_prob, 0.0, 1.0},
+       {"pct_new_order", &w.pct_new_order, 0, 100},
+       {"pct_payment", &w.pct_payment, 0, 100},
+       {"pct_order_status", &w.pct_order_status, 0, 100},
+       {"pct_delivery", &w.pct_delivery, 0, 100},
+       {"pct_stock_level", &w.pct_stock_level, 0, 100},
+       {"invalid_item_prob", &w.invalid_item_prob, 0.0, 1.0},
+       {"stock_level_orders", &w.stock_level_orders}});
+  st = CheckRules(st, spec,
+                  {{w.pct_new_order + w.pct_payment + w.pct_order_status +
+                            w.pct_delivery + w.pct_stock_level ==
+                        100,
+                    "mix percentages must sum to 100"}});
+  if (!st.ok()) return st;
   return w;
 }
 
@@ -121,7 +111,7 @@ class TpccBundle : public WorkloadBundle {
 };
 
 StatusOr<std::unique_ptr<WorkloadBundle>> MakeTpcc(const ScenarioSpec& spec) {
-  auto w = ParseTpccOptions(spec);
+  auto w = TpccOptions(spec);
   if (!w.ok()) return w.status();
   return std::unique_ptr<WorkloadBundle>(
       std::make_unique<TpccBundle>(w.value(), spec.partitions()));
@@ -161,23 +151,21 @@ class InstacartBundle : public WorkloadBundle {
 
 StatusOr<std::unique_ptr<WorkloadBundle>> MakeInstacart(
     const ScenarioSpec& spec) {
-  const OptionMap& o = spec.options;
-  Status st = o.ExpectOnly({"num_products", "tail_theta", "layout",
-                            "trace_txns", "layout_seed", "hot_threshold"});
-  if (!st.ok()) return st;
-
   instacart::InstacartWorkload::Options w;
-  w.num_products = o.GetInt("num_products", w.num_products);
-  w.tail_theta = o.GetDouble("tail_theta", w.tail_theta);
-  if (w.num_products <= 100) {
-    return Status::InvalidArgument("instacart num_products must be > 100");
-  }
-
-  const std::string layout = o.GetString("layout", "chiller");
-  if (layout != "chiller" && layout != "schism" && layout != "hash") {
-    return Status::InvalidArgument("unknown instacart layout '" + layout +
-                                   "' (known: chiller, hash, schism)");
-  }
+  std::string layout = "chiller";
+  size_t trace_txns = 8000;
+  uint64_t layout_seed = 7;
+  double hot_threshold = 0.01;
+  Status st = ParseKnobs(
+      spec.options, spec.workload,
+      {{"num_products", &w.num_products, 101},
+       // At 10 the first tail item draws 99.9% of the tail.
+       {"tail_theta", &w.tail_theta, 0.0, 10.0},
+       {"layout", &layout, {"chiller", "hash", "schism"}},
+       {"trace_txns", &trace_txns, 1},
+       {"layout_seed", &layout_seed},
+       {"hot_threshold", &hot_threshold, 0.0, 1.0}});
+  if (!st.ok()) return st;
 
   // The trace workload is a separate instance from the driver source so the
   // layout never depends on how long the measured run goes on. The Schism
@@ -185,10 +173,8 @@ StatusOr<std::unique_ptr<WorkloadBundle>> MakeInstacart(
   // layout pays for it.
   instacart::InstacartWorkload trace_workload(w);
   instacart::InstacartLayouts layouts = instacart::BuildInstacartLayouts(
-      &trace_workload, spec.partitions(),
-      static_cast<size_t>(o.GetInt("trace_txns", 8000)),
-      o.GetInt("layout_seed", 7), o.GetDouble("hot_threshold", 0.01),
-      /*with_schism=*/layout == "schism");
+      &trace_workload, spec.partitions(), trace_txns, layout_seed,
+      hot_threshold, /*with_schism=*/layout == "schism");
 
   const partition::RecordPartitioner* active =
       layout == "chiller" ? layouts.chiller_out.partitioner.get()
@@ -231,46 +217,25 @@ class FlightBundle : public WorkloadBundle {
 
 StatusOr<std::unique_ptr<WorkloadBundle>> MakeFlight(
     const ScenarioSpec& spec) {
-  const OptionMap& o = spec.options;
-  Status st = o.ExpectOnly({"num_flights", "num_customers", "num_states",
-                            "hot_flights", "hot_fraction", "initial_seats",
-                            "initial_balance"});
-  if (!st.ok()) return st;
-
-  flight::FlightWorkload::Options w;
-  w.num_flights = o.GetInt("num_flights", w.num_flights);
-  w.num_customers = o.GetInt("num_customers", w.num_customers);
-  w.num_states = o.GetInt("num_states", w.num_states);
-  w.hot_flights = o.GetInt("hot_flights", w.hot_flights);
-  w.hot_fraction = o.GetDouble("hot_fraction", w.hot_fraction);
-  w.initial_seats =
-      static_cast<int64_t>(o.GetInt("initial_seats", w.initial_seats));
-  w.initial_balance =
-      static_cast<int64_t>(o.GetInt("initial_balance", w.initial_balance));
   // Next() draws Uniform over the hot set, the cold remainder, customers
   // and states, so none of them may be empty.
-  if (w.num_flights == 0) {
-    return Status::InvalidArgument("flight num_flights must be >= 1");
-  }
-  if (w.hot_flights == 0 || w.hot_flights >= w.num_flights) {
-    return Status::InvalidArgument(
-        "flight hot_flights must be in [1, num_flights)");
-  }
-  if (w.num_customers == 0) {
-    return Status::InvalidArgument("flight num_customers must be >= 1");
-  }
-  if (w.num_states == 0) {
-    return Status::InvalidArgument("flight num_states must be >= 1");
-  }
-  if (!(w.hot_fraction >= 0.0 && w.hot_fraction <= 1.0)) {
-    return Status::InvalidArgument("flight hot_fraction must be in [0, 1]");
-  }
+  flight::FlightWorkload::Options w;
+  Status st = ParseKnobs(spec.options, spec.workload,
+                         {{"num_flights", &w.num_flights, 1},
+                          {"num_customers", &w.num_customers, 1},
+                          {"num_states", &w.num_states, 1},
+                          {"hot_flights", &w.hot_flights, 1},
+                          {"hot_fraction", &w.hot_fraction, 0.0, 1.0},
+                          {"initial_seats", &w.initial_seats, 0},
+                          {"initial_balance", &w.initial_balance, 0}});
   constexpr Key kSeatStride = flight::FlightSchema::kSeatStride;
-  if (w.initial_seats >= static_cast<int64_t>(kSeatStride)) {
-    return Status::InvalidArgument(
-        "flight initial_seats must be < " + std::to_string(kSeatStride) +
-        " (seat ids would collide across flights)");
-  }
+  st = CheckRules(st, spec,
+                  {{w.hot_flights < w.num_flights,
+                    "hot_flights must be < num_flights"},
+                   {w.initial_seats < static_cast<int64_t>(kSeatStride),
+                    "initial_seats must be < " + std::to_string(kSeatStride) +
+                        " (seat ids would collide across flights)"}});
+  if (!st.ok()) return st;
   return std::unique_ptr<WorkloadBundle>(
       std::make_unique<FlightBundle>(w, spec.partitions()));
 }
@@ -306,64 +271,30 @@ class YcsbBundle : public WorkloadBundle {
   ycsb::YcsbPartitioner partitioner_;
 };
 
-StatusOr<ycsb::YcsbWorkload::Options> ParseYcsbOptions(
-    const ScenarioSpec& spec) {
-  const OptionMap& o = spec.options;
-  ycsb::YcsbWorkload::Options w;
-  w.num_partitions = spec.partitions();
-  w.keys_per_partition = o.GetInt("keys_per_partition", w.keys_per_partition);
-  w.theta = o.GetDouble("theta", w.theta);
-  w.read_ratio = o.GetDouble("read_ratio", w.read_ratio);
-  w.distributed_ratio = o.GetDouble("distributed_ratio", w.distributed_ratio);
-  w.ops_per_txn = static_cast<uint32_t>(o.GetInt("ops_per_txn", w.ops_per_txn));
-  w.hot_keys_per_partition =
-      o.GetInt("hot_keys_per_partition", w.hot_keys_per_partition);
-  w.initial_value =
-      static_cast<int64_t>(o.GetInt("initial_value", w.initial_value));
-  w.shift_every =
-      static_cast<SimTime>(o.GetInt("shift_every_us", 0)) * kMicrosecond;
-  w.shift_stride = static_cast<uint64_t>(o.GetInt("shift_stride", 0));
-  if (w.keys_per_partition == 0) {
-    return Status::InvalidArgument("ycsb keys_per_partition must be >= 1");
-  }
-  if ((w.shift_every > 0) != (w.shift_stride > 0)) {
-    return Status::InvalidArgument(
-        "shift_every_us and shift_stride enable the shifting hot set "
-        "together (both > 0 or both absent)");
-  }
-  if (w.shift_stride >= w.keys_per_partition) {
-    return Status::InvalidArgument(
-        "shift_stride must be < keys_per_partition (the rotation is "
-        "modular)");
-  }
-  if (w.theta < 0.0 || w.theta >= 1.0) {
-    return Status::InvalidArgument("ycsb theta must be in [0, 1)");
-  }
-  if (w.read_ratio < 0.0 || w.read_ratio > 1.0 ||
-      w.distributed_ratio < 0.0 || w.distributed_ratio > 1.0) {
-    return Status::InvalidArgument(
-        "ycsb read_ratio and distributed_ratio must be in [0, 1]");
-  }
-  if (w.ops_per_txn == 0 || w.ops_per_txn > w.keys_per_partition) {
-    return Status::InvalidArgument(
-        "ycsb ops_per_txn must be in [1, keys_per_partition]");
-  }
-  if (w.hot_keys_per_partition > w.keys_per_partition) {
-    return Status::InvalidArgument(
-        "ycsb hot_keys_per_partition must be <= keys_per_partition");
-  }
-  return w;
+/// The knob rows ycsb and adaptive share.
+std::vector<Knob> YcsbKnobs(ycsb::YcsbWorkload::Options* w) {
+  return {{"keys_per_partition", &w->keys_per_partition, 1},
+          {"theta", &w->theta, 0.0, 1.0, /*hi_open=*/true},
+          {"read_ratio", &w->read_ratio, 0.0, 1.0},
+          {"distributed_ratio", &w->distributed_ratio, 0.0, 1.0},
+          {"ops_per_txn", &w->ops_per_txn, 1},
+          {"initial_value", &w->initial_value}};
 }
 
 StatusOr<std::unique_ptr<WorkloadBundle>> MakeYcsb(const ScenarioSpec& spec) {
-  Status st = spec.options.ExpectOnly(
-      {"keys_per_partition", "theta", "read_ratio", "distributed_ratio",
-       "ops_per_txn", "hot_keys_per_partition", "initial_value"});
+  ycsb::YcsbWorkload::Options w;
+  w.num_partitions = spec.partitions();
+  std::vector<Knob> knobs = YcsbKnobs(&w);
+  knobs.push_back({"hot_keys_per_partition", &w.hot_keys_per_partition});
+  Status st = ParseKnobs(spec.options, spec.workload, knobs);
+  st = CheckRules(
+      st, spec,
+      {{w.ops_per_txn <= w.keys_per_partition,
+        "ops_per_txn must be <= keys_per_partition"},
+       {w.hot_keys_per_partition <= w.keys_per_partition,
+        "hot_keys_per_partition must be <= keys_per_partition"}});
   if (!st.ok()) return st;
-  auto w = ParseYcsbOptions(spec);
-  if (!w.ok()) return w.status();
-  return std::unique_ptr<WorkloadBundle>(
-      std::make_unique<YcsbBundle>(w.value()));
+  return std::unique_ptr<WorkloadBundle>(std::make_unique<YcsbBundle>(w));
 }
 
 // ---------------------------------------------------------------------------
@@ -414,18 +345,34 @@ StatusOr<std::unique_ptr<WorkloadBundle>> MakeAdaptive(
     const ScenarioSpec& spec) {
   // hot_keys_per_partition is deliberately not a knob here: pre-replan the
   // hash layout knows no hot records, and post-replan hotness comes from
-  // the sampled contention likelihoods, not a rank threshold.
+  // the sampled contention likelihoods, not a rank threshold. It is zeroed
+  // because YcsbWorkload CHECKs it against keys_per_partition.
   // shift_every_us / shift_stride stay adaptive-only: a shifting hot set
   // on a frozen layout is just a slower hash workload, and allowing it
   // there would invite apples-to-oranges grids.
-  Status st = spec.options.ExpectOnly(
-      {"keys_per_partition", "theta", "read_ratio", "distributed_ratio",
-       "ops_per_txn", "initial_value", "shift_every_us", "shift_stride"});
+  ycsb::YcsbWorkload::Options w;
+  w.num_partitions = spec.partitions();
+  w.hot_keys_per_partition = 0;
+  uint64_t shift_every_us = 0;
+  std::vector<Knob> knobs = YcsbKnobs(&w);
+  knobs.push_back({"shift_every_us", &shift_every_us, 0,
+                   std::numeric_limits<SimTime>::max() / kMicrosecond});
+  knobs.push_back({"shift_stride", &w.shift_stride});
+  Status st = ParseKnobs(spec.options, spec.workload, knobs);
+  st = CheckRules(
+      st, spec,
+      {{w.ops_per_txn <= w.keys_per_partition,
+        "ops_per_txn must be <= keys_per_partition"},
+       {(shift_every_us > 0) == (w.shift_stride > 0),
+        "shift_every_us and shift_stride must be set together (both > 0 or "
+        "both absent)"},
+       {w.shift_stride < w.keys_per_partition,
+        "shift_stride must be < keys_per_partition (the rotation is "
+        "modular)"}});
   if (!st.ok()) return st;
-  auto w = ParseYcsbOptions(spec);
-  if (!w.ok()) return w.status();
+  w.shift_every = shift_every_us * kMicrosecond;
   return std::unique_ptr<WorkloadBundle>(
-      std::make_unique<AdaptiveYcsbBundle>(w.value()));
+      std::make_unique<AdaptiveYcsbBundle>(w));
 }
 
 // ---------------------------------------------------------------------------
@@ -469,7 +416,7 @@ class AdaptiveTpccBundle : public WorkloadBundle {
 
 StatusOr<std::unique_ptr<WorkloadBundle>> MakeAdaptiveTpcc(
     const ScenarioSpec& spec) {
-  auto w = ParseTpccOptions(spec);
+  auto w = TpccOptions(spec);
   if (!w.ok()) return w.status();
   return std::unique_ptr<WorkloadBundle>(
       std::make_unique<AdaptiveTpccBundle>(w.value(), spec.partitions()));

@@ -1,8 +1,8 @@
 #include "runner/options.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 namespace chiller::runner {
 
@@ -24,79 +24,11 @@ void OptionMap::Set(const std::string& key, uint64_t value) {
   values_[key] = std::to_string(value);
 }
 
-void OptionMap::Set(const std::string& key, bool value) {
-  values_[key] = value ? "true" : "false";
-}
-
-std::string OptionMap::GetString(const std::string& key,
-                                 const std::string& fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
-double OptionMap::GetDouble(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  // std::from_chars<double> is incomplete on some libstdc++ versions; strtod
-  // matches the snprintf %.17g round-trip exactly.
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  CHILLER_CHECK(!it->second.empty() &&
-                end == it->second.c_str() + it->second.size())
-      << "option '" << key << "' = '" << it->second << "' is not a number";
-  return v;
-}
-
-uint64_t OptionMap::GetInt(const std::string& key, uint64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  uint64_t v = 0;
-  const char* first = it->second.data();
-  const char* last = first + it->second.size();
-  auto [ptr, ec] = std::from_chars(first, last, v);
-  CHILLER_CHECK(ec == std::errc() && ptr == last)
-      << "option '" << key << "' = '" << it->second
-      << "' is not an unsigned integer";
-  return v;
-}
-
-bool OptionMap::GetBool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  if (it->second == "true" || it->second == "1") return true;
-  CHILLER_CHECK(it->second == "false" || it->second == "0")
-      << "option '" << key << "' = '" << it->second << "' is not a bool";
-  return false;
-}
-
 std::vector<std::string> OptionMap::Keys() const {
   std::vector<std::string> keys;
   keys.reserve(values_.size());
   for (const auto& [k, v] : values_) keys.push_back(k);
   return keys;
-}
-
-Status OptionMap::ExpectOnly(
-    std::initializer_list<std::string_view> allowed) const {
-  for (const auto& [key, value] : values_) {
-    bool found = false;
-    for (std::string_view a : allowed) {
-      if (key == a) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::string known;
-      for (std::string_view a : allowed) {
-        if (!known.empty()) known += ", ";
-        known += a;
-      }
-      return Status::InvalidArgument("unknown option '" + key +
-                                     "' (known: " + known + ")");
-    }
-  }
-  return Status::OK();
 }
 
 std::string OptionMap::ToString() const {
@@ -108,6 +40,73 @@ std::string OptionMap::ToString() const {
     out += v;
   }
   return out;
+}
+
+namespace {
+
+template <typename T>
+std::string Show(T v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// "must be ..." for `text`, or "" when it parses into the field in range.
+/// A NaN fails both range comparisons and an infinity lies past the finite
+/// bounds, so every accepted double is finite; an integer that overflows
+/// the field fails from_chars.
+template <typename T>
+std::string Parse(const std::string& text, const Knob::Field<T>& f) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (ec == std::errc() && ptr == last && v >= f.lo &&
+      (f.hi_open ? v < f.hi : v <= f.hi)) {
+    *f.value = v;
+    return "";
+  }
+  return std::string(std::is_floating_point_v<T> ? "a number" : "an integer") +
+         " in [" + Show(f.lo) + ", " + Show(f.hi) + (f.hi_open ? ")" : "]");
+}
+
+std::string Parse(const std::string& text, const Knob::Choice& c) {
+  std::string names;
+  for (std::string_view a : c.allowed) {
+    if (text == a) {
+      *c.value = text;
+      return "";
+    }
+    if (!names.empty()) names += ", ";
+    names += a;
+  }
+  return "one of " + names;
+}
+
+}  // namespace
+
+Status ParseKnobs(const OptionMap& options, std::string_view workload,
+                  const std::vector<Knob>& knobs) {
+  for (const auto& [key, text] : options.values_) {
+    const auto knob =
+        std::find_if(knobs.begin(), knobs.end(),
+                     [&](const Knob& k) { return k.name == key; });
+    if (knob == knobs.end()) {
+      std::string known;
+      for (const Knob& k : knobs) {
+        if (!known.empty()) known += ", ";
+        known += k.name;
+      }
+      return Status::InvalidArgument("unknown option '" + key +
+                                     "' (known: " + known + ")");
+    }
+    const std::string must = std::visit(
+        [&](const auto& field) { return Parse(text, field); }, knob->field);
+    if (!must.empty()) {
+      return Status::InvalidArgument(std::string(workload) + " " + key +
+                                     " must be " + must + ", got '" + text +
+                                     "'");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace chiller::runner

@@ -1,11 +1,15 @@
-// Tests for the scenario subsystem: OptionMap, the workload/protocol
-// name tables, ScenarioRunner wiring, the ycsb workload's knobs, and
-// SweepExecutor ordering.
+// Tests for the scenario subsystem: OptionMap and ParseKnobs, the
+// workload/protocol name tables, ScenarioRunner wiring, the ycsb workload's
+// knobs, every workload's knob table, and SweepExecutor ordering.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "runner/options.h"
 #include "runner/registry.h"
@@ -20,26 +24,14 @@ namespace {
 // OptionMap
 // ---------------------------------------------------------------------------
 
-TEST(OptionMapTest, TypedRoundtrips) {
-  OptionMap o;
-  o.Set("name", "zipf");
-  o.Set("theta", 0.75);
-  o.Set("ops", 42);
-  o.Set("flag", true);
-  EXPECT_EQ(o.GetString("name", ""), "zipf");
-  EXPECT_DOUBLE_EQ(o.GetDouble("theta", 0.0), 0.75);
-  EXPECT_EQ(o.GetInt("ops", 0), 42u);
-  EXPECT_TRUE(o.GetBool("flag", false));
-  EXPECT_TRUE(o.Has("theta"));
-  EXPECT_FALSE(o.Has("absent"));
-  EXPECT_EQ(o.GetInt("absent", 7), 7u);
-}
-
 TEST(OptionMapTest, DoubleRoundtripIsExact) {
   OptionMap o;
   const double v = 0.1234567890123456789;  // forces the %.17g path
   o.Set("x", v);
-  EXPECT_EQ(o.GetDouble("x", 0.0), v);
+  double x = 0.0;
+  const Status st = ParseKnobs(o, "test", {{"x", &x, 0.0, 1.0}});
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(x, v);
 }
 
 TEST(OptionMapTest, KeysAreSortedAndToStringStable) {
@@ -50,13 +42,68 @@ TEST(OptionMapTest, KeysAreSortedAndToStringStable) {
   EXPECT_EQ(o.ToString(), "a=1 b=2");
 }
 
-TEST(OptionMapTest, ExpectOnlyFlagsTypos) {
+// ---------------------------------------------------------------------------
+// ParseKnobs
+// ---------------------------------------------------------------------------
+
+struct Fields {
+  uint32_t u32 = 1;
+  uint64_t u64 = 2;
+  int64_t i64 = 3;
+  double ratio = 0.5;
+  std::string name = "a";
+
+  std::vector<Knob> Knobs() {
+    return {{"u32", &u32, 1},
+            {"u64", &u64},
+            {"i64", &i64, -10, 10},
+            {"ratio", &ratio, 0.0, 1.0, /*hi_open=*/true},
+            {"name", &name, {"a", "b"}}};
+  }
+};
+
+TEST(ParseKnobsTest, EachFieldTypeParsesAndAbsentKnobsKeepDefaults) {
   OptionMap o;
-  o.Set("theta", 0.5);
-  o.Set("thetta", 0.5);
-  EXPECT_TRUE(o.ExpectOnly({"theta"}).IsInvalidArgument());
-  const Status st = o.ExpectOnly({"theta", "thetta"});
-  EXPECT_TRUE(st.ok()) << st.ToString();
+  o.Set("u64", uint64_t{18446744073709551615u});
+  o.Set("i64", "-10");
+  o.Set("name", "b");
+  Fields f;
+  const Status st = ParseKnobs(o, "t", f.Knobs());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(f.u32, 1u);
+  EXPECT_EQ(f.u64, 18446744073709551615u);
+  EXPECT_EQ(f.i64, -10);
+  EXPECT_EQ(f.ratio, 0.5);
+  EXPECT_EQ(f.name, "b");
+}
+
+TEST(ParseKnobsTest, RefusesMalformedOverflowingNonFiniteAndOutOfRange) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"u32", "0"},      {"u32", "4294967296"},
+      {"u32", "-1"},     {"u32", "1.5"},
+      {"u32", ""},       {"u64", "18446744073709551616"},
+      {"i64", "11"},     {"i64", "-11"},
+      {"i64", "x"},      {"ratio", "1"},  // the range is [0, 1)
+      {"ratio", "-0.1"}, {"ratio", "nan"},
+      {"ratio", "inf"},  {"ratio", "1e400"},
+      {"ratio", "0.5x"}, {"name", "c"},
+      {"name", ""},
+  };
+  for (const auto& [knob, text] : bad) {
+    OptionMap o;
+    o.Set(knob, text);
+    Fields f;
+    const Status st = ParseKnobs(o, "t", f.Knobs());
+    EXPECT_TRUE(st.IsInvalidArgument()) << knob << "=" << text;
+    EXPECT_NE(st.message().find("t " + std::string(knob) + " must be "),
+              std::string::npos)
+        << st.ToString();
+  }
+  OptionMap typo;
+  typo.Set("ratoi", 0.5);
+  Fields f;
+  EXPECT_EQ(ParseKnobs(typo, "t", f.Knobs()).message(),
+            "unknown option 'ratoi' (known: u32, u64, i64, ratio, name)");
 }
 
 // ---------------------------------------------------------------------------
@@ -260,19 +307,30 @@ TEST(YcsbTest, InvalidKnobsAreRejected) {
   spec.options.Set("keys_per_partition", 1000);
   spec.options.Set("hot_keys_per_partition", 5000);
   EXPECT_TRUE(ScenarioRunner::Run(spec).status().IsInvalidArgument());
+  // adaptive has no hot-key knob, so that rule cannot refuse a keyspace
+  // smaller than ycsb's default hot set.
+  spec = SmallYcsb();
+  spec.workload = "adaptive";
+  spec.options.Set("keys_per_partition", 2);
+  spec.options.Set("ops_per_txn", 1);
+  const Status st = ScenarioRunner::Wire(spec).status();
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 // Each option value below would otherwise kill the process inside the
-// workload (a modulo or Uniform draw by zero, or a CHECK at load time) or
-// silently run a meaningless mix; the factories refuse it with a Status
-// naming the option before anything is loaded. A knob the workload does not
-// have (`unknown`) is refused the same way rather than ignored.
+// workload (a modulo or Uniform draw by zero, or a CHECK at parse or load
+// time), silently run a meaningless mix, or wrap into another value; the
+// factories refuse it with a Status naming the option before anything is
+// loaded. A knob the workload does not have (`unknown`) is refused the same
+// way rather than ignored. `also` sets a second, valid option.
 TEST(WorkloadOptionsTest, InvalidOptionsFailWiringWithTheirName) {
   struct Case {
     const char* workload;
     const char* option;
     const char* value;
     bool unknown = false;
+    const char* also = nullptr;
+    const char* also_value = nullptr;
   };
   const Case cases[] = {
       {"tpcc", "num_warehouses", "0"},
@@ -289,6 +347,17 @@ TEST(WorkloadOptionsTest, InvalidOptionsFailWiringWithTheirName) {
       {"instacart", "num_products", "100"},
       {"instacart", "num_customers", "5000", /*unknown=*/true},
       {"ycsb", "keys_per_partition", "0"},
+      {"ycsb", "theta", "nan"},
+      {"ycsb", "theta", "abc"},
+      {"ycsb", "read_ratio", "nan"},
+      {"ycsb", "ops_per_txn", "4294967298"},  // 2 once truncated to 32 bits
+      {"tpcc", "pct_new_order", "-1"},
+      {"tpcc", "num_warehouses", "4294967297"},  // 1 once truncated
+      {"instacart", "tail_theta", "nan"},
+      {"instacart", "hot_threshold", "nan"},
+      // Times 1000 ns, the period wraps 64 bits to 384 ns.
+      {"adaptive", "shift_every_us", "18446744073709552", false,
+       "shift_stride", "5"},
   };
   for (const Case& c : cases) {
     ScenarioSpec spec;
@@ -297,6 +366,7 @@ TEST(WorkloadOptionsTest, InvalidOptionsFailWiringWithTheirName) {
     spec.nodes = 2;
     spec.engines_per_node = 1;
     spec.options.Set(c.option, c.value);
+    if (c.also != nullptr) spec.options.Set(c.also, c.also_value);
     const std::string what =
         std::string(c.workload) + " " + c.option + "=" + c.value;
     const Status st = ScenarioRunner::Wire(spec).status();
@@ -306,6 +376,161 @@ TEST(WorkloadOptionsTest, InvalidOptionsFailWiringWithTheirName) {
                   : std::string(c.option) + " must";
     EXPECT_NE(st.message().find(says), std::string::npos)
         << what << ": " << st.ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dead knobs
+// ---------------------------------------------------------------------------
+
+/// What a wired workload hands a run: its loaded records (count and an
+/// order-independent digest of ids and fields), their placement (primary
+/// partition and hotness), and the first 1,000 transactions drawn with a
+/// fixed Rng (class, params, and each op's type, table and key when no
+/// earlier read decides it). The draws happen at 10 ms of simulated time,
+/// so a shifting hot set has rotated by then.
+struct WorkloadPrint {
+  size_t records = 0;
+  uint64_t data = 0;
+  uint64_t placement = 0;
+  uint64_t txns = 0;
+  friend bool operator==(const WorkloadPrint&, const WorkloadPrint&) = default;
+};
+
+uint64_t Mix(uint64_t h, uint64_t v) {
+  h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 31);
+}
+
+WorkloadPrint Fingerprint(const ScenarioSpec& spec) {
+  WorkloadPrint print;
+  auto env = ScenarioRunner::Wire(spec);
+  EXPECT_TRUE(env.ok()) << spec.options.ToString() << ": "
+                        << env.status().ToString();
+  if (!env.ok()) return print;
+  const partition::RecordPartitioner* part = env->bundle->partitioner();
+  for (PartitionId p = 0; p < spec.partitions(); ++p) {
+    env->cluster->primary(p)->ForEach(
+        [&](const RecordId& rid, const storage::Record& rec) {
+          uint64_t h = Mix(Mix(0, rid.table), rid.key);
+          print.placement += Mix(Mix(h, p), part->IsHot(rid));
+          for (size_t f = 0; f < rec.num_fields(); ++f) {
+            h = Mix(h, static_cast<uint64_t>(rec.Get(f)));
+          }
+          print.data += h;
+          ++print.records;
+        });
+  }
+  env->cluster->sim()->RunUntil(10 * kMillisecond);
+  Rng rng(5);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    auto t = env->bundle->source()->Next(i % spec.partitions(), &rng);
+    print.txns = Mix(print.txns, t->txn_class);
+    for (int64_t param : t->ctx.params) {
+      print.txns = Mix(print.txns, static_cast<uint64_t>(param));
+    }
+    for (const txn::Operation& op : t->ops) {
+      print.txns = Mix(Mix(print.txns, static_cast<uint64_t>(op.type)),
+                       op.table);
+      if (op.pk_deps.empty()) print.txns = Mix(print.txns, op.key_fn(t->ctx));
+    }
+  }
+  return print;
+}
+
+/// A workload's knob names, as its unknown-option refusal lists them.
+std::set<std::string> KnobNames(const std::string& workload) {
+  ScenarioSpec spec;
+  spec.workload = workload;
+  spec.options.Set("not-a-knob", 1);
+  const std::string message = ScenarioRunner::Wire(spec).status().message();
+  const std::string from = "(known: ";
+  const size_t begin = message.find(from) + from.size();
+  std::set<std::string> names;
+  for (size_t at = begin; at < message.size();) {
+    const size_t end = message.find_first_of(",)", at);
+    names.insert(message.substr(at, end - at));
+    at = end + 2;
+  }
+  return names;
+}
+
+// Every knob of every workload must reach the workload: a valid
+// non-default value changes the records, their placement, or the drawn
+// transactions. The TPC-C mix moves in pairs (it must sum to 100) and the
+// shift pair is set together. Adding a knob without a value here fails.
+TEST(WorkloadOptionsTest, EveryKnobChangesTheWorkload) {
+  using Settings = std::vector<std::pair<const char*, const char*>>;
+  const std::vector<Settings> tpcc_values = {
+      {{"num_warehouses", "4"}},
+      {{"remote_new_order_prob", "0.9"}},
+      {{"remote_payment_prob", "0.9"}},
+      {{"pct_new_order", "35"}, {"pct_payment", "53"}},
+      {{"pct_order_status", "8"}, {"pct_delivery", "0"}},
+      {{"pct_stock_level", "8"}, {"pct_new_order", "41"}},
+      {{"invalid_item_prob", "0.5"}},
+      {{"stock_level_orders", "8"}},
+  };
+  const std::vector<Settings> ycsb_values = {
+      {{"keys_per_partition", "2000"}}, {{"theta", "0.5"}},
+      {{"read_ratio", "0.9"}},          {{"distributed_ratio", "0.5"}},
+      {{"ops_per_txn", "4"}},           {{"initial_value", "-3"}},
+  };
+  struct Family {
+    Settings base;  // keeps the load small
+    std::vector<Settings> values;
+  };
+  std::map<std::string, Family> families = {
+      {"tpcc", {{}, tpcc_values}},
+      {"adaptive-tpcc", {{}, tpcc_values}},
+      {"instacart",
+       {{{"num_products", "2000"}, {"trace_txns", "500"}},
+        {{{"num_products", "3000"}},
+         {{"tail_theta", "0.9"}},
+         {{"layout", "hash"}},
+         {{"layout", "schism"}},
+         {{"trace_txns", "1000"}},
+         {{"layout_seed", "8"}},
+         {{"hot_threshold", "0.05"}}}}},
+      {"flight",
+       {{{"num_customers", "1000"}},
+        {{{"num_flights", "2000"}},
+         {{"num_customers", "2000"}},
+         {{"num_states", "10"}},
+         {{"hot_flights", "20"}},
+         {{"hot_fraction", "0.5"}},
+         {{"initial_seats", "100"}},
+         {{"initial_balance", "5"}}}}},
+      {"ycsb", {{{"keys_per_partition", "1000"}}, ycsb_values}},
+      {"adaptive", {{{"keys_per_partition", "1000"}}, ycsb_values}},
+  };
+  families["ycsb"].values.push_back({{"hot_keys_per_partition", "16"}});
+  families["adaptive"].values.push_back(
+      {{"shift_every_us", "1000"}, {"shift_stride", "150"}});
+
+  for (const std::string& workload : Workloads().Names()) {
+    ASSERT_TRUE(families.contains(workload)) << workload;
+    const Family& family = families[workload];
+    std::set<std::string> covered;
+    for (const Settings& settings : family.values) {
+      for (const auto& [key, value] : settings) covered.insert(key);
+    }
+    EXPECT_EQ(covered, KnobNames(workload)) << workload;
+
+    ScenarioSpec base;
+    base.workload = workload;
+    base.protocol = "2pl";
+    base.nodes = 2;
+    base.engines_per_node = 1;
+    for (const auto& [key, value] : family.base) base.options.Set(key, value);
+    const WorkloadPrint reference = Fingerprint(base);
+    for (const Settings& settings : family.values) {
+      ScenarioSpec spec = base;
+      for (const auto& [key, value] : settings) spec.options.Set(key, value);
+      EXPECT_FALSE(Fingerprint(spec) == reference)
+          << workload << " " << spec.options.ToString()
+          << " changes nothing";
+    }
   }
 }
 
